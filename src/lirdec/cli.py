@@ -2,9 +2,10 @@
 
 Subcommands: color, verify, exact, classify, sweep. Exit codes are part of
 the contract: 0 success/valid, 1 invalid or proven-absent, 2 inconclusive,
-64 usage or input errors. Default search limits come from the environment
-(LIRDEC_MAX_COLORS, LIRDEC_MAX_EDGES, LIRDEC_NODE_BUDGET) and are overridden
-by flags.
+64 usage or input errors. A reader that closes stdout early (as `| head`
+does) ends the run quietly with 0. Default search limits come from the
+environment (LIRDEC_MAX_COLORS, LIRDEC_MAX_EDGES, LIRDEC_NODE_BUDGET) and are
+overridden by flags; a limit below 1 is a usage error.
 """
 
 from __future__ import annotations
@@ -111,11 +112,17 @@ def _load_graphs(spec: str, seed: int) -> list[SimpleGraph]:
 
 
 def _limits(args) -> SearchLimits:
+    """Flags over environment over defaults; SearchLimits rejects values < 1."""
     env = os.environ
-    max_colors = args.max_colors or int(env.get("LIRDEC_MAX_COLORS", 4))
-    max_edges = args.max_edges or int(env.get("LIRDEC_MAX_EDGES", 24))
-    node_budget = args.node_budget or int(env.get("LIRDEC_NODE_BUDGET", 10**9))
-    return SearchLimits(max_colors, max_edges, node_budget)
+
+    def pick(flag, var, default):
+        return flag if flag is not None else int(env.get(var, default))
+
+    return SearchLimits(
+        pick(args.max_colors, "LIRDEC_MAX_COLORS", 4),
+        pick(args.max_edges, "LIRDEC_MAX_EDGES", 24),
+        pick(args.node_budget, "LIRDEC_NODE_BUDGET", 10**9),
+    )
 
 
 def _emit(decomposition: Decomposition, fmt: str, out) -> None:
@@ -137,11 +144,12 @@ def _cmd_color(args, out) -> int:
     if len(graphs) != 1:
         raise CliError("color expects exactly one input graph")
     g = graphs[0]
+    lim = _limits(args)
     if g.n == 2 and g.m == 1:
         sys.stderr.write("K2 is excluded by the conjecture statement\n")
         return EXIT_INVALID
     if args.exact:
-        res = exact_lir_multigraph(double(g), _limits(args))
+        res = exact_lir_multigraph(double(g), lim)
         if res.status is SearchStatus.INCONCLUSIVE:
             sys.stderr.write("search inconclusive: node budget exhausted\n")
             return EXIT_INCONCLUSIVE
@@ -154,7 +162,7 @@ def _cmd_color(args, out) -> int:
     else:
         d = color_double_auto(g)
         if d is None:
-            res = exact_lir_multigraph(double(g), _limits(args))
+            res = exact_lir_multigraph(double(g), lim)
             if res.status is SearchStatus.INCONCLUSIVE:
                 sys.stderr.write("search inconclusive: node budget exhausted\n")
                 return EXIT_INCONCLUSIVE
@@ -317,6 +325,12 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"lirdec: {exc}\n")
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader went away (`lirdec sweep ... | head`): stop quietly, and
+        # send the rest of the buffered output, flushed at exit, to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .classify import TWitness, t_family_witness
+from .classify import Classification, TWitness, t_family_witness
 from .decomposition import BB, RB, RR, Decomposition, verify
 from .graphs import (
     SimpleGraph,
@@ -410,12 +410,15 @@ def color_t_family_3(g: SimpleGraph, witness: TWitness | None = None) -> Decompo
 # --- dispatch --------------------------------------------------------------
 
 
-def color_double_auto(g: SimpleGraph) -> Decomposition | None:
+def color_double_auto(
+    g: SimpleGraph, tag: Classification | None = None
+) -> Decomposition | None:
     """Two-coloring of the doubled input via the matching class construction.
 
     Applies the canonical pattern along an explicit isomorphism, so the
     result lives on the caller's vertex labels. Returns None when no
-    constructive two-colorer covers the class.
+    constructive two-colorer covers the class. A caller that has already
+    classified g passes the result as tag.
     """
     from .bipartite import color_double_bipartite
     from .classify import ClassKind, classify, cycle_order, multipartite_parts, path_order, wheel_hub
@@ -423,7 +426,19 @@ def color_double_auto(g: SimpleGraph) -> Decomposition | None:
 
     if g.n <= 2 or g.m == 0:
         return None
-    tag = classify(g)
+    if tag is None:
+        tag = classify(g)
+    closed_form = (
+        ClassKind.PATH,
+        ClassKind.CYCLE,
+        ClassKind.COMPLETE,
+        ClassKind.WHEEL,
+        ClassKind.COMPLETE_MULTIPARTITE,
+    )
+    if tag.kind not in closed_form:
+        if bipartition_sides(g) is not None:
+            return color_double_bipartite(g)
+        return None
     host = double(g)
     if tag.kind is ClassKind.PATH:
         order = path_order(g)
@@ -454,17 +469,7 @@ def color_double_auto(g: SimpleGraph) -> Decomposition | None:
         for v in order:
             assign[canon_edge(v, hub)] = RR
         return Decomposition(host, 2, assign)
-    if tag.kind is ClassKind.COMPLETE_MULTIPARTITE:
-        parts = multipartite_parts(g)
-        parts = sorted(parts, key=len)
-        canonical = color_double_multipartite([len(p) for p in parts])
-        mapping = [0] * g.n
-        i = 0
-        for part in parts:
-            for v in part:
-                mapping[i] = v
-                i += 1
-        return canonical.relabeled(mapping, host)
-    if bipartition_sides(g) is not None:
-        return color_double_bipartite(g)
-    return None
+    parts = sorted(multipartite_parts(g), key=len)
+    canonical = color_double_multipartite([len(p) for p in parts])
+    mapping = [v for part in parts for v in part]
+    return canonical.relabeled(mapping, host)

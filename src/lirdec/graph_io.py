@@ -126,16 +126,18 @@ def parse_edge_list(text: str) -> SimpleGraph:
 
 
 def decomposition_to_json(d: Decomposition) -> str:
-    """Serialize a decomposition; byte-stable across runs."""
-    payload = {
-        "n": d.host.n,
-        "k": d.k,
-        "edges": [
-            {"u": u, "v": v, "counts": list(d.assign[(u, v)])}
-            for u, v in d.host.edges
-        ],
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """Serialize a decomposition; byte-stable across runs.
+
+    Writes the text directly: it equals json.dumps of the payload with
+    sorted keys and compact separators, without building the payload.
+    """
+    assign = d.assign
+    counts = {c: ",".join(map(str, c)) for c in set(assign.values())}
+    edges = ",".join(
+        f'{{"counts":[{counts[assign[e]]}],"u":{e[0]},"v":{e[1]}}}'
+        for e in d.host.edges
+    )
+    return f'{{"edges":[{edges}],"k":{d.k},"n":{d.host.n}}}'
 
 
 def decomposition_from_json(text: str) -> Decomposition:

@@ -90,16 +90,15 @@ def _edge_order(g: SimpleGraph) -> list[Edge]:
 
 
 def _search_multigraph_k(
-    m: Multigraph, k: int, budget: list[int]
+    m: Multigraph, edges: list[Edge], k: int, budget: list[int]
 ) -> dict[Edge, tuple[int, ...]] | None:
     """Find a valid k-coloring of m, or None after exhausting the space.
 
-    budget[0] is decremented per search node; raises _BudgetExhausted when it
-    runs out. First edge restricted to non-increasing count vectors (color
-    permutation symmetry).
+    edges is _edge_order(m.base). budget[0] is decremented per search node;
+    raises _BudgetExhausted when it runs out. First edge restricted to
+    non-increasing count vectors (color permutation symmetry).
     """
     g = m.base
-    edges = _edge_order(g)
     n_edges = len(edges)
     state_lists: list[tuple[tuple[int, ...], ...]] = []
     for i, e in enumerate(edges):
@@ -165,9 +164,13 @@ def _search_multigraph_k(
     return None
 
 
-def _search_graph_k(g: SimpleGraph, k: int, budget: list[int]) -> list[int] | None:
-    """One color per edge, colors introduced in index order (restricted growth)."""
-    edges = _edge_order(g)
+def _search_graph_k(
+    g: SimpleGraph, edges: list[Edge], k: int, budget: list[int]
+) -> list[int] | None:
+    """One color per edge, colors introduced in index order (restricted growth).
+
+    edges is _edge_order(g).
+    """
     n_edges = len(edges)
     deg = [[0] * k for _ in range(g.n)]
     left = [len(g.adj[v]) for v in range(g.n)]
@@ -243,9 +246,10 @@ def exact_lir_multigraph(m: Multigraph, lim: SearchLimits | None = None) -> Solv
     if len(m.edges) > lim.max_edges:
         raise ValueError(f"too many edges: {len(m.edges)} > limit {lim.max_edges}")
     budget = [lim.node_budget]
+    edges = _edge_order(m.base)
     for k in range(1, lim.max_colors + 1):
         try:
-            found = _search_multigraph_k(m, k, budget)
+            found = _search_multigraph_k(m, edges, k, budget)
         except _BudgetExhausted:
             return SolveResult(SearchStatus.INCONCLUSIVE, nodes=lim.node_budget)
         if found is not None:
@@ -265,7 +269,7 @@ def exact_lir_graph(g: SimpleGraph, lim: SearchLimits | None = None) -> SolveRes
     edges = _edge_order(g)
     for k in range(1, lim.max_colors + 1):
         try:
-            found = _search_graph_k(g, k, budget)
+            found = _search_graph_k(g, edges, k, budget)
         except _BudgetExhausted:
             return SolveResult(SearchStatus.INCONCLUSIVE, nodes=lim.node_budget)
         if found is not None:
@@ -353,7 +357,7 @@ def is_decomposable(g: SimpleGraph, lim: SearchLimits | None = None) -> SolveRes
             )
         edges = _edge_order(g)
         for k in range(2, cap + 1):
-            found = _search_graph_k(g, k, budget)
+            found = _search_graph_k(g, edges, k, budget)
             if found is not None:
                 witness = _checked(_one_per_edge_witness(g, edges, found, k))
                 return SolveResult(

@@ -189,3 +189,57 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == EXIT_OK
     assert "class=cycle" in proc.stdout
+
+
+@pytest.mark.parametrize("flag", ["--max-colors", "--max-edges", "--node-budget"])
+def test_zero_limit_is_usage_error(capsys, flag):
+    code, _, err = run(capsys, "exact", "cycle:5", flag, "0")
+    assert code == EXIT_USAGE
+    assert "limits must be positive" in err
+
+
+def test_zero_limit_rejected_even_when_colorer_applies(capsys):
+    code, _, err = run(capsys, "color", "cycle:5", "--max-colors", "0")
+    assert code == EXIT_USAGE
+    assert "limits must be positive" in err
+
+
+def test_sweep_over_edge_cap_is_inconclusive_not_abort(capsys, tmp_path):
+    from lirdec.graphs import SimpleGraph, complete_graph
+
+    # K8 without 0-1 and 1-2: 26 edges on the exact route, over the default 24
+    k8_minus_path = SimpleGraph(
+        8, [e for e in complete_graph(8).edges if e not in ((0, 1), (1, 2))]
+    )
+    g6 = tmp_path / "dense.g6"
+    g6.write_text(to_graph6(k8_minus_path) + "\n" + to_graph6(cycle_graph(5)) + "\n")
+    code, out, err = run(capsys, "sweep", str(g6))
+    assert code == EXIT_OK
+    first, second = (json.loads(line) for line in out.splitlines())
+    assert first["result"] == "inconclusive"
+    assert "edge cap 26 > max_edges 24" in first["detail"]
+    assert second["result"] == "lir<=2"
+    assert "graphs checked: 2" in err
+
+
+def test_sweep_into_closed_pipe_exits_quietly(tmp_path):
+    import subprocess
+    import sys
+
+    from lirdec.graphs import path_graph
+
+    # far more output than a pipe buffers, so writes go on after the close
+    g6 = tmp_path / "paths.g6"
+    g6.write_text((to_graph6(path_graph(60)) + "\n") * 400)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lirdec.cli", "sweep", str(g6)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_OK
+    assert json.loads(first)["result"] == "lir<=2"
+    assert err == ""

@@ -1,8 +1,18 @@
 """Conjecture sweep harness: records, resumability, determinism."""
 
+from pathlib import Path
+
 from lirdec.decomposition import verify
 from lirdec.enumeration import enumerate_connected
-from lirdec.graphs import bowtie_graph, path_graph
+from lirdec.graphs import (
+    SimpleGraph,
+    bowtie_graph,
+    complete_graph,
+    complete_multipartite_graph,
+    cycle_graph,
+    path_graph,
+    wheel_graph,
+)
 from lirdec.harness import (
     RESULT_EXCLUDED,
     RESULT_INCONCLUSIVE,
@@ -152,3 +162,95 @@ def test_conjecture_holds_through_eight_vertices():
         if rec.result != RESULT_TWO_COLORS:
             candidates += 1
     assert candidates == 0
+
+
+def _k8_minus_path():
+    # K8 without the edges 0-1 and 1-2: 26 edges, no colorer covers it
+    edges = [e for e in complete_graph(8).edges if e not in ((0, 1), (1, 2))]
+    return SimpleGraph(8, edges)
+
+
+def test_edge_cap_yields_inconclusive_record():
+    g = _k8_minus_path()
+    assert g.m == 26
+    rec = check_graph(g)  # default max_edges=24
+    assert rec.result == RESULT_INCONCLUSIVE
+    assert rec.method == "exact"
+    assert rec.witness is None
+    assert "edge cap 26 > max_edges 24" in rec.detail
+
+
+def test_edge_cap_keeps_constructive_witness_under_cross_check():
+    rec = check_graph(complete_graph(8), cross_check=True)  # 28 edges
+    assert rec.result == RESULT_TWO_COLORS
+    assert rec.method == "both"
+    assert "edge cap" in rec.detail
+    assert verify(rec.witness).valid
+
+
+def _golden_cases():
+    return {
+        "path": (path_graph(5), None),
+        "cycle": (cycle_graph(6), None),
+        "wheel": (wheel_graph(6), None),
+        "complete": (complete_graph(5), None),
+        "multipartite": (complete_multipartite_graph([2, 2, 3]), None),
+        "bipartite": (SimpleGraph(6, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5)]), None),
+        "bowtie": (bowtie_graph(), None),
+        "k2": (path_graph(2), None),
+        "budget": (bowtie_graph(), SearchLimits(node_budget=3)),
+    }
+
+
+def test_record_json_matches_golden_bytes():
+    # captured before the record path was rewritten; runtime zeroed
+    golden = {}
+    for line in (Path(__file__).parent / "data" / "sweep_records.golden").read_text().splitlines():
+        name, text = line.split(" ", 1)
+        golden[name] = text
+    cases = _golden_cases()
+    assert set(golden) == set(cases)
+    for name, (g, lim) in cases.items():
+        rec = check_graph(g, lim)
+        rec.runtime = 0.0
+        assert rec.to_json() == golden[name], name
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls to module.name through every lirdec binding of it."""
+    import sys
+
+    original = getattr(sys.modules[module], name)
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key.startswith("lirdec.") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_check_graph_classifies_once_and_verifies_at_most_once(monkeypatch):
+    from lirdec.classify import ClassKind, classify
+    from lirdec.colorers import build_cycle_base_table
+
+    build_cycle_base_table()  # warm: the table build checks its own candidates
+    graphs = [g for g, _ in _golden_cases().values() if g.m > 1]
+    graphs += [_k8_minus_path()]
+    graphs += [g for n in range(3, 7) for g in enumerate_connected(n)]
+    # the multipartite colorer checks candidate matrices while it builds one
+    kinds = [classify(g).kind for g in graphs]
+    classify_calls = _count_calls(monkeypatch, "lirdec.classify", "classify")
+    verify_calls = _count_calls(monkeypatch, "lirdec.decomposition", "verify")
+    methods = set()
+    for g, kind in zip(graphs, kinds):
+        classify_calls[0] = verify_calls[0] = 0
+        rec = check_graph(g)
+        methods.add(rec.method)
+        assert classify_calls[0] == 1, g.edges
+        if kind is not ClassKind.COMPLETE_MULTIPARTITE:
+            assert verify_calls[0] == (rec.witness is not None), g.edges
+    assert methods == {"constructive", "exact"}

@@ -103,6 +103,38 @@ def test_decomposition_json_round_trip():
     assert decomposition_to_json(back) == text  # byte stable
 
 
+def test_decomposition_json_equals_sorted_dumps_random():
+    # the direct writer must give exactly the bytes of json.dumps over the
+    # payload it replaced, and read back to the same decomposition
+    import json
+
+    from lirdec.graphs import Multigraph
+
+    rng = random.Random(20221808)
+    for trial in range(300):
+        n = rng.randint(1, 70)
+        g = random_connected_graph(n, rng.randint(0, 2 * n), rng)
+        host = Multigraph(g, {e: rng.randint(1, 3) for e in g.edges})
+        k = rng.randint(1, 4)
+        assign = {}
+        for e in g.edges:
+            counts = [0] * k
+            for _ in range(host.mult[e]):
+                counts[rng.randrange(k)] += 1
+            assign[e] = tuple(counts)
+        d = Decomposition(host, k, assign)
+        old_payload = {
+            "n": n,
+            "k": k,
+            "edges": [
+                {"u": u, "v": v, "counts": list(assign[(u, v)])} for u, v in g.edges
+            ],
+        }
+        text = decomposition_to_json(d)
+        assert text == json.dumps(old_payload, sort_keys=True, separators=(",", ":"))
+        assert decomposition_from_json(text) == d
+
+
 def test_decomposition_json_three_colors():
     host = double(path_graph(3))
     d = Decomposition(host, 3, {(0, 1): (2, 0, 0), (1, 2): (0, 0, 2)})
