@@ -120,12 +120,8 @@ def multipartite_parts(g: SimpleGraph) -> list[list[int]] | None:
     A graph is complete multipartite iff its complement is a disjoint union
     of cliques; the complement components are the parts.
     """
-    comp_adj: list[set[int]] = [set() for _ in range(g.n)]
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not g.has_edge(u, v):
-                comp_adj[u].add(v)
-                comp_adj[v].add(u)
+    everyone = set(range(g.n))
+    comp_adj = [everyone.difference(g.adj[u], (u,)) for u in range(g.n)]
     seen = [False] * g.n
     parts = []
     for s in range(g.n):
@@ -142,7 +138,7 @@ def multipartite_parts(g: SimpleGraph) -> list[list[int]] | None:
                     stack.append(w)
         comp_set = set(comp)
         for u in comp:
-            if not (comp_adj[u] & comp_set) == comp_set - {u}:
+            if comp_adj[u] != comp_set - {u}:
                 return None  # complement component is not a clique
         parts.append(sorted(comp))
     if len(parts) < 2:
@@ -151,10 +147,11 @@ def multipartite_parts(g: SimpleGraph) -> list[list[int]] | None:
 
 
 def triangles_of(g: SimpleGraph) -> list[tuple[int, int, int]]:
+    nbrs = [set(ns) for ns in g.adj]
     out = []
     for u, v in g.edges:
         for w in g.adj[u]:
-            if w > v and g.has_edge(v, w):
+            if w > v and w in nbrs[v]:
                 out.append((u, v, w))
     return out
 

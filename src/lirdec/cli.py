@@ -31,7 +31,7 @@ from .graph_io import (
     to_graph6,
 )
 from .graphs import SimpleGraph, double
-from .harness import SweepSummary, load_report_ids, sweep
+from .harness import SweepSummary, drop_torn_tail, load_report_ids, sweep
 from .solver import (
     SearchLimits,
     SearchStatus,
@@ -242,6 +242,8 @@ def _cmd_sweep(args, out) -> int:
         if not args.input:
             raise CliError("sweep needs an input file or --enumerate N")
         graphs = _load_graphs(args.input, args.seed)
+    if args.output:
+        drop_torn_tail(args.output)
     skip = load_report_ids(args.output) if args.resume and args.output else set()
     lim = _limits(args)
     summary = SweepSummary()

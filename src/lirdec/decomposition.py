@@ -36,7 +36,7 @@ class Decomposition:
             counts = tuple(counts)
             if len(counts) != k:
                 raise ValueError(f"edge {e}: expected {k} counts, got {len(counts)}")
-            if any(c < 0 for c in counts):
+            if min(counts) < 0:
                 raise ValueError(f"edge {e}: negative color count")
             if sum(counts) != host.mult[e]:
                 raise ValueError(

@@ -80,12 +80,11 @@ def to_graph6(g: SimpleGraph) -> str:
     """Encode a SimpleGraph as a graph6 string (n <= 62)."""
     if g.n > 62:
         raise ValueError("graph6 emission supports at most 62 vertices")
+    # bit j(j-1)/2 + i, counted from the top, is set when {i, j} is an edge
+    count = g.n * (g.n - 1) // 2
     bits = 0
-    count = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            bits = (bits << 1) | (1 if g.has_edge(i, j) else 0)
-            count += 1
+    for i, j in g.edges:
+        bits |= 1 << (count - 1 - j * (j - 1) // 2 - i)
     pad = (-count) % 6
     bits <<= pad
     chars = []

@@ -140,7 +140,8 @@ class Multigraph:
     def __init__(self, base: SimpleGraph, mult: dict[Edge, int] | None = None):
         mult = dict(mult) if mult else {}
         for e, mu in mult.items():
-            if e != canon_edge(*e) or not base.has_edge(*e):
+            # the edge set holds canonical pairs only
+            if e not in base._edge_set:
                 raise ValueError(f"multiplicity given for non-edge {e}")
             if mu < 1:
                 raise ValueError(f"multiplicity of {e} must be >= 1, got {mu}")
@@ -185,7 +186,10 @@ def double(g: SimpleGraph) -> Multigraph:
 
 def is_locally_irregular(m: Multigraph) -> bool:
     """True iff adjacent vertices always have distinct degrees."""
-    deg = [m.degree(v) for v in range(m.n)]
+    deg = [0] * m.n
+    for (u, v), mu in m.mult.items():
+        deg[u] += mu
+        deg[v] += mu
     return all(deg[u] != deg[v] for u, v in m.edges)
 
 

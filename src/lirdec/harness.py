@@ -13,6 +13,7 @@ the record for constructive ones. The benchmark's independent witness check
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from multiprocessing import Pool
@@ -201,14 +202,49 @@ class SweepSummary:
 
 
 def load_report_ids(path: str) -> set[str]:
-    """Graph ids already present in a JSON-lines report (for --resume)."""
+    """Graph ids already present in a JSON-lines report (for --resume).
+
+    An unparseable final line is a record torn by an interrupted run and is
+    ignored, so its graph is checked again; one followed by more lines is
+    still an error.
+    """
     ids = set()
+    torn = None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
-                if line:
+                if not line:
+                    continue
+                if torn is not None:
+                    raise torn
+                try:
                     ids.add(json.loads(line)["graph"])
+                except json.JSONDecodeError as exc:
+                    torn = exc
     except FileNotFoundError:
         pass
     return ids
+
+
+def drop_torn_tail(path: str) -> None:
+    """Cut a report back to the end of its last complete line, so that a
+    record appended next is not glued onto a fragment left by an
+    interrupted run. A missing file is left missing."""
+    try:
+        fh = open(path, "rb+")
+    except FileNotFoundError:
+        return
+    with fh:
+        end = pos = fh.seek(0, os.SEEK_END)
+        keep = 0
+        while pos > 0:
+            step = min(pos, 1 << 16)
+            pos -= step
+            fh.seek(pos)
+            cut = fh.read(step).rfind(b"\n")
+            if cut != -1:
+                keep = pos + cut + 1
+                break
+        if keep != end:
+            fh.truncate(keep)

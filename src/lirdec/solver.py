@@ -1,11 +1,20 @@
 """Exhaustive ground truth: exact locally irregular chromatic index and
 decomposability for small instances.
 
-The search assigns edges in BFS order from a max-degree vertex; a vertex's
-color degrees are final once all its incident edges are assigned, which
-makes endpoint-completion conflict checks sound pruning. "none" means the
-search space was exhausted; a blown node budget yields "inconclusive", never
-"none".
+The search assigns edges in BFS order from a max-degree vertex. A vertex's
+color degrees are final once its last incident edge in that order is
+assigned, and an edge can only be checked once both its endpoints are
+final. Since the order is fixed before the search starts, `_schedule`
+precomputes, for each step, the edges whose endpoints become final there
+(backchecking, Haralick & Elliott, Artificial Intelligence 14, 1980); after
+placing a state the search tests only those. Both engines are explicit-stack
+loops, so the instance size is not bounded by the recursion limit.
+
+k = 1 needs no search: the only 1-coloring gives every edge its whole
+multiplicity, so it is valid iff the host is locally irregular, an O(m)
+degree check. `SolveResult.nodes` therefore counts the states tried at
+k >= 2 only (in `is_decomposable`, plus the random probe's tries). "none" means the search space was exhausted; a blown node
+budget yields "inconclusive", never "none".
 """
 
 from __future__ import annotations
@@ -65,6 +74,22 @@ def compositions(total: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _edge_states(total: int, k: int, first: bool) -> tuple[tuple[int, ...], ...]:
+    """Count vectors of one edge; the first edge takes non-increasing ones
+    only (color permutation symmetry)."""
+    states = compositions(total, k)
+    if first:
+        states = tuple(s for s in states if all(s[j] >= s[j + 1] for j in range(k - 1)))
+    return states
+
+
+@lru_cache(maxsize=None)
+def _units(states: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Each count vector as its (color, count) pairs with count > 0."""
+    return tuple(tuple((c, x) for c, x in enumerate(s) if x) for s in states)
+
+
 def _edge_order(g: SimpleGraph) -> list[Edge]:
     """Edges sorted so vertices finish early: BFS from a max-degree vertex."""
     if not g.edges:
@@ -89,138 +114,134 @@ def _edge_order(g: SimpleGraph) -> list[Edge]:
     )
 
 
+def _schedule(n: int, edges: list[Edge]) -> list[list[tuple[int, int, int]]]:
+    """Backchecks per step: checks[i] lists the (j, v, o) of every edge
+    j = {v, o} whose two endpoints are both final once edges[i] is placed.
+
+    A vertex is final after its last incident edge in the order, so each
+    edge is checked exactly once, at the later of its endpoints' last edges.
+    """
+    last = [-1] * n
+    for i, (u, v) in enumerate(edges):
+        last[u] = i
+        last[v] = i
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in edges]
+    for j, (v, o) in enumerate(edges):
+        checks[max(last[v], last[o])].append((j, v, o))
+    return checks
+
+
 def _search_multigraph_k(
-    m: Multigraph, edges: list[Edge], k: int, budget: list[int]
+    m: Multigraph,
+    edges: list[Edge],
+    checks: list[list[tuple[int, int, int]]],
+    k: int,
+    budget: list[int],
 ) -> dict[Edge, tuple[int, ...]] | None:
     """Find a valid k-coloring of m, or None after exhausting the space.
 
-    edges is _edge_order(m.base). budget[0] is decremented per search node;
-    raises _BudgetExhausted when it runs out. First edge restricted to
-    non-increasing count vectors (color permutation symmetry).
+    edges is _edge_order(m.base) and checks is _schedule over it. budget[0]
+    is decremented per search node; raises _BudgetExhausted when it runs
+    out.
     """
-    g = m.base
     n_edges = len(edges)
-    state_lists: list[tuple[tuple[int, ...], ...]] = []
-    for i, e in enumerate(edges):
-        states = compositions(m.mult[e], k)
-        if i == 0:
-            states = tuple(
-                s for s in states if all(s[j] >= s[j + 1] for j in range(k - 1))
-            )
-        state_lists.append(states)
-    deg = [[0] * k for _ in range(g.n)]
-    left = [len(g.adj[v]) for v in range(g.n)]
-    inc: list[list[int]] = [[] for _ in range(g.n)]
-    for i, (u, v) in enumerate(edges):
-        inc[u].append(i)
-        inc[v].append(i)
-    chosen: list[tuple[int, ...] | None] = [None] * n_edges
-
-    def completed_conflict(v: int) -> bool:
-        dv = deg[v]
-        for ei in inc[v]:
-            a, b = edges[ei]
-            o = b if a == v else a
-            if left[o] == 0:
-                do = deg[o]
-                s = chosen[ei]
-                for c in range(k):
-                    if s[c] and dv[c] == do[c]:
-                        return True
-        return False
-
-    def dfs(i: int) -> bool:
-        if i == n_edges:
-            return True
-        u, v = edges[i]
-        du, dv = deg[u], deg[v]
-        for s in state_lists[i]:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise _BudgetExhausted
-            chosen[i] = s
-            for c in range(k):
-                if s[c]:
-                    du[c] += s[c]
-                    dv[c] += s[c]
-            left[u] -= 1
-            left[v] -= 1
-            ok = not (left[u] == 0 and completed_conflict(u))
-            if ok and left[v] == 0 and completed_conflict(v):
-                ok = False
-            if ok and dfs(i + 1):
-                return True
-            left[u] += 1
-            left[v] += 1
-            for c in range(k):
-                if s[c]:
-                    du[c] -= s[c]
-                    dv[c] -= s[c]
-        chosen[i] = None
-        return False
-
-    if dfs(0):
-        return {edges[i]: chosen[i] for i in range(n_edges)}
-    return None
+    deg = [[0] * k for _ in range(m.n)]
+    mult = m.mult
+    state_lists = [_edge_states(mult[e], k, i == 0) for i, e in enumerate(edges)]
+    # per step: both endpoints' color degrees, each state's (color, count)
+    # units, and the backchecks against the endpoints' color degrees
+    steps = [
+        (deg[u], deg[v], _units(states), [(j, deg[a], deg[b]) for j, a, b in step])
+        for (u, v), states, step in zip(edges, state_lists, checks)
+    ]
+    pick = [0] * n_edges  # states tried so far at each step
+    units: list[tuple[tuple[int, int], ...]] = [()] * n_edges
+    i = 0
+    while n_edges:  # an edgeless host has just the empty coloring
+        du, dv, options, tests = steps[i]
+        p = pick[i]
+        if p:  # take back the state tried last at this step
+            for c, x in units[i]:
+                du[c] -= x
+                dv[c] -= x
+            if p == len(options):
+                pick[i] = 0
+                if i == 0:
+                    return None
+                i -= 1
+                continue
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise _BudgetExhausted
+        pick[i] = p + 1
+        placed = units[i] = options[p]
+        for c, x in placed:
+            du[c] += x
+            dv[c] += x
+        ok = True
+        for j, da, db in tests:
+            for c, _ in units[j]:
+                if da[c] == db[c]:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            i += 1
+            if i == n_edges:
+                break
+    return {e: states[q - 1] for e, states, q in zip(edges, state_lists, pick)}
 
 
 def _search_graph_k(
-    g: SimpleGraph, edges: list[Edge], k: int, budget: list[int]
+    g: SimpleGraph,
+    edges: list[Edge],
+    checks: list[list[tuple[int, int, int]]],
+    k: int,
+    budget: list[int],
 ) -> list[int] | None:
     """One color per edge, colors introduced in index order (restricted growth).
 
-    edges is _edge_order(g).
+    edges is _edge_order(g) and checks is _schedule over it.
     """
     n_edges = len(edges)
     deg = [[0] * k for _ in range(g.n)]
-    left = [len(g.adj[v]) for v in range(g.n)]
-    inc: list[list[int]] = [[] for _ in range(g.n)]
-    for i, (u, v) in enumerate(edges):
-        inc[u].append(i)
-        inc[v].append(i)
+    steps = [
+        (deg[u], deg[v], [(j, deg[a], deg[b]) for j, a, b in step])
+        for (u, v), step in zip(edges, checks)
+    ]
     color = [-1] * n_edges
-
-    def completed_conflict(v: int) -> bool:
-        dv = deg[v]
-        for ei in inc[v]:
-            a, b = edges[ei]
-            o = b if a == v else a
-            if left[o] == 0:
-                c = color[ei]
-                if dv[c] == deg[o][c]:
-                    return True
-        return False
-
-    def dfs(i: int, used: int) -> bool:
-        if i == n_edges:
-            return True
-        u, v = edges[i]
-        du, dv = deg[u], deg[v]
-        limit = used + 1 if used < k else k
-        for c in range(limit):
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise _BudgetExhausted
-            color[i] = c
-            du[c] += 1
-            dv[c] += 1
-            left[u] -= 1
-            left[v] -= 1
-            ok = not (left[u] == 0 and completed_conflict(u))
-            if ok and left[v] == 0 and completed_conflict(v):
-                ok = False
-            if ok and dfs(i + 1, used if c < used else c + 1):
-                return True
-            left[u] += 1
-            left[v] += 1
+    used = [0] * (n_edges + 1)  # colors in use before each step
+    i = 0
+    while n_edges:  # an edgeless graph has just the empty coloring
+        du, dv, tests = steps[i]
+        c = color[i]
+        if c >= 0:  # take back the color tried last at this step
             du[c] -= 1
             dv[c] -= 1
-        color[i] = -1
-        return False
-
-    if dfs(0, 0):
-        return [color[i] for i in range(n_edges)]
-    return None
+            if c + 1 == (used[i] + 1 if used[i] < k else k):
+                color[i] = -1
+                if i == 0:
+                    return None
+                i -= 1
+                continue
+        c += 1
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise _BudgetExhausted
+        color[i] = c
+        du[c] += 1
+        dv[c] += 1
+        for j, da, db in tests:
+            cj = color[j]
+            if da[cj] == db[cj]:
+                break
+        else:
+            used[i + 1] = used[i] if c < used[i] else c + 1
+            i += 1
+            if i == n_edges:
+                break
+    return color
 
 
 def _one_per_edge_witness(g: SimpleGraph, edges: list[Edge], colors: list[int], k: int) -> Decomposition:
@@ -245,11 +266,16 @@ def exact_lir_multigraph(m: Multigraph, lim: SearchLimits | None = None) -> Solv
     lim = lim or SearchLimits()
     if len(m.edges) > lim.max_edges:
         raise ValueError(f"too many edges: {len(m.edges)} > limit {lim.max_edges}")
+    if is_locally_irregular(m):
+        # the only 1-coloring gives every edge its whole multiplicity
+        witness = _checked(Decomposition(m, 1, {e: (mu,) for e, mu in m.mult.items()}))
+        return SolveResult(SearchStatus.FOUND, 1, witness, 0)
     budget = [lim.node_budget]
     edges = _edge_order(m.base)
-    for k in range(1, lim.max_colors + 1):
+    checks = _schedule(m.n, edges)
+    for k in range(2, lim.max_colors + 1):
         try:
-            found = _search_multigraph_k(m, edges, k, budget)
+            found = _search_multigraph_k(m, edges, checks, k, budget)
         except _BudgetExhausted:
             return SolveResult(SearchStatus.INCONCLUSIVE, nodes=lim.node_budget)
         if found is not None:
@@ -265,11 +291,15 @@ def exact_lir_graph(g: SimpleGraph, lim: SearchLimits | None = None) -> SolveRes
     lim = lim or SearchLimits()
     if g.m > lim.max_edges:
         raise ValueError(f"too many edges: {g.m} > limit {lim.max_edges}")
+    if is_locally_irregular(Multigraph(g)):
+        witness = _checked(_one_per_edge_witness(g, list(g.edges), [0] * g.m, 1))
+        return SolveResult(SearchStatus.FOUND, 1, witness, 0)
     budget = [lim.node_budget]
     edges = _edge_order(g)
-    for k in range(1, lim.max_colors + 1):
+    checks = _schedule(g.n, edges)
+    for k in range(2, lim.max_colors + 1):
         try:
-            found = _search_graph_k(g, edges, k, budget)
+            found = _search_graph_k(g, edges, checks, k, budget)
         except _BudgetExhausted:
             return SolveResult(SearchStatus.INCONCLUSIVE, nodes=lim.node_budget)
         if found is not None:
@@ -356,8 +386,9 @@ def is_decomposable(g: SimpleGraph, lim: SearchLimits | None = None) -> SolveRes
                 SearchStatus.FOUND, k, witness, lim.node_budget - budget[0]
             )
         edges = _edge_order(g)
+        checks = _schedule(g.n, edges)
         for k in range(2, cap + 1):
-            found = _search_graph_k(g, edges, k, budget)
+            found = _search_graph_k(g, edges, checks, k, budget)
             if found is not None:
                 witness = _checked(_one_per_edge_witness(g, edges, found, k))
                 return SolveResult(

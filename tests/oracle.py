@@ -81,3 +81,43 @@ def random_connected_graph(n: int, extra_edges: int, rng: random.Random) -> Simp
     rng.shuffle(candidates)
     edges.update(candidates[:extra_edges])
     return SimpleGraph(n, edges)
+
+
+def graph6_reference(n: int, edge_set) -> str:
+    """graph6 text of a graph on n <= 62 vertices, bit by bit: for j = 1..n-1
+    and i < j, in that order, one bit for "is {i, j} an edge", padded with
+    zeros to a multiple of six and written six bits per char, offset 63."""
+    edges = {tuple(sorted(e)) for e in edge_set}
+    bits = [1 if (i, j) in edges else 0 for j in range(1, n) for i in range(j)]
+    bits += [0] * (-len(bits) % 6)
+    chars = [
+        chr(63 + int("".join(map(str, bits[t : t + 6])), 2))
+        for t in range(0, len(bits), 6)
+    ]
+    return chr(63 + n) + "".join(chars)
+
+
+def multipartite_parts_reference(g: SimpleGraph) -> list[list[int]] | None:
+    """Parts of g when complete multipartite (>= 2 parts), else None: the
+    complement, built pair by pair, must be a disjoint union of cliques."""
+    non_adjacent = {
+        (u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)
+    }
+    part_of = list(range(g.n))  # union-find over complement edges
+
+    def find(x):
+        while part_of[x] != x:
+            x = part_of[x]
+        return x
+
+    for u, v in non_adjacent:
+        part_of[find(u)] = find(v)
+    groups: dict[int, list[int]] = {}
+    for v in range(g.n):
+        groups.setdefault(find(v), []).append(v)
+    parts = sorted(groups.values())
+    for part in parts:
+        for a, b in itertools.combinations(part, 2):
+            if (a, b) not in non_adjacent:
+                return None
+    return parts if len(parts) >= 2 else None

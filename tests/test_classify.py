@@ -1,11 +1,16 @@
 """Class tags and recognition of the non-decomposable families."""
 
+import itertools
+import random
+
 import pytest
 
 from lirdec.classify import (
     ClassKind,
     classify,
+    multipartite_parts,
     recognize_t_prime,
+    triangles_of,
     t_family_members,
     t_family_witness,
 )
@@ -19,6 +24,8 @@ from lirdec.graphs import (
     two_triangles_graph,
     wheel_graph,
 )
+
+from oracle import multipartite_parts_reference, random_connected_graph
 
 
 def k3_with_pendant_path(length):
@@ -146,3 +153,57 @@ def test_member_generator_is_sound_and_plentiful():
 def test_member_generator_limit():
     members = t_family_members(14, limit=5)
     assert len(members) == 5
+
+
+def size_vectors(max_parts, max_total):
+    """Every non-increasing vector of >= 2 positive part sizes within the caps."""
+
+    def grow(prefix, total):
+        if len(prefix) >= 2:
+            yield prefix
+        if len(prefix) == max_parts:
+            return
+        top = prefix[-1] if prefix else max_total
+        for size in range(1, min(top, max_total - total) + 1):
+            yield from grow(prefix + [size], total + size)
+
+    return list(grow([], 0))
+
+
+def test_multipartite_parts_on_every_small_size_vector():
+    rng = random.Random(6)
+    vectors = size_vectors(6, 18)
+    assert len(vectors) == 977  # partitions of 2..18 into 2..6 parts
+    for sizes in vectors:
+        g = complete_multipartite_graph(sizes)
+        assert multipartite_parts(g) == multipartite_parts_reference(g)
+        assert sorted(len(p) for p in multipartite_parts(g)) == sorted(sizes)
+        # the same graph under shuffled vertex labels
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = SimpleGraph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        assert multipartite_parts(h) == multipartite_parts_reference(h)
+
+
+def test_multipartite_parts_on_random_non_members():
+    rng = random.Random(18)
+    seen_non_member = 0
+    for _ in range(300):
+        n = rng.randrange(1, 14)
+        g = random_connected_graph(n, rng.randrange(0, n * (n - 1) // 2 + 1), rng)
+        expected = multipartite_parts_reference(g)
+        assert multipartite_parts(g) == expected
+        seen_non_member += expected is None
+    assert seen_non_member > 100
+
+
+def test_triangles_of_matches_pair_scan():
+    rng = random.Random(3)
+    for _ in range(60):
+        n = rng.randrange(1, 12)
+        g = random_connected_graph(n, rng.randrange(0, 20), rng)
+        expected = [
+            (u, v, w) for u, v, w in itertools.combinations(range(n), 3)
+            if g.has_edge(u, v) and g.has_edge(v, w) and g.has_edge(u, w)
+        ]
+        assert sorted(triangles_of(g)) == expected

@@ -147,6 +147,24 @@ def test_sweep_enumerate_and_resume(capsys, tmp_path):
     assert "graphs checked: 0" in out2
 
 
+def test_sweep_resume_after_a_torn_last_line(capsys, tmp_path):
+    report = tmp_path / "report.jsonl"
+    code, _, _ = run(capsys, "sweep", "--enumerate", "4", "-o", str(report))
+    assert code == EXIT_OK
+    lines = report.read_text().splitlines()
+    torn = json.loads(lines[-1])["graph"]
+    # an interrupted run: the last record was cut mid-line
+    report.write_text("\n".join(lines[:-1]) + "\n" + lines[-1][: len(lines[-1]) // 2])
+    code, out, _ = run(
+        capsys, "sweep", "--enumerate", "4", "-o", str(report), "--resume"
+    )
+    assert code == EXIT_OK
+    assert "graphs checked: 1" in out
+    records = [json.loads(line) for line in report.read_text().splitlines()]
+    assert [r["graph"] for r in records] == [json.loads(x)["graph"] for x in lines]
+    assert records[-1]["graph"] == torn
+
+
 def test_sweep_stdout_records(capsys, tmp_path):
     g6 = tmp_path / "one.g6"
     g6.write_text(to_graph6(cycle_graph(6)) + "\n")

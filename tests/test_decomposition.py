@@ -165,3 +165,20 @@ def test_verifier_accepts_disconnected_hosts():
         host, 2, {(0, 1): BB, (1, 2): BB, (3, 4): RR, (4, 5): RR}
     )
     assert verify(d).valid
+
+
+@pytest.mark.parametrize(
+    "assign,message",
+    [
+        ({(0, 1): RR}, r"edge \(1, 2\) has no color assignment"),
+        ({(0, 1): RR, (1, 2): (1, 1, 0)}, r"edge \(1, 2\): expected 2 counts, got 3"),
+        ({(0, 1): (3, -1), (1, 2): BB}, r"edge \(0, 1\): negative color count"),
+        ({(0, 1): (1, 0), (1, 2): BB}, r"edge \(0, 1\): counts sum 1 != multiplicity 2"),
+        ({(0, 1): RR, (1, 2): BB, (0, 2): RB}, r"assignment for non-edges: \[\(0, 2\)\]"),
+        ({(0, 1): RR, (1, 2): BB, (1, 0): RB}, r"assignment for non-edges: \[\(1, 0\)\]"),
+    ],
+    ids=["missing-edge", "count-length", "negative", "sum", "extra-non-edge", "non-canonical-extra"],
+)
+def test_each_decomposition_value_error(assign, message):
+    with pytest.raises(ValueError, match=message):
+        Decomposition(double(path_graph(3)), 2, assign)

@@ -147,3 +147,18 @@ def test_bowtie_shape():
     # two degree-5 centers joined by a bridge, eight degree-2 triangle tips
     assert sorted(b.degree(v) for v in range(10)) == [2] * 8 + [5, 5]
     assert b.has_edge(0, 3)
+
+
+@pytest.mark.parametrize(
+    "mult,message",
+    [
+        ({(1, 0): 2}, r"multiplicity given for non-edge \(1, 0\)"),
+        ({(0, 2): 2}, r"multiplicity given for non-edge \(0, 2\)"),
+        ({(0, 1): 0}, r"multiplicity of \(0, 1\) must be >= 1, got 0"),
+        ({(1, 2): -2}, r"multiplicity of \(1, 2\) must be >= 1, got -2"),
+    ],
+    ids=["non-canonical", "non-edge", "zero", "negative"],
+)
+def test_each_multigraph_value_error(mult, message):
+    with pytest.raises(ValueError, match=message):
+        Multigraph(path_graph(3), mult)

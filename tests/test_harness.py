@@ -1,6 +1,9 @@
 """Conjecture sweep harness: records, resumability, determinism."""
 
+import json
 from pathlib import Path
+
+import pytest
 
 from lirdec.decomposition import verify
 from lirdec.enumeration import enumerate_connected
@@ -20,6 +23,7 @@ from lirdec.harness import (
     SweepRecord,
     SweepSummary,
     check_graph,
+    drop_torn_tail,
     load_report_ids,
     sweep,
 )
@@ -95,6 +99,30 @@ def test_resume_skips_recorded_ids(tmp_path):
     rest = list(sweep(enumerate_connected(4), skip_ids=skip))
     assert len(rest) == 3
     assert {r.graph_id for r in rest} == {r.graph_id for r in first[3:]}
+
+
+def test_torn_report_tail_is_ignored_and_dropped(tmp_path):
+    report = tmp_path / "report.jsonl"
+    whole = [rec.to_json() for rec in sweep(enumerate_connected(4))]
+    report.write_text("\n".join(whole[:3]) + "\n" + whole[3][:20])
+    assert load_report_ids(str(report)) == {json.loads(x)["graph"] for x in whole[:3]}
+    drop_torn_tail(str(report))
+    assert report.read_text() == "\n".join(whole[:3]) + "\n"
+    drop_torn_tail(str(report))  # a report ending in a newline is kept whole
+    assert report.read_text() == "\n".join(whole[:3]) + "\n"
+    report.write_text(whole[0][:20])
+    drop_torn_tail(str(report))
+    assert report.read_text() == ""
+    drop_torn_tail(str(tmp_path / "missing.jsonl"))
+    assert not (tmp_path / "missing.jsonl").exists()
+
+
+def test_unparseable_line_before_the_last_is_an_error(tmp_path):
+    report = tmp_path / "report.jsonl"
+    whole = [rec.to_json() for rec in sweep(enumerate_connected(3))]
+    report.write_text(whole[0][:20] + "\n" + whole[1] + "\n")
+    with pytest.raises(ValueError):
+        load_report_ids(str(report))
 
 
 def test_parallel_sweep_matches_serial():

@@ -15,7 +15,7 @@ from lirdec.graph_io import (
 )
 from lirdec.graphs import SimpleGraph, cycle_graph, double, path_graph
 
-from oracle import random_connected_graph
+from oracle import graph6_reference, random_connected_graph
 import random
 
 
@@ -73,6 +73,17 @@ def test_graph6_matches_reference_implementation():
         h.add_edges_from(g.edges)
         reference = nx.to_graph6_bytes(h, header=False).decode().strip()
         assert to_graph6(g) == reference
+
+
+def test_graph6_matches_bitwise_reference():
+    # to_graph6 sets bits from the edge list; the reference tests every pair
+    rng = random.Random(62)
+    for n in [0, 1, 2, 61, 62] + [rng.randrange(2, 63) for _ in range(60)]:
+        pairs = [(i, j) for j in range(1, n) for i in range(j)]
+        edges = rng.sample(pairs, rng.randrange(len(pairs) + 1))
+        g = SimpleGraph(n, edges)
+        assert to_graph6(g) == graph6_reference(n, edges)
+        assert parse_graph6(to_graph6(g)) == g
 
 
 def test_graph6_error_carries_line_number():

@@ -5,9 +5,12 @@ import random
 import pytest
 
 from lirdec.decomposition import verify
+from lirdec.graph_io import parse_graph6
 from lirdec.graphs import (
     Multigraph,
+    SimpleGraph,
     bowtie_graph,
+    complete_graph,
     cycle_graph,
     double,
     path_graph,
@@ -151,3 +154,70 @@ def test_single_multiedge_graph():
     # odd multiplicity still ties endpoints in some color for k<=4? 3 = 2+1
     # splits always leave both endpoints equal in every used color.
     assert res.status is SearchStatus.NONE
+
+
+def petersen_graph():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return SimpleGraph(10, outer + spokes + inner)
+
+
+# the three 8-vertex graphs whose doubled two-color search is longest
+SLOWEST_SWEEP8 = ("G?\\vjw", "GHFENk", "Gl^gNo")
+
+# (mode, graph, limits, status, colors, nodes). nodes counts k >= 2 states;
+# the values come from the earlier recursive search, so they pin the loop to
+# the same search tree in the same order
+GOLDEN = [
+    pytest.param("double", complete_graph(5), SearchLimits(), "found", 2, 63, id="double-K5"),
+    pytest.param("double", petersen_graph(), SearchLimits(), "found", 2, 24, id="double-petersen"),
+    pytest.param("graph", petersen_graph(), SearchLimits(), "found", 2, 99, id="graph-petersen"),
+    pytest.param("double", bowtie_graph(), SearchLimits(max_colors=2), "found", 2, 24, id="double-bowtie"),
+    pytest.param("graph", bowtie_graph(), SearchLimits(), "found", 4, 2633, id="graph-bowtie"),
+    pytest.param("graph", bowtie_graph(), SearchLimits(max_colors=3), "none", None, 2421, id="graph-bowtie-3colors"),
+    pytest.param("double", parse_graph6(SLOWEST_SWEEP8[0]), SearchLimits(2, 28), "found", 2, 4963, id="double-slowest1"),
+    pytest.param("double", parse_graph6(SLOWEST_SWEEP8[1]), SearchLimits(2, 28), "found", 2, 3856, id="double-slowest2"),
+    pytest.param("double", parse_graph6(SLOWEST_SWEEP8[2]), SearchLimits(2, 28), "found", 2, 3538, id="double-slowest3"),
+    pytest.param("graph", parse_graph6(SLOWEST_SWEEP8[0]), SearchLimits(max_edges=28), "found", 2, 316, id="graph-slowest1"),
+    pytest.param("graph", parse_graph6(SLOWEST_SWEEP8[1]), SearchLimits(max_edges=28), "found", 2, 226, id="graph-slowest2"),
+    pytest.param("graph", parse_graph6(SLOWEST_SWEEP8[2]), SearchLimits(max_edges=28), "found", 2, 1737, id="graph-slowest3"),
+    pytest.param("double", path_graph(3), SearchLimits(), "found", 1, 0, id="double-P3-k1"),
+    pytest.param("graph", path_graph(3), SearchLimits(), "found", 1, 0, id="graph-P3-k1"),
+    pytest.param("graph", bowtie_graph(), SearchLimits(node_budget=3), "inconclusive", None, 3, id="graph-bowtie-budget3"),
+]
+
+
+@pytest.mark.parametrize("mode,g,lim,status,colors,nodes", GOLDEN)
+def test_golden_node_counts(mode, g, lim, status, colors, nodes):
+    if mode == "double":
+        res = exact_lir_multigraph(double(g), lim)
+    else:
+        res = exact_lir_graph(g, lim)
+    assert (res.status.value, res.colors, res.nodes) == (status, colors, nodes)
+    if res.found:
+        assert verify(res.witness).valid
+
+
+def test_golden_decision_node_counts():
+    # the random probe's tries plus the k >= 2 search
+    assert is_decomposable(bowtie_graph()).nodes == 3033
+    assert is_decomposable(petersen_graph()).nodes == 499
+
+
+def test_first_color_count_needs_no_search():
+    # locally irregular hosts: the whole multiplicity in one color, 0 nodes
+    star = Multigraph(SimpleGraph(4, [(0, 1), (0, 2), (0, 3)]), {(0, 1): 3})
+    for m in (star, double(path_graph(3)), Multigraph(SimpleGraph(3, []))):
+        res = exact_lir_multigraph(m, SearchLimits(node_budget=1))
+        assert (res.status, res.colors, res.nodes) == (SearchStatus.FOUND, 1, 0)
+        assert all(counts == (m.mult[e],) for e, counts in res.witness.assign.items())
+    # a host that is not irregular gets no 1-coloring, and no node is charged
+    res = exact_lir_multigraph(double(cycle_graph(3)), SearchLimits(max_colors=1))
+    assert (res.status, res.nodes) == (SearchStatus.NONE, 0)
+
+
+@pytest.mark.parametrize("g", [path_graph(1500), cycle_graph(1501)], ids=["path1500", "cycle1501"])
+def test_long_doubled_graphs_do_not_hit_the_recursion_limit(g):
+    res = exact_lir_multigraph(double(g), SearchLimits(max_colors=2, max_edges=2000))
+    assert res.found and res.colors == 2
