@@ -68,7 +68,7 @@ def path_order(g: SimpleGraph) -> list[int] | None:
     """Vertex order along g when g is a path, else None."""
     if g.n == 1:
         return [0] if g.m == 0 else None
-    if g.m != g.n - 1 or not g.is_connected():
+    if g.m != g.n - 1:
         return None
     ends = [v for v in range(g.n) if g.degree(v) == 1]
     if len(ends) != 2 or any(g.degree(v) > 2 for v in range(g.n)):
@@ -77,6 +77,8 @@ def path_order(g: SimpleGraph) -> list[int] | None:
     prev = -1
     while len(order) < g.n:
         nxt = [w for w in g.adj[order[-1]] if w != prev]
+        if not nxt:
+            return None  # the other end before n vertices: cycles elsewhere
         prev = order[-1]
         order.append(nxt[0])
     return order
@@ -84,17 +86,19 @@ def path_order(g: SimpleGraph) -> list[int] | None:
 
 def cycle_order(g: SimpleGraph) -> list[int] | None:
     """Vertex order around g when g is a single cycle, else None."""
-    if g.n < 3 or g.m != g.n or not g.is_connected():
+    if g.n < 3 or g.m != g.n:
         return None
     if any(g.degree(v) != 2 for v in range(g.n)):
         return None
     order = [0]
     prev = -1
-    while len(order) < g.n:
-        nxt = [w for w in g.adj[order[-1]] if w != prev]
+    while True:
+        nxt = [w for w in g.adj[order[-1]] if w != prev][0]
+        if nxt == 0:
+            break
         prev = order[-1]
-        order.append(nxt[0])
-    return order
+        order.append(nxt)
+    return order if len(order) == g.n else None  # closed early: several cycles
 
 
 def wheel_hub(g: SimpleGraph) -> int | None:
@@ -158,7 +162,7 @@ def triangles_of(g: SimpleGraph) -> list[tuple[int, int, int]]:
 
 def t_family_witness(g: SimpleGraph) -> TWitness | None:
     """Construction witness when g belongs to the triangle family, else None."""
-    if g.n < 3 or not g.is_connected():
+    if g.n < 3:
         return None
     tris = triangles_of(g)
     if not tris:
@@ -230,7 +234,7 @@ def t_family_witness(g: SimpleGraph) -> TWitness | None:
     if len(seen_tris) != len(tris):
         return None
     if len(placed) != g.n:
-        return None
+        return None  # placed covers only the root's component: g is disconnected
     return witness
 
 

@@ -13,15 +13,15 @@ loops, so the instance size is not bounded by the recursion limit.
 k = 1 needs no search: the only 1-coloring gives every edge its whole
 multiplicity, so it is valid iff the host is locally irregular, an O(m)
 degree check. `SolveResult.nodes` therefore counts the states tried at
-k >= 2 only (in `is_decomposable`, plus the random probe's tries). "none" means the search space was exhausted; a blown node
-budget yields "inconclusive", never "none".
+k >= 2 only. `is_decomposable` is `exact_lir_graph` at the cap floor(m/2)
+and ignores `lim.max_colors`. "none" means the search space was exhausted;
+a blown node budget yields "inconclusive", never "none".
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -310,90 +310,18 @@ def exact_lir_graph(g: SimpleGraph, lim: SearchLimits | None = None) -> SolveRes
     return SolveResult(SearchStatus.NONE, nodes=lim.node_budget - budget[0])
 
 
-def two_color_brute(m: Multigraph) -> Decomposition | None:
-    """Unpruned cross-check path for doubled multigraphs at k=2.
-
-    Walks a base-3 counter over per-multiedge states (0=RR, 1=RB, 2=BB) and
-    returns the first verifier-valid decomposition, or None once the counter
-    wraps. Exponential; intended for small cross-check instances only.
-    """
-    if any(mu != 2 for mu in m.mult.values()):
-        raise ValueError("cross-check path expects a doubled multigraph")
-    states = ((2, 0), (1, 1), (0, 2))
-    edges = list(m.edges)
-    n_edges = len(edges)
-    for code in range(3**n_edges):
-        assign = {}
-        rest = code
-        for e in edges:
-            assign[e] = states[rest % 3]
-            rest //= 3
-        d = Decomposition(m, 2, assign)
-        if verify(d).valid:
-            return d
-    return None
-
-
-def _random_probe(
-    g: SimpleGraph, cap: int, budget: list[int], tries: int = 400
-) -> tuple[int, list[int]] | None:
-    """Cheap randomized pre-pass: may find a partition, never proves absence."""
-    if cap < 2:
-        return None
-    edges = g.edges
-    n_edges = len(edges)
-    rng = random.Random(0x1F2D)
-    for t in range(tries):
-        k = 2 + t % min(3, cap - 1)
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise _BudgetExhausted
-        colors = [rng.randrange(k) for _ in range(n_edges)]
-        deg = [[0] * k for _ in range(g.n)]
-        for (u, v), c in zip(edges, colors):
-            deg[u][c] += 1
-            deg[v][c] += 1
-        if all(deg[u][c] != deg[v][c] for (u, v), c in zip(edges, colors)):
-            return k, colors
-    return None
-
-
 def is_decomposable(g: SimpleGraph, lim: SearchLimits | None = None) -> SolveResult:
     """Does any partition of E(g) into locally irregular subgraphs exist?
 
     Class count is capped at floor(m/2): a single-edge class always ties its
-    endpoints at degree 1. FOUND carries a verified witness partition.
+    endpoints at degree 1. Beyond the lone-edge cases this is exact_lir_graph
+    at that cap, so FOUND carries the minimum class count and a verified
+    witness partition; lim.max_colors is ignored.
     """
-    lim = lim or SearchLimits()
-    if g.m > lim.max_edges:
-        raise ValueError(f"too many edges: {g.m} > limit {lim.max_edges}")
-    budget = [lim.node_budget]
-    cap = g.m // 2
-    if cap == 0:
-        # zero or one edge: lone edges tie, the empty graph is vacuously fine
-        if g.m == 0:
-            return SolveResult(SearchStatus.FOUND, 0, None, 0)
+    # zero or one edge: lone edges tie, the empty graph is vacuously fine;
+    # exact_lir_graph applies the edge cap (lim.max_edges >= 1)
+    if g.m == 0:
+        return SolveResult(SearchStatus.FOUND, 0, None, 0)
+    if g.m == 1:
         return SolveResult(SearchStatus.NONE, nodes=0)
-    if is_locally_irregular(Multigraph(g)):
-        witness = _checked(_one_per_edge_witness(g, list(g.edges), [0] * g.m, 1))
-        return SolveResult(SearchStatus.FOUND, 1, witness, 0)
-    try:
-        probed = _random_probe(g, cap, budget)
-        if probed is not None:
-            k, colors = probed
-            witness = _checked(_one_per_edge_witness(g, list(g.edges), colors, k))
-            return SolveResult(
-                SearchStatus.FOUND, k, witness, lim.node_budget - budget[0]
-            )
-        edges = _edge_order(g)
-        checks = _schedule(g.n, edges)
-        for k in range(2, cap + 1):
-            found = _search_graph_k(g, edges, checks, k, budget)
-            if found is not None:
-                witness = _checked(_one_per_edge_witness(g, edges, found, k))
-                return SolveResult(
-                    SearchStatus.FOUND, k, witness, lim.node_budget - budget[0]
-                )
-    except _BudgetExhausted:
-        return SolveResult(SearchStatus.INCONCLUSIVE, nodes=lim.node_budget)
-    return SolveResult(SearchStatus.NONE, nodes=lim.node_budget - budget[0])
+    return exact_lir_graph(g, replace(lim or SearchLimits(), max_colors=g.m // 2))

@@ -42,6 +42,30 @@ def brute_min_colors(m: Multigraph, kmax: int) -> tuple[int, Decomposition] | No
     return None
 
 
+def two_color_brute(m: Multigraph) -> Decomposition | None:
+    """Unpruned cross-check path for doubled multigraphs at k=2.
+
+    Walks a base-3 counter over per-multiedge states (0=RR, 1=RB, 2=BB) and
+    returns the first verifier-valid decomposition, or None once the counter
+    wraps. Exponential; intended for small cross-check instances only.
+    """
+    if any(mu != 2 for mu in m.mult.values()):
+        raise ValueError("cross-check path expects a doubled multigraph")
+    states = ((2, 0), (1, 1), (0, 2))
+    edges = list(m.edges)
+    n_edges = len(edges)
+    for code in range(3**n_edges):
+        assign = {}
+        rest = code
+        for e in edges:
+            assign[e] = states[rest % 3]
+            rest //= 3
+        d = Decomposition(m, 2, assign)
+        if verify(d).valid:
+            return d
+    return None
+
+
 def brute_graph_decomposable(g: SimpleGraph) -> bool:
     """Set-partition existence check: one color per edge, all class counts."""
     edges = list(g.edges)

@@ -8,7 +8,9 @@ import pytest
 from lirdec.classify import (
     ClassKind,
     classify,
+    cycle_order,
     multipartite_parts,
+    path_order,
     recognize_t_prime,
     triangles_of,
     t_family_members,
@@ -207,3 +209,80 @@ def test_triangles_of_matches_pair_scan():
             if g.has_edge(u, v) and g.has_edge(v, w) and g.has_edge(u, w)
         ]
         assert sorted(triangles_of(g)) == expected
+
+
+def disjoint_union(*graphs):
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(u + offset, v + offset) for u, v in g.edges]
+        offset += g.n
+    return SimpleGraph(offset, edges)
+
+
+def test_path_order_rejects_a_path_beside_a_cycle():
+    # P2 + C3 has n - 1 edges, two ends and no degree above 2
+    g = disjoint_union(path_graph(2), cycle_graph(3))
+    assert path_order(g) is None
+    assert not recognize_t_prime(g).member
+
+
+def test_cycle_order_rejects_two_disjoint_triangles():
+    g = disjoint_union(cycle_graph(3), cycle_graph(3))
+    assert cycle_order(g) is None
+    assert not recognize_t_prime(g).member
+
+
+def test_t_family_witness_rejects_a_member_beside_a_cycle():
+    member = k3_with_pendant_path(2)
+    assert t_family_witness(member) is not None
+    # the disjoint C4 keeps m = n - 1 + #triangles, so only the walk's
+    # placed-vertex count sees the second component
+    g = disjoint_union(member, cycle_graph(4))
+    assert g.m == g.n - 1 + len(triangles_of(g))
+    assert t_family_witness(g) is None
+    assert not recognize_t_prime(g).member
+
+
+def test_recognizers_on_every_labelled_graph_up_to_five_vertices():
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = SimpleGraph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            degrees = [g.degree(v) for v in range(n)]
+            is_path = g.is_connected() and g.m == n - 1 and max(degrees) <= 2
+            is_cycle = g.is_connected() and n >= 3 and degrees == [2] * n
+            order = path_order(g)
+            assert (order is not None) == is_path, g.edges
+            if order is not None:
+                assert sorted(order) == list(range(n))
+                assert all(g.has_edge(a, b) for a, b in zip(order, order[1:]))
+            order = cycle_order(g)
+            assert (order is not None) == is_cycle, g.edges
+            if order is not None:
+                assert sorted(order) == list(range(n))
+                assert all(g.has_edge(a, b) for a, b in zip(order, order[1:] + order[:1]))
+            if t_family_witness(g) is not None:
+                assert g.is_connected(), g.edges
+
+
+def test_classify_tests_connectivity_once(monkeypatch):
+    calls = [0]
+    is_connected = SimpleGraph.is_connected
+
+    def counted(self):
+        calls[0] += 1
+        return is_connected(self)
+
+    monkeypatch.setattr(SimpleGraph, "is_connected", counted)
+    rng = random.Random(5)
+    graphs = [
+        path_graph(6), cycle_graph(7), wheel_graph(6), complete_graph(5),
+        complete_multipartite_graph([2, 3]), bowtie_graph(), two_triangles_graph(),
+        k3_with_pendant_path(4),
+    ]
+    graphs += [g for g, _ in t_family_members(9, limit=6)]
+    graphs += [random_connected_graph(7, rng.randrange(0, 8), rng) for _ in range(30)]
+    for g in graphs:
+        calls[0] = 0
+        classify(g)
+        assert calls[0] == 1, g.edges

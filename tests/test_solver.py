@@ -5,6 +5,7 @@ import random
 import pytest
 
 from lirdec.decomposition import verify
+from lirdec.enumeration import enumerate_connected
 from lirdec.graph_io import parse_graph6
 from lirdec.graphs import (
     Multigraph,
@@ -21,10 +22,14 @@ from lirdec.solver import (
     exact_lir_graph,
     exact_lir_multigraph,
     is_decomposable,
-    two_color_brute,
 )
 
-from oracle import brute_graph_decomposable, brute_min_colors, random_connected_graph
+from oracle import (
+    brute_graph_decomposable,
+    brute_min_colors,
+    random_connected_graph,
+    two_color_brute,
+)
 
 
 def test_doubled_k2_has_no_coloring():
@@ -200,9 +205,10 @@ def test_golden_node_counts(mode, g, lim, status, colors, nodes):
 
 
 def test_golden_decision_node_counts():
-    # the random probe's tries plus the k >= 2 search
-    assert is_decomposable(bowtie_graph()).nodes == 3033
-    assert is_decomposable(petersen_graph()).nodes == 499
+    # exact_lir_graph at the cap floor(m/2): the graph-bowtie and
+    # graph-petersen counts above
+    assert is_decomposable(bowtie_graph()).nodes == 2633
+    assert is_decomposable(petersen_graph()).nodes == 99
 
 
 def test_first_color_count_needs_no_search():
@@ -221,3 +227,40 @@ def test_first_color_count_needs_no_search():
 def test_long_doubled_graphs_do_not_hit_the_recursion_limit(g):
     res = exact_lir_multigraph(double(g), SearchLimits(max_colors=2, max_edges=2000))
     assert res.found and res.colors == 2
+
+
+def test_decision_is_the_exact_search_at_the_cap():
+    # every connected graph on 2-7 vertices: same status, minimum class
+    # count, node count and witness as exact_lir_graph at floor(m/2)
+    for n in range(2, 8):
+        for g in enumerate_connected(n):
+            if g.m < 2:
+                continue
+            got = is_decomposable(g)
+            want = exact_lir_graph(g, SearchLimits(max_colors=max(1, g.m // 2)))
+            assert (got.status, got.colors, got.nodes) == (want.status, want.colors, want.nodes)
+            assert (got.witness is None) == (want.witness is None)
+            if got.found:
+                assert got.witness.assign == want.witness.assign
+
+
+def test_decision_reports_the_minimum_class_count():
+    rng = random.Random(29)
+    for _ in range(40):
+        n = rng.randrange(2, 6)
+        g = random_connected_graph(n, rng.randrange(0, min(4, (n - 1) * (n - 2) // 2 + 1)), rng)
+        oracle = brute_min_colors(Multigraph(g), g.m // 2)
+        res = is_decomposable(g)
+        assert (res.status is SearchStatus.NONE) == (oracle is None), g.edges
+        if oracle is not None:
+            assert res.found and res.colors == oracle[0], g.edges
+            assert verify(res.witness).valid
+
+
+def test_decision_ignores_max_colors_and_keeps_the_edge_cap():
+    res = is_decomposable(bowtie_graph(), SearchLimits(max_colors=2))
+    assert res.found and res.colors == 4
+    assert is_decomposable(path_graph(2)).status is SearchStatus.NONE
+    assert is_decomposable(SimpleGraph(1, [])).colors == 0
+    with pytest.raises(ValueError, match="too many edges"):
+        is_decomposable(complete_graph(8), SearchLimits(max_edges=27))
