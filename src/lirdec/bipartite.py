@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .colorers import multipartite_states
 from .decomposition import BB, RB, RR, Decomposition
-from .graphs import Edge, SimpleGraph, canon_edge, double
 from .enumeration import bipartition_sides
+from .graphs import Edge, SimpleGraph, canon_edge, double
 
 
 @dataclass
@@ -107,33 +108,21 @@ def _twin_classes(g: SimpleGraph) -> list[list[int]]:
     return [sorted(vs) for vs in groups.values()]
 
 
-def _split_ok(g: SimpleGraph, s: list[int]) -> TwinSplit | None:
-    """Build the split for twin set s when it satisfies all invariants."""
-    s_set = set(s)
-    t_set: set[int] = set()
-    for v in s:
-        t_set.update(g.adj[v])
-    rest = [v for v in range(g.n) if v not in s_set and v not in t_set]
-    if rest:
-        sub, _ = g.induced_subgraph(rest)
-        if not sub.is_connected():
-            return None
-    sides = bipartition_sides(g)
-    if sides is None:
-        return None
-    x, y = sides
-    if s[0] in y:
-        x, y = y, x
-    if not s_set <= set(x):
-        return None  # twins straddling sides cannot happen in bipartite graphs
-    xp = [v for v in x if v not in s_set]
-    yp = [v for v in y if v not in t_set]
-    if xp:
-        xp_set = set(xp)
-        for t in t_set:
-            if not xp_set & set(g.adj[t]):
-                return None  # T member with no neighbor in the residue
-    return TwinSplit(frozenset(s_set), frozenset(t_set), frozenset(xp), frozenset(yp))
+def _connected_within(g: SimpleGraph, keep: list[bool], start: int, size: int) -> bool:
+    """Whether the `size` vertices marked in keep induce a connected subgraph
+    of g; start is one of them."""
+    seen = [False] * g.n
+    seen[start] = True
+    stack = [start]
+    count = 1
+    while stack:
+        u = stack.pop()
+        for w in g.adj[u]:
+            if keep[w] and not seen[w]:
+                seen[w] = True
+                count += 1
+                stack.append(w)
+    return count == size
 
 
 def find_twin_split(g: SimpleGraph, bip: Bipartition | None = None) -> TwinSplit:
@@ -141,25 +130,49 @@ def find_twin_split(g: SimpleGraph, bip: Bipartition | None = None) -> TwinSplit
 
     Maximal twin classes are tried first; only when none works do subsets
     leaving a single leftover twin enter the pool (a bigger leftover would sit
-    isolated in the residue). Sides are swapped as needed so S lives in X.
+    isolated in the residue). Each pool is tried in ascending order of
+    (|S| + |N(S)|, sorted S), and the first valid split is returned; keys
+    within a pool are unique, so this is the pool's minimum. Sides are
+    swapped as needed so S lives in X. bip, when given, must be g's
+    bipartition; otherwise it is computed once here.
     """
     if not g.is_connected():
         raise ValueError("twin split requires a connected graph")
+    if bip is None:
+        sides = bipartition_sides(g)
+        if sides is None:
+            raise ValueError("twin split not found")
+        side_x, side_y = sides
+    else:
+        side_x, side_y = bip.x, bip.y
+    on_x = [False] * g.n
+    for v in side_x:
+        on_x[v] = True
     classes = _twin_classes(g)
     for pool in (
         classes,
         [c[:i] + c[i + 1 :] for c in classes if len(c) >= 2 for i in range(len(c))],
     ):
-        best: tuple[int, list[int], TwinSplit] | None = None
-        for cand in pool:
-            split = _split_ok(g, cand)
-            if split is None:
+        # twins share N(S), so |N(S)| is the degree of any member
+        pool.sort(key=lambda s: (len(s) + len(g.adj[s[0]]), s))
+        for s in pool:
+            s_on_x = on_x[s[0]]
+            if any(on_x[v] != s_on_x for v in s):
+                continue  # twins straddling sides cannot happen in bipartite graphs
+            t = g.adj[s[0]]
+            keep = [True] * g.n
+            for v in s:
+                keep[v] = False
+            for v in t:
+                keep[v] = False
+            xp = [v for v in (side_x if s_on_x else side_y) if keep[v]]
+            if xp and not all(any(keep[w] for w in g.adj[v]) for v in t):
+                continue  # T member with no neighbor in the residue
+            yp = [v for v in (side_y if s_on_x else side_x) if keep[v]]
+            rest = len(xp) + len(yp)
+            if rest and not _connected_within(g, keep, (xp or yp)[0], rest):
                 continue
-            score = (len(split.s) + len(split.t), sorted(split.s))
-            if best is None or score < (best[0], best[1]):
-                best = (score[0], score[1], split)
-        if best is not None:
-            return best[2]
+            return TwinSplit(frozenset(s), frozenset(t), frozenset(xp), frozenset(yp))
     raise ValueError("twin split not found")
 
 
@@ -178,11 +191,15 @@ def _region_states(
     return states
 
 
-def color_double_bipartite(g: SimpleGraph) -> Decomposition:
-    """Two-coloring of the doubled connected bipartite graph g (not K2)."""
+def color_double_bipartite(g: SimpleGraph, bip: Bipartition | None = None) -> Decomposition:
+    """Two-coloring of the doubled connected bipartite graph g (not K2).
+
+    bip, when given, must be g's bipartition; otherwise it is computed here.
+    """
     if g.n <= 2:
         raise ValueError("no locally irregular coloring exists for a doubled K2")
-    bip = bipartition(g)
+    if bip is None:
+        bip = bipartition(g)
     host = double(g)
     x, y = sorted(bip.x), sorted(bip.y)
     if len(x) % 2 == 0 or len(y) % 2 == 0:
@@ -194,13 +211,8 @@ def color_double_bipartite(g: SimpleGraph) -> Decomposition:
 
     split = find_twin_split(g, bip)
     if not split.xp and not split.yp:
-        # complete bipartite: reuse the two-part colorer on actual labels
-        from .colorers import color_double_multipartite
-
-        parts = sorted([sorted(split.s), sorted(split.t)], key=len)
-        canonical = color_double_multipartite([len(p) for p in parts])
-        mapping = [v for part in parts for v in part]
-        return canonical.relabeled(mapping, host)
+        # complete bipartite: the two-part colorer on the actual labels
+        return Decomposition(host, 2, multipartite_states([sorted(split.s), sorted(split.t)]))
 
     s_list = sorted(split.s)
     t_list = sorted(split.t)

@@ -35,8 +35,14 @@ class ClassKind(Enum):
 
 @dataclass
 class Classification:
+    """Structural tag, plus what its recognizer found (for the colorers)."""
+
     kind: ClassKind
     part_sizes: tuple[int, ...] | None = None  # only for complete multipartite
+    # path or cycle vertex order; for a wheel, the rim order
+    order: list[int] | None = field(default=None, compare=False, repr=False)
+    hub: int | None = field(default=None, compare=False, repr=False)  # wheel only
+    parts: list[list[int]] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -101,9 +107,11 @@ def cycle_order(g: SimpleGraph) -> list[int] | None:
     return order if len(order) == g.n else None  # closed early: several cycles
 
 
-def wheel_hub(g: SimpleGraph) -> int | None:
-    """Hub vertex when g is a wheel of order >= 5, else None.
+def wheel_order(g: SimpleGraph) -> tuple[int, list[int]] | None:
+    """(hub, rim vertex order) when g is a wheel of order >= 5, else None.
 
+    The rim walk starts at the smallest rim vertex and steps to the smaller
+    rim neighbor first, as cycle_order does on the rim alone.
     Order-4 wheels coincide with the complete graph and are classified there.
     """
     if g.n < 5 or g.m != 2 * (g.n - 1):
@@ -114,8 +122,17 @@ def wheel_hub(g: SimpleGraph) -> int | None:
     hub = hubs[0]
     if any(g.degree(v) != 3 for v in range(g.n) if v != hub):
         return None
-    rim, _ = g.induced_subgraph([v for v in range(g.n) if v != hub])
-    return hub if cycle_order(rim) is not None else None
+    # every rim vertex has the hub and exactly two rim neighbors
+    start = 1 if hub == 0 else 0
+    order = [start]
+    prev = -1
+    while True:
+        nxt = [w for w in g.adj[order[-1]] if w != prev and w != hub][0]
+        if nxt == start:
+            break
+        prev = order[-1]
+        order.append(nxt)
+    return (hub, order) if len(order) == g.n - 1 else None
 
 
 def multipartite_parts(g: SimpleGraph) -> list[list[int]] | None:
@@ -257,22 +274,27 @@ def recognize_t_prime(g: SimpleGraph) -> TPrimeResult:
 
 
 def classify(g: SimpleGraph) -> Classification:
-    """Most specific structural tag, for colorer dispatch."""
+    """Most specific structural tag, for colorer dispatch, carrying the path
+    or cycle order, the wheel hub and rim order, or the multipartite parts."""
     if not g.is_connected():
         raise ValueError("classification requires a connected graph")
-    if path_order(g) is not None:
-        return Classification(ClassKind.PATH)
-    if cycle_order(g) is not None:
-        return Classification(ClassKind.CYCLE)
+    order = path_order(g)
+    if order is not None:
+        return Classification(ClassKind.PATH, order=order)
+    order = cycle_order(g)
+    if order is not None:
+        return Classification(ClassKind.CYCLE, order=order)
     if g.m == g.n * (g.n - 1) // 2:
         return Classification(ClassKind.COMPLETE)
-    if wheel_hub(g) is not None:
-        return Classification(ClassKind.WHEEL)
+    wheel = wheel_order(g)
+    if wheel is not None:
+        return Classification(ClassKind.WHEEL, order=wheel[1], hub=wheel[0])
     parts = multipartite_parts(g)
     if parts is not None:
         return Classification(
             ClassKind.COMPLETE_MULTIPARTITE,
             tuple(sorted(len(p) for p in parts)),
+            parts=parts,
         )
     if t_family_witness(g) is not None:
         return Classification(ClassKind.T_FAMILY)

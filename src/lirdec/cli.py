@@ -247,7 +247,8 @@ def _cmd_sweep(args, out) -> int:
     skip = load_report_ids(args.output) if args.resume and args.output else set()
     lim = _limits(args)
     summary = SweepSummary()
-    sink = open(args.output, "a", encoding="utf-8") if args.output else out
+    # a report is line-buffered: a killed run loses at most the line in progress
+    sink = open(args.output, "a", encoding="utf-8", buffering=1) if args.output else out
     try:
         for record in sweep(graphs, lim, args.cross_check, args.jobs, skip):
             summary.add(record)

@@ -14,8 +14,9 @@ import itertools
 from functools import lru_cache
 
 from .classify import Classification, TWitness, t_family_witness
-from .decomposition import BB, RB, RR, Decomposition, verify
+from .decomposition import BB, RB, RR, Decomposition, color_conflicts, verify
 from .graphs import (
+    Edge,
     SimpleGraph,
     canon_edge,
     complete_multipartite_graph,
@@ -184,7 +185,12 @@ def _three_part_states(
 
 
 def _part_matrix_valid(sizes: list[int], st: dict[tuple[int, int], State]) -> bool:
-    """Conflict check on the part-level state matrix: O(k^2)."""
+    """Conflict check on the part-level state matrix: O(k^2).
+
+    Exact for the doubled complete multipartite graph: every vertex of part
+    i has red degree sum_j sizes[j] * r_ij (blue alike), so an edge between
+    parts i and j conflicts exactly when these sums tie in a color it holds.
+    """
     k = len(sizes)
     red = [0] * k
     blue = [0] * k
@@ -201,102 +207,97 @@ def _part_matrix_valid(sizes: list[int], st: dict[tuple[int, int], State]) -> bo
     return True
 
 
-def color_double_multipartite(sizes: list[int]) -> Decomposition:
-    """Two-coloring of the doubled complete multipartite graph.
+def _part_matrices(part_sizes: list[int]):
+    """Part-level state matrices for k >= 3 parts, textbook candidate first.
 
-    Parts are ordered by ascending size (ties keep input order). Two parts:
-    all red when unbalanced, else one vertex's multiedges red and the rest
-    blue. Three parts follow the distinct / two-equal / all-equal case split.
-    With more parts, three seed parts take the three-part pattern and every
-    further part paints all its multiedges to earlier parts one color,
-    alternating. The textbook choice (three smallest parts as seed, blue
-    first) is tried first but is not always conflict-free, so candidate
-    seeds and phases are scanned under the verifier until one passes.
+    Matrix keys are part-index pairs (i, j), i < j, over the ascending part
+    order. The seed occupies a trio of parts and takes the three-part
+    pattern; every later part takes one state toward all earlier parts. The
+    first two matrices are the textbook alternation (seed on the three
+    smallest parts, blue-led, then red-led).
     """
-    k = len(sizes)
-    if k < 2 or any(s < 1 for s in sizes):
+    k = len(part_sizes)
+    for trio_idx in itertools.combinations(range(k), 3):
+        trio_sizes = tuple(part_sizes[i] for i in trio_idx)
+        others = [i for i in range(k) if i not in trio_idx]
+        seen_seeds = set()
+        for order in itertools.permutations(range(3)):
+            seed = _three_part_states(trio_sizes, order)
+            if seed is None:
+                continue
+            key = tuple(sorted(seed.items()))
+            if key in seen_seeds:
+                continue
+            seen_seeds.add(key)
+            lifted = {(trio_idx[i], trio_idx[j]): s for (i, j), s in seed.items()}
+            patterns = itertools.product((BB, RR, RB), repeat=len(others))
+            if trio_idx == (0, 1, 2):
+                # textbook alternation first: blue-led, then red-led
+                patterns = itertools.chain(
+                    [
+                        tuple(
+                            BB if (i + phase) % 2 == 0 else RR
+                            for i in range(len(others))
+                        )
+                        for phase in (0, 1)
+                    ],
+                    patterns,
+                )
+            for pattern in patterns:
+                st = dict(lifted)
+                painted = list(trio_idx)
+                for part_i, state in zip(others, pattern):
+                    for prev in painted:
+                        st[(min(prev, part_i), max(prev, part_i))] = state
+                    painted.append(part_i)
+                yield st
+
+
+def multipartite_states(parts: list[list[int]]) -> dict[Edge, State]:
+    """States of every multiedge of the doubled complete multipartite graph
+    with these parts, on the parts' own vertex labels.
+
+    Parts are taken in ascending size order (ties keep input order). Two
+    parts: all red when unbalanced, else the multiedges at the first part's
+    first vertex red and the rest blue. With k >= 3 parts the colorer tries, in this order:
+    the two textbook part matrices (three smallest parts seeded with the
+    distinct / two-equal / all-equal three-part pattern, every further part
+    painting all its multiedges to earlier parts one color, alternating
+    blue-led, then red-led); a vertex-sequential coloring in four variants;
+    the remaining part matrices. A part matrix is judged by
+    _part_matrix_valid, which is exact; a vertex-sequential variant by the
+    verifier's conflict scan. The first valid candidate is returned.
+    """
+    k = len(parts)
+    if k < 2 or any(not p for p in parts):
         raise ValueError("need >= 2 parts, all non-empty")
-    if sum(sizes) < 3:
+    if sum(len(p) for p in parts) < 3:
         raise ValueError("no locally irregular coloring exists for a doubled K2")
-    g = complete_multipartite_graph(list(sizes))
-    host = double(g)
-    bounds = [0]
-    for s in sizes:
-        bounds.append(bounds[-1] + s)
-    parts = [list(range(bounds[i], bounds[i + 1])) for i in range(k)]
-    parts.sort(key=len)
+    parts = sorted(parts, key=len)
 
     if k == 2:
-        assign: dict[tuple[int, int], State] = {}
         a, b = parts
         if len(a) != len(b):
-            for u in a:
-                for v in b:
-                    assign[canon_edge(u, v)] = RR
-        else:
-            chosen = a[0]
-            for u in a:
-                for v in b:
-                    assign[canon_edge(u, v)] = RR if u == chosen else BB
-        return Decomposition(host, 2, assign)
+            return {canon_edge(u, v): RR for u in a for v in b}
+        chosen = a[0]
+        return {canon_edge(u, v): RR if u == chosen else BB for u in a for v in b}
 
-    role_orders = (
-        (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0),
-    )
     part_sizes = [len(p) for p in parts]
 
-    def matrices():
-        """Part-level state matrices, textbook candidate first.
+    def expand(st) -> dict[Edge, State]:
+        return {
+            canon_edge(u, v): state
+            for (i, j), state in st.items()
+            for u in parts[i]
+            for v in parts[j]
+        }
 
-        Matrix keys are part-index pairs over the ascending part order. The
-        seed occupies a trio of parts; every later part takes one state
-        toward all earlier parts.
-        """
-        for trio_idx in itertools.combinations(range(k), 3):
-            trio_sizes = tuple(part_sizes[i] for i in trio_idx)
-            others = [i for i in range(k) if i not in trio_idx]
-            seen_seeds = set()
-            for order in role_orders:
-                seed = _three_part_states(trio_sizes, order)
-                if seed is None:
-                    continue
-                key = tuple(sorted(seed.items()))
-                if key in seen_seeds:
-                    continue
-                seen_seeds.add(key)
-                lifted = {
-                    (trio_idx[i], trio_idx[j]): s for (i, j), s in seed.items()
-                }
-                patterns = itertools.product((BB, RR, RB), repeat=len(others))
-                if trio_idx == (0, 1, 2):
-                    # textbook alternation first: blue-led, then red-led
-                    patterns = itertools.chain(
-                        [
-                            tuple(
-                                BB if (i + phase) % 2 == 0 else RR
-                                for i in range(len(others))
-                            )
-                            for phase in (0, 1)
-                        ],
-                        patterns,
-                    )
-                for pattern in patterns:
-                    st = dict(lifted)
-                    painted = list(trio_idx)
-                    for part_i, state in zip(others, pattern):
-                        for prev in painted:
-                            st[(min(prev, part_i), max(prev, part_i))] = state
-                        painted.append(part_i)
-                    yield st
-
-    def vertex_sequential() -> Decomposition | None:
+    def vertex_sequential() -> dict[Edge, State] | None:
         """Complete-graph-style fallback: triangle seed on one vertex from
         each of the three smallest parts, every later vertex painting its
         back multiedges a single alternating color."""
-        part_of = {}
-        for i, part in enumerate(parts):
-            for v in part:
-                part_of[v] = i
+        part_of = {v: i for i, part in enumerate(parts) for v in part}
+        n = max(part_of) + 1
         seed = [parts[0][0], parts[1][0], parts[2][0]]
         for ordered in (parts, list(reversed(parts))):
             rest = [v for part in ordered for v in part if v not in seed]
@@ -313,39 +314,34 @@ def color_double_multipartite(sizes: list[int]) -> Decomposition:
                         if part_of[u] != part_of[v]:
                             assign[canon_edge(u, v)] = state
                     earlier.append(v)
-                d = Decomposition(host, 2, assign)
-                if verify(d).valid:
-                    return d
+                if not color_conflicts(n, 2, assign, assign):
+                    return assign
         return None
 
-    def materialize(st) -> Decomposition | None:
-        if not _part_matrix_valid(part_sizes, st):
-            return None
-        assign = {
-            canon_edge(u, v): state
-            for (i, j), state in st.items()
-            for u in parts[i]
-            for v in parts[j]
-        }
-        d = Decomposition(host, 2, assign)
-        return d if verify(d).valid else None
-
-    scanned = matrices()
+    scanned = _part_matrices(part_sizes)
     for st in itertools.islice(scanned, 2):
-        d = materialize(st)
-        if d is not None:
-            return d
-    sequential = vertex_sequential()
-    if sequential is not None:
-        return sequential
+        if _part_matrix_valid(part_sizes, st):
+            return expand(st)
+    assign = vertex_sequential()
+    if assign is not None:
+        return assign
     for st in scanned:
-        d = materialize(st)
-        if d is not None:
-            return d
+        if _part_matrix_valid(part_sizes, st):
+            return expand(st)
     raise AssertionError(
-        f"no candidate colors the doubled complete multipartite graph {sizes}; "
+        f"no candidate colors the doubled complete multipartite graph {part_sizes}; "
         "this would contradict the underlying theorem"
     )
+
+
+def color_double_multipartite(sizes: list[int]) -> Decomposition:
+    """Two-coloring of the doubled complete multipartite graph with the given
+    part sizes; part i holds the next sizes[i] vertices. See
+    multipartite_states for the construction."""
+    bounds = list(itertools.accumulate(sizes, initial=0))
+    parts = [list(range(bounds[i], bounds[i + 1])) for i in range(len(sizes))]
+    assign = multipartite_states(parts)
+    return Decomposition(double(complete_multipartite_graph(list(sizes))), 2, assign)
 
 
 def color_t_family_3(g: SimpleGraph, witness: TWitness | None = None) -> Decomposition:
@@ -415,13 +411,13 @@ def color_double_auto(
 ) -> Decomposition | None:
     """Two-coloring of the doubled input via the matching class construction.
 
-    Applies the canonical pattern along an explicit isomorphism, so the
-    result lives on the caller's vertex labels. Returns None when no
+    Every construction runs on the caller's vertex labels, from the vertex
+    order, hub or parts that classify found. Returns None when no
     constructive two-colorer covers the class. A caller that has already
-    classified g passes the result as tag.
+    classified g passes classify's result as tag.
     """
-    from .bipartite import color_double_bipartite
-    from .classify import ClassKind, classify, cycle_order, multipartite_parts, path_order, wheel_hub
+    from .bipartite import Bipartition, color_double_bipartite
+    from .classify import ClassKind, classify
     from .enumeration import bipartition_sides
 
     if g.n <= 2 or g.m == 0:
@@ -436,40 +432,28 @@ def color_double_auto(
         ClassKind.COMPLETE_MULTIPARTITE,
     )
     if tag.kind not in closed_form:
-        if bipartition_sides(g) is not None:
-            return color_double_bipartite(g)
-        return None
+        sides = bipartition_sides(g)
+        if sides is None:
+            return None
+        return color_double_bipartite(g, Bipartition(frozenset(sides[0]), frozenset(sides[1])))
+    if tag.kind is ClassKind.COMPLETE:
+        return color_double_complete(g.n)
     host = double(g)
+    order = tag.order
     if tag.kind is ClassKind.PATH:
-        order = path_order(g)
         states = path_states(g.m)
         assign = {
             canon_edge(order[i], order[i + 1]): states[i] for i in range(g.m)
         }
-        return Decomposition(host, 2, assign)
-    if tag.kind is ClassKind.CYCLE:
-        order = cycle_order(g)
-        states = cycle_states(g.n)
-        assign = {
-            canon_edge(order[i], order[(i + 1) % g.n]): states[i]
-            for i in range(g.n)
-        }
-        return Decomposition(host, 2, assign)
-    if tag.kind is ClassKind.COMPLETE:
-        return color_double_complete(g.n).relabeled(list(range(g.n)), host)
-    if tag.kind is ClassKind.WHEEL:
-        hub = wheel_hub(g)
-        rim_graph, rim_ids = g.induced_subgraph([v for v in range(g.n) if v != hub])
-        order = [rim_ids[i] for i in cycle_order(rim_graph)]
+    elif tag.kind in (ClassKind.CYCLE, ClassKind.WHEEL):
         states = cycle_states(len(order))
         assign = {
             canon_edge(order[i], order[(i + 1) % len(order)]): states[i]
             for i in range(len(order))
         }
-        for v in order:
-            assign[canon_edge(v, hub)] = RR
-        return Decomposition(host, 2, assign)
-    parts = sorted(multipartite_parts(g), key=len)
-    canonical = color_double_multipartite([len(p) for p in parts])
-    mapping = [v for part in parts for v in part]
-    return canonical.relabeled(mapping, host)
+        if tag.kind is ClassKind.WHEEL:
+            for v in order:
+                assign[canon_edge(v, tag.hub)] = RR
+    else:
+        assign = multipartite_states(tag.parts)
+    return Decomposition(host, 2, assign)

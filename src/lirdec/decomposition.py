@@ -8,6 +8,7 @@ states: RR (2,0), RB (1,1), BB (0,2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Collection
 
 from .graphs import Edge, Multigraph, SimpleGraph, canon_edge
 
@@ -107,13 +108,34 @@ def color_degree(d: Decomposition, v: int, c: int) -> int:
 
 def color_degree_table(d: Decomposition) -> list[list[int]]:
     """All color degrees at once: table[v][c]."""
-    table = [[0] * d.k for _ in range(d.host.n)]
-    for (u, v), counts in d.assign.items():
+    return _degree_table(d.host.n, d.k, d.assign)
+
+
+def _degree_table(n: int, k: int, assign: dict[Edge, tuple[int, ...]]) -> list[list[int]]:
+    table = [[0] * k for _ in range(n)]
+    for (u, v), counts in assign.items():
         for c, cnt in enumerate(counts):
             if cnt:
                 table[u][c] += cnt
                 table[v][c] += cnt
     return table
+
+
+def color_conflicts(
+    n: int, k: int, assign: dict[Edge, tuple[int, ...]], edges: Collection[Edge]
+) -> list[tuple[int, Edge, int]]:
+    """The verifier's conflict scan on a bare assignment over vertices 0..n-1:
+    (c, {u,v}, deg) for every listed edge carrying color c whose endpoints
+    have the same color-c degree, by color, then in the order of `edges`."""
+    table = _degree_table(n, k, assign)
+    conflicts = []
+    for c in range(k):
+        for e in edges:
+            if assign[e][c] >= 1:
+                u, v = e
+                if table[u][c] == table[v][c]:
+                    conflicts.append((c, e, table[u][c]))
+    return conflicts
 
 
 def verify(d: Decomposition) -> VerifyReport:
@@ -126,12 +148,4 @@ def verify(d: Decomposition) -> VerifyReport:
     for e, counts in d.assign.items():
         if sum(counts) != d.host.mult[e]:
             raise ValueError(f"malformed decomposition at edge {e}")
-    table = color_degree_table(d)
-    conflicts = []
-    for c in range(d.k):
-        for e in d.host.edges:
-            if d.assign[e][c] >= 1:
-                u, v = e
-                if table[u][c] == table[v][c]:
-                    conflicts.append((c, e, table[u][c]))
-    return VerifyReport(conflicts)
+    return VerifyReport(color_conflicts(d.host.n, d.k, d.assign, d.host.edges))

@@ -121,6 +121,21 @@ def graph6_reference(n: int, edge_set) -> str:
     return chr(63 + n) + "".join(chars)
 
 
+def size_vectors(max_parts: int, max_total: int) -> list[list[int]]:
+    """Every non-increasing vector of >= 2 positive part sizes within the caps."""
+
+    def grow(prefix, total):
+        if len(prefix) >= 2:
+            yield prefix
+        if len(prefix) == max_parts:
+            return
+        top = prefix[-1] if prefix else max_total
+        for size in range(1, min(top, max_total - total) + 1):
+            yield from grow(prefix + [size], total + size)
+
+    return list(grow([], 0))
+
+
 def multipartite_parts_reference(g: SimpleGraph) -> list[list[int]] | None:
     """Parts of g when complete multipartite (>= 2 parts), else None: the
     complement, built pair by pair, must be a disjoint union of cliques."""
@@ -145,3 +160,185 @@ def multipartite_parts_reference(g: SimpleGraph) -> list[list[int]] | None:
             if (a, b) not in non_adjacent:
                 return None
     return parts if len(parts) >= 2 else None
+
+
+def find_twin_split_reference(g: SimpleGraph):
+    """Twin split by scoring every candidate: within the first pool that has
+    a valid split (maximal twin classes, then classes less one member), the
+    valid candidate S with the smallest (|S| + |N(S)|, sorted S). Each
+    candidate is checked on its own: a fresh bipartition and an induced
+    residue subgraph. Raises ValueError when no candidate is valid."""
+    from lirdec.bipartite import TwinSplit
+    from lirdec.enumeration import bipartition_sides
+
+    def split_ok(s):
+        s_set = set(s)
+        t_set = set()
+        for v in s:
+            t_set.update(g.adj[v])
+        rest = [v for v in range(g.n) if v not in s_set and v not in t_set]
+        if rest:
+            sub, _ = g.induced_subgraph(rest)
+            if not sub.is_connected():
+                return None
+        sides = bipartition_sides(g)
+        if sides is None:
+            return None
+        x, y = sides
+        if s[0] in y:
+            x, y = y, x
+        if not s_set <= set(x):
+            return None
+        xp = [v for v in x if v not in s_set]
+        yp = [v for v in y if v not in t_set]
+        if xp:
+            for t in t_set:
+                if not set(xp) & set(g.adj[t]):
+                    return None
+        return TwinSplit(frozenset(s_set), frozenset(t_set), frozenset(xp), frozenset(yp))
+
+    if not g.is_connected():
+        raise ValueError("twin split requires a connected graph")
+    groups: dict = {}
+    for v in range(g.n):
+        groups.setdefault(g.adj[v], []).append(v)
+    classes = [sorted(vs) for vs in groups.values()]
+    for pool in (
+        classes,
+        [c[:i] + c[i + 1 :] for c in classes if len(c) >= 2 for i in range(len(c))],
+    ):
+        best = None
+        for cand in pool:
+            split = split_ok(cand)
+            if split is None:
+                continue
+            score = (len(split.s) + len(split.t), sorted(split.s))
+            if best is None or score < best[0]:
+                best = (score, split)
+        if best is not None:
+            return best[1]
+    raise ValueError("twin split not found")
+
+
+def color_double_multipartite_reference(sizes: list[int]) -> Decomposition:
+    """The multipartite two-coloring built on canonical labels (part i holds
+    the next sizes[i] vertices), every candidate materialized in full and
+    accepted only when verify passes as well as the part-level check. Same
+    candidate order as the program: parts by ascending size, the two textbook
+    part matrices, four vertex-sequential variants, the other part matrices."""
+    from lirdec.colorers import _part_matrix_valid, _three_part_states
+    from lirdec.decomposition import BB, RB, RR
+    from lirdec.graphs import canon_edge, complete_multipartite_graph, double
+
+    k = len(sizes)
+    host = double(complete_multipartite_graph(list(sizes)))
+    bounds = [0]
+    for s in sizes:
+        bounds.append(bounds[-1] + s)
+    parts = sorted(
+        (list(range(bounds[i], bounds[i + 1])) for i in range(k)), key=len
+    )
+    if k == 2:
+        a, b = parts
+        chosen = a[0] if len(a) == len(b) else None
+        assign = {
+            canon_edge(u, v): RR if chosen is None or u == chosen else BB
+            for u in a
+            for v in b
+        }
+        return Decomposition(host, 2, assign)
+    part_sizes = [len(p) for p in parts]
+    role_orders = list(itertools.permutations(range(3)))
+
+    def matrices():
+        for trio_idx in itertools.combinations(range(k), 3):
+            trio_sizes = tuple(part_sizes[i] for i in trio_idx)
+            others = [i for i in range(k) if i not in trio_idx]
+            seen_seeds = set()
+            for order in role_orders:
+                seed = _three_part_states(trio_sizes, order)
+                if seed is None:
+                    continue
+                key = tuple(sorted(seed.items()))
+                if key in seen_seeds:
+                    continue
+                seen_seeds.add(key)
+                lifted = {(trio_idx[i], trio_idx[j]): s for (i, j), s in seed.items()}
+                patterns = itertools.product((BB, RR, RB), repeat=len(others))
+                if trio_idx == (0, 1, 2):
+                    patterns = itertools.chain(
+                        [
+                            tuple(BB if (i + ph) % 2 == 0 else RR for i in range(len(others)))
+                            for ph in (0, 1)
+                        ],
+                        patterns,
+                    )
+                for pattern in patterns:
+                    st = dict(lifted)
+                    painted = list(trio_idx)
+                    for part_i, state in zip(others, pattern):
+                        for prev in painted:
+                            st[(min(prev, part_i), max(prev, part_i))] = state
+                        painted.append(part_i)
+                    yield st
+
+    def materialize(st):
+        if not _part_matrix_valid(part_sizes, st):
+            return None
+        assign = {
+            canon_edge(u, v): state
+            for (i, j), state in st.items()
+            for u in parts[i]
+            for v in parts[j]
+        }
+        d = Decomposition(host, 2, assign)
+        return d if verify(d).valid else None
+
+    def vertex_sequential():
+        part_of = {v: i for i, part in enumerate(parts) for v in part}
+        seed = [parts[0][0], parts[1][0], parts[2][0]]
+        for ordered in (parts, list(reversed(parts))):
+            rest = [v for part in ordered for v in part if v not in seed]
+            for phase in (0, 1):
+                assign = {
+                    canon_edge(seed[0], seed[1]): RR,
+                    canon_edge(seed[1], seed[2]): RB,
+                    canon_edge(seed[0], seed[2]): BB,
+                }
+                earlier = list(seed)
+                for i, v in enumerate(rest):
+                    state = BB if (i + phase) % 2 == 0 else RR
+                    for u in earlier:
+                        if part_of[u] != part_of[v]:
+                            assign[canon_edge(u, v)] = state
+                    earlier.append(v)
+                d = Decomposition(host, 2, assign)
+                if verify(d).valid:
+                    return d
+        return None
+
+    scanned = matrices()
+    for st in itertools.islice(scanned, 2):
+        d = materialize(st)
+        if d is not None:
+            return d
+    d = vertex_sequential()
+    if d is not None:
+        return d
+    for st in scanned:
+        d = materialize(st)
+        if d is not None:
+            return d
+    raise AssertionError(f"no candidate colors {sizes}")
+
+
+def color_multipartite_graph_reference(g: SimpleGraph) -> Decomposition:
+    """The multipartite two-coloring of a relabelled complete multipartite g,
+    built on canonical labels and carried over with Decomposition.relabeled:
+    canonical part i is g's i-th part by ascending size (ties by smallest
+    vertex), each part's vertices in ascending order."""
+    from lirdec.graphs import double
+
+    parts = sorted(multipartite_parts_reference(g), key=len)
+    canonical = color_double_multipartite_reference([len(p) for p in parts])
+    return canonical.relabeled([v for part in parts for v in part], double(g))

@@ -25,7 +25,7 @@ from lirdec.graphs import (
 )
 from lirdec.solver import SearchLimits, SearchStatus, exact_lir_multigraph
 
-from oracle import degree_parity, random_connected_graph
+from oracle import degree_parity, find_twin_split_reference, random_connected_graph
 
 
 def test_bipartition_p4():
@@ -248,3 +248,102 @@ def test_agrees_with_exact_solver_on_small_graphs():
             assert verify(d).valid
             res = exact_lir_multigraph(double(g), SearchLimits(max_colors=2))
             assert res.status is SearchStatus.FOUND
+
+
+def _random_bipartite(rng):
+    """Connected bipartite graph: sides of random sizes, a random spanning
+    tree across them, then every cross pair with a random density."""
+    n = rng.randrange(3, 41)
+    a = rng.randrange(1, n)
+    density = rng.uniform(0.05, 0.9)
+    xs, ys = list(range(a)), list(range(a, n))
+    placed = [[xs[0]], [ys[0]]]
+    edges = {(xs[0], ys[0])}
+    later = xs[1:] + ys[1:]
+    rng.shuffle(later)
+    for v in later:
+        side = 0 if v < a else 1
+        edges.add(tuple(sorted((v, rng.choice(placed[1 - side])))))
+        placed[side].append(v)
+    edges |= {(x, y) for x in xs for y in ys if rng.random() < density}
+    return SimpleGraph(n, edges)
+
+
+def _twin_split_or_none(find, g):
+    try:
+        return find(g)
+    except ValueError:
+        return None
+
+
+def test_twin_split_matches_the_all_candidates_reference_on_the_catalog():
+    checked = 0
+    for n in range(1, 9):
+        for g in enumerate_connected_bipartite(n):
+            expected = _twin_split_or_none(find_twin_split_reference, g)
+            assert _twin_split_or_none(find_twin_split, g) == expected, g.edges
+            assert find_twin_split(g, bipartition(g)) == expected, g.edges
+            checked += 1
+    assert checked == 254  # 1 + 1 + 1 + 3 + 5 + 17 + 44 + 182
+
+
+def test_twin_split_matches_the_all_candidates_reference_on_random_graphs():
+    rng = random.Random(20261018)
+    both_odd = 0
+    for _ in range(3000):
+        g = _random_bipartite(rng)
+        expected = _twin_split_or_none(find_twin_split_reference, g)
+        assert _twin_split_or_none(find_twin_split, g) == expected, g.edges
+        bip = bipartition(g)
+        both_odd += len(bip.x) % 2 == 1 and len(bip.y) % 2 == 1
+    assert both_odd > 500  # the colorer's twin-split branch is well covered
+
+
+def test_twin_split_rejects_odd_cycles_and_disconnected_graphs():
+    with pytest.raises(ValueError, match="twin split not found"):
+        find_twin_split(cycle_graph(5))
+    with pytest.raises(ValueError, match="connected"):
+        find_twin_split(SimpleGraph(4, [(0, 1), (2, 3)]))
+
+
+def _count_bipartition_sides(monkeypatch):
+    """Count bipartition_sides calls through every lirdec binding of it."""
+    import sys
+
+    from lirdec import enumeration
+
+    original = enumeration.bipartition_sides
+    calls = [0]
+
+    def counted(g):
+        calls[0] += 1
+        return original(g)
+
+    for key, mod in list(sys.modules.items()):
+        if key.startswith("lirdec") and getattr(mod, "bipartition_sides", None) is original:
+            monkeypatch.setattr(mod, "bipartition_sides", counted)
+    return calls
+
+
+def test_bipartition_is_computed_once_per_coloring(monkeypatch):
+    from lirdec.colorers import color_double_auto
+
+    graphs = [CASE2A, CASE2B, CASE2B_REPAIR, cycle_graph(6), path_graph(4)]
+    rng = random.Random(11)
+    graphs += [random_connected_bipartite(rng.randrange(3, 30), rng) for _ in range(40)]
+    calls = _count_bipartition_sides(monkeypatch)
+    for g in graphs:
+        calls[0] = 0
+        assert verify(color_double_bipartite(g)).valid
+        assert calls[0] == 1, g.edges
+        bip = bipartition(g)
+        calls[0] = 0
+        find_twin_split(g, bip)
+        assert calls[0] == 0, g.edges  # a given bipartition is used as is
+        calls[0] = 0
+        find_twin_split(g)
+        assert calls[0] == 1, g.edges
+    calls[0] = 0
+    # a generic bipartite graph through the dispatcher: one test, reused
+    assert verify(color_double_auto(CASE2B)).valid
+    assert calls[0] == 1

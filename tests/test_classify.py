@@ -15,6 +15,7 @@ from lirdec.classify import (
     triangles_of,
     t_family_members,
     t_family_witness,
+    wheel_order,
 )
 from lirdec.graphs import (
     SimpleGraph,
@@ -27,7 +28,7 @@ from lirdec.graphs import (
     wheel_graph,
 )
 
-from oracle import multipartite_parts_reference, random_connected_graph
+from oracle import multipartite_parts_reference, random_connected_graph, size_vectors
 
 
 def k3_with_pendant_path(length):
@@ -157,21 +158,6 @@ def test_member_generator_limit():
     assert len(members) == 5
 
 
-def size_vectors(max_parts, max_total):
-    """Every non-increasing vector of >= 2 positive part sizes within the caps."""
-
-    def grow(prefix, total):
-        if len(prefix) >= 2:
-            yield prefix
-        if len(prefix) == max_parts:
-            return
-        top = prefix[-1] if prefix else max_total
-        for size in range(1, min(top, max_total - total) + 1):
-            yield from grow(prefix + [size], total + size)
-
-    return list(grow([], 0))
-
-
 def test_multipartite_parts_on_every_small_size_vector():
     rng = random.Random(6)
     vectors = size_vectors(6, 18)
@@ -286,3 +272,38 @@ def test_classify_tests_connectivity_once(monkeypatch):
         calls[0] = 0
         classify(g)
         assert calls[0] == 1, g.edges
+
+
+def _wheel_reference(g):
+    """(hub, rim order) from the rim as its own graph: cycle_order on the
+    subgraph induced by every vertex but the unique full-degree one."""
+    if g.n < 5 or g.m != 2 * (g.n - 1):
+        return None
+    hubs = [v for v in range(g.n) if g.degree(v) == g.n - 1]
+    if len(hubs) != 1 or any(g.degree(v) != 3 for v in range(g.n) if v != hubs[0]):
+        return None
+    rim, ids = g.induced_subgraph([v for v in range(g.n) if v != hubs[0]])
+    order = cycle_order(rim)
+    return None if order is None else (hubs[0], [ids[i] for i in order])
+
+
+def test_wheel_order_matches_the_induced_rim_reference():
+    rng = random.Random(44)
+    graphs = []
+    for n in range(4, 14):
+        for _ in range(4):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            w = wheel_graph(n)
+            graphs.append(SimpleGraph(n, [(perm[u], perm[v]) for u, v in w.edges]))
+    # a hub over two disjoint rim triangles: every degree test passes
+    two_rims = SimpleGraph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)] + [(6, v) for v in range(6)])
+    assert wheel_order(two_rims) is None
+    graphs.append(two_rims)
+    graphs += [random_connected_graph(n, rng.randrange(0, 12), rng) for n in range(5, 10) for _ in range(40)]
+    wheels = 0
+    for g in graphs:
+        expected = _wheel_reference(g)
+        assert wheel_order(g) == expected, g.edges
+        wheels += expected is not None
+    assert wheels == 36  # the order-4 wheels are K4, with no unique hub

@@ -165,6 +165,25 @@ def test_sweep_resume_after_a_torn_last_line(capsys, tmp_path):
     assert records[-1]["graph"] == torn
 
 
+def test_sweep_report_is_flushed_after_each_record(capsys, tmp_path, monkeypatch):
+    import lirdec.cli as cli
+
+    report = tmp_path / "report.jsonl"
+    real_sweep = cli.sweep
+    on_disk = []
+
+    def watched(*args, **kwargs):
+        for i, record in enumerate(real_sweep(*args, **kwargs)):
+            # asked for record i: records 0..i-1 must already be in the file
+            on_disk.append(len(report.read_text().splitlines()) if i else 0)
+            yield record
+
+    monkeypatch.setattr(cli, "sweep", watched)
+    code, _, _ = run(capsys, "sweep", "--enumerate", "4", "-o", str(report))
+    assert code == EXIT_OK
+    assert on_disk == list(range(9))
+
+
 def test_sweep_stdout_records(capsys, tmp_path):
     g6 = tmp_path / "one.g6"
     g6.write_text(to_graph6(cycle_graph(6)) + "\n")

@@ -5,11 +5,19 @@ import random
 
 import pytest
 
-from lirdec.classify import t_family_members
+from lirdec.classify import (
+    Classification,
+    ClassKind,
+    classify,
+    multipartite_parts,
+    t_family_members,
+)
 from lirdec.colorers import (
     BB,
     RB,
     RR,
+    _part_matrices,
+    _part_matrix_valid,
     build_cycle_base_table,
     color_double_auto,
     color_double_complete,
@@ -19,18 +27,28 @@ from lirdec.colorers import (
     color_double_wheel,
     color_t_family_3,
     cycle_states,
+    multipartite_states,
     path_states,
 )
-from lirdec.decomposition import color_degree_table, verify
+from lirdec.decomposition import Decomposition, color_degree_table, verify
 from lirdec.graphs import (
     SimpleGraph,
     bowtie_graph,
+    canon_edge,
+    complete_graph,
     complete_multipartite_graph,
     cycle_graph,
+    double,
     path_graph,
     wheel_graph,
 )
 from lirdec.solver import SearchLimits, exact_lir_multigraph
+
+from oracle import (
+    color_double_multipartite_reference,
+    color_multipartite_graph_reference,
+    size_vectors,
+)
 
 
 def test_even_path_pattern():
@@ -236,3 +254,188 @@ def test_auto_dispatch_handles_generic_bipartite():
     g = SimpleGraph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6)])
     d = color_double_auto(g)
     assert d is not None and verify(d).valid
+
+
+def _relabel(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return SimpleGraph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def test_multipartite_matches_the_canonical_then_relabeled_reference():
+    rng = random.Random(977)
+    vectors = size_vectors(6, 18)
+    assert len(vectors) == 977
+    other_class = []
+    for sizes in vectors:
+        if sizes == [1, 1]:
+            continue  # K2: test_multipartite_rejects_k2
+        assert color_double_multipartite(sizes) == color_double_multipartite_reference(sizes)
+        h = _relabel(complete_multipartite_graph(sizes), rng)
+        expected = color_multipartite_graph_reference(h)
+        parts = multipartite_parts(h)
+        assert Decomposition(expected.host, 2, multipartite_states(parts)) == expected, sizes
+        tag = classify(h)
+        d = color_double_auto(h, tag)
+        if tag.kind is ClassKind.COMPLETE_MULTIPARTITE:
+            assert d == expected, sizes
+        else:
+            # caught first by a more specific class (path, cycle, complete, wheel)
+            other_class.append(tuple(sizes))
+            assert verify(d).valid, sizes
+    assert sorted(other_class) == sorted(
+        [(2, 1), (2, 2), (1, 1, 1), (2, 2, 1), (1, 1, 1, 1), (1,) * 5, (1,) * 6]
+    )
+
+
+def _canonical_parts(sizes):
+    bounds = list(itertools.accumulate(sizes, initial=0))
+    return [list(range(bounds[i], bounds[i + 1])) for i in range(len(sizes))]
+
+
+def _matrix_verifies(sizes, st):
+    """Expand a part-level matrix onto the canonical host and run verify."""
+    parts = _canonical_parts(sizes)
+    host = double(complete_multipartite_graph(list(sizes)))
+    assign = {
+        canon_edge(u, v): state
+        for (i, j), state in st.items()
+        for u in parts[i]
+        for v in parts[j]
+    }
+    return verify(Decomposition(host, 2, assign)).valid
+
+
+def _vectors_with_total(total, parts):
+    return [
+        list(v)
+        for v in itertools.combinations_with_replacement(range(1, total), parts)
+        if sum(v) == total
+    ]
+
+
+def test_part_matrix_check_agrees_with_verify_on_every_matrix_up_to_five_parts():
+    matrices = valid = 0
+    for total in range(3, 11):
+        for k in range(3, 6):
+            for sizes in _vectors_with_total(total, k):
+                for st in _part_matrices(sizes):
+                    ok = _part_matrix_valid(sizes, st)
+                    assert ok == _matrix_verifies(sizes, st), (sizes, st)
+                    matrices += 1
+                    valid += ok
+    assert matrices > 6000 and 0 < valid < matrices
+
+
+def test_part_matrix_check_agrees_with_verify_on_every_scanned_matrix(monkeypatch):
+    import lirdec.colorers as colorers
+
+    scanned = []
+
+    def recorded(sizes, st):
+        ok = _part_matrix_valid(sizes, st)
+        scanned.append((list(sizes), dict(st), ok))
+        return ok
+
+    monkeypatch.setattr(colorers, "_part_matrix_valid", recorded)
+    for total in range(3, 11):
+        for k in range(3, total + 1):
+            for sizes in _vectors_with_total(total, k):
+                color_double_multipartite(sizes)
+    assert len(scanned) > 1000
+    for sizes, st, ok in scanned:
+        assert ok == _matrix_verifies(sizes, st), (sizes, st)
+
+
+@pytest.mark.parametrize(
+    "sizes,tier,matrices",
+    [
+        ([1, 1, 2, 2], "textbook", 2),
+        ([1, 1, 1, 2], "vertex-sequential", 2),
+        ([1, 1, 1, 1, 1, 3], "part matrix", 502),
+    ],
+)
+def test_each_tier_of_the_multipartite_scan(monkeypatch, sizes, tier, matrices):
+    import lirdec.colorers as colorers
+
+    expected = color_double_multipartite_reference(sizes)
+    seen = []
+
+    def counted(part_sizes, st):
+        ok = _part_matrix_valid(part_sizes, st)
+        seen.append(ok)
+        return ok
+
+    monkeypatch.setattr(colorers, "_part_matrix_valid", counted)
+    d = color_double_multipartite(sizes)
+    assert verify(d).valid
+    assert d == expected
+    assert len(seen) == matrices
+    parts = _canonical_parts(sizes)
+    # a part-level coloring gives all multiedges between two parts one state
+    part_level = all(
+        len({d.assign[canon_edge(u, v)] for u in parts[i] for v in parts[j]}) == 1
+        for i, j in itertools.combinations(range(len(parts)), 2)
+    )
+    assert part_level == (tier != "vertex-sequential")
+    assert seen[-1] == (tier != "vertex-sequential")
+
+
+def test_multipartite_states_rejects_bad_parts():
+    with pytest.raises(ValueError, match="need >= 2 parts"):
+        multipartite_states([[0, 1, 2]])
+    with pytest.raises(ValueError, match="need >= 2 parts"):
+        multipartite_states([[0], []])
+    with pytest.raises(ValueError, match="no locally irregular"):
+        multipartite_states([[5], [9]])
+
+
+def test_auto_reuses_what_classify_found(monkeypatch):
+    """color_double_auto colors from the tag's order, hub and parts, so each
+    recognizer runs at most once per graph (in classify)."""
+    import sys
+
+    rng = random.Random(21)
+    graphs = [path_graph(9), cycle_graph(10), wheel_graph(9), complete_graph(6)]
+    graphs += [complete_multipartite_graph(s) for s in ([2, 3, 4], [1, 1, 1, 1, 1, 3], [3, 5])]
+    graphs = [_relabel(g, rng) for g in graphs]
+    names = ("path_order", "cycle_order", "wheel_order", "multipartite_parts")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(sys.modules["lirdec.classify"], name)
+
+        def counted(g, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(g)
+
+        for key, mod in list(sys.modules.items()):
+            if key.startswith("lirdec") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    for g in graphs:
+        for name in names:
+            calls[name] = 0
+        tag = classify(g)
+        d = color_double_auto(g, tag)
+        assert verify(d).valid
+        assert all(c <= 1 for c in calls.values()), (tag.kind, calls)
+        found_by = {
+            ClassKind.PATH: "path_order",
+            ClassKind.CYCLE: "cycle_order",
+            ClassKind.WHEEL: "wheel_order",
+            ClassKind.COMPLETE_MULTIPARTITE: "multipartite_parts",
+        }.get(tag.kind)
+        if found_by is not None:
+            assert calls[found_by] == 1, tag.kind
+
+
+def test_classification_carries_the_recognized_structure():
+    g = SimpleGraph(6, [(0, 5), (5, 2), (2, 4), (4, 1), (1, 3)])
+    assert classify(g).order == [0, 5, 2, 4, 1, 3]
+    g = SimpleGraph(5, [(0, 3), (3, 1), (1, 4), (4, 2), (2, 0)])
+    assert classify(g).order == [0, 2, 4, 1, 3]
+    tag = classify(SimpleGraph(6, [(0, 2), (2, 4), (4, 5), (5, 1), (1, 0)] + [(3, v) for v in (0, 1, 2, 4, 5)]))
+    assert (tag.kind, tag.hub, tag.order) == (ClassKind.WHEEL, 3, [0, 1, 5, 4, 2])
+    tag = classify(complete_multipartite_graph([3, 2]))
+    assert tag.parts == [[0, 1, 2], [3, 4]]
+    # the carried fields are not part of the tag's identity
+    assert tag == Classification(ClassKind.COMPLETE_MULTIPARTITE, (2, 3))

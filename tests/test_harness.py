@@ -1,12 +1,13 @@
 """Conjecture sweep harness: records, resumability, determinism."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from lirdec.decomposition import verify
-from lirdec.enumeration import enumerate_connected
+from lirdec.enumeration import enumerate_connected, random_connected_bipartite
 from lirdec.graphs import (
     SimpleGraph,
     bowtie_graph,
@@ -269,16 +270,24 @@ def test_check_graph_classifies_once_and_verifies_at_most_once(monkeypatch):
     graphs = [g for g, _ in _golden_cases().values() if g.m > 1]
     graphs += [_k8_minus_path()]
     graphs += [g for n in range(3, 7) for g in enumerate_connected(n)]
-    # the multipartite colorer checks candidate matrices while it builds one
+    # constructive records of every colorer, each multipartite scan tier included
+    rng = random.Random(8)
+    graphs += [path_graph(12), cycle_graph(11), wheel_graph(10), complete_graph(7)]
+    graphs += [
+        complete_multipartite_graph(s)
+        for s in ([3, 4], [3, 3], [1, 1, 2, 2], [1, 1, 1, 2], [1, 1, 1, 1, 1, 3], [2, 3, 4, 5])
+    ]
+    graphs += [random_connected_bipartite(rng.randrange(5, 40), rng) for _ in range(40)]
     kinds = [classify(g).kind for g in graphs]
     classify_calls = _count_calls(monkeypatch, "lirdec.classify", "classify")
     verify_calls = _count_calls(monkeypatch, "lirdec.decomposition", "verify")
     methods = set()
-    for g, kind in zip(graphs, kinds):
+    for g in graphs:
         classify_calls[0] = verify_calls[0] = 0
         rec = check_graph(g)
         methods.add(rec.method)
         assert classify_calls[0] == 1, g.edges
-        if kind is not ClassKind.COMPLETE_MULTIPARTITE:
-            assert verify_calls[0] == (rec.witness is not None), g.edges
+        assert verify_calls[0] == (rec.witness is not None), g.edges
     assert methods == {"constructive", "exact"}
+    assert ClassKind.COMPLETE_MULTIPARTITE in kinds and ClassKind.OTHER in kinds
+
