@@ -6,9 +6,8 @@ the two-color conjecture over graph catalogs.
 """
 
 from .bipartite import bipartition, color_double_bipartite, find_twin_split, path_system
-from .classify import ClassKind, classify, recognize_t_prime, t_family_members
+from .classify import ClassKind, classify, recognize_t_prime
 from .colorers import (
-    build_cycle_base_table,
     color_double_auto,
     color_double_complete,
     color_double_cycle,
@@ -17,7 +16,7 @@ from .colorers import (
     color_double_wheel,
     color_t_family_3,
 )
-from .decomposition import BB, RB, RR, Decomposition, VerifyReport, color_degree, verify
+from .decomposition import BB, RB, RR, Decomposition, VerifyReport, verify
 from .enumeration import enumerate_connected, enumerate_connected_bipartite
 from .graphs import Multigraph, SimpleGraph, double, is_locally_irregular
 from .harness import SweepRecord, check_graph, sweep
@@ -42,10 +41,8 @@ __all__ = [
     "SweepRecord",
     "VerifyReport",
     "bipartition",
-    "build_cycle_base_table",
     "check_graph",
     "classify",
-    "color_degree",
     "color_double_auto",
     "color_double_bipartite",
     "color_double_complete",
@@ -65,7 +62,6 @@ __all__ = [
     "path_system",
     "recognize_t_prime",
     "sweep",
-    "t_family_members",
     "verify",
 ]
 

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 from .colorers import multipartite_states
 from .decomposition import BB, RB, RR, Decomposition
-from .enumeration import bipartition_sides
-from .graphs import Edge, SimpleGraph, canon_edge, double
+from .graphs import Edge, SimpleGraph, bipartition_sides, canon_edge, double
 
 
 @dataclass
@@ -273,11 +272,3 @@ def color_double_bipartite(g: SimpleGraph, bip: Bipartition | None = None) -> De
     if missing:
         raise AssertionError(f"edges left uncolored: {missing}")
     return Decomposition(host, 2, assign)
-
-
-def parity_profile(d: Decomposition) -> list[tuple[int, int]]:
-    """(red parity, blue parity) per vertex; equal coordinates for doubled hosts."""
-    from .decomposition import color_degree_table
-
-    table = color_degree_table(d)
-    return [(row[0] % 2, row[1] % 2) for row in table]

@@ -139,13 +139,22 @@ def multipartite_parts(g: SimpleGraph) -> list[list[int]] | None:
     """Parts of g when complete multipartite (>= 2 parts), else None.
 
     A graph is complete multipartite iff its complement is a disjoint union
-    of cliques; the complement components are the parts.
+    of cliques; the complement components are the parts. A vertex in a part
+    of size s has degree n - s, so the count of vertices of each degree d
+    must be a multiple of n - d: an O(n) pretest that turns most other
+    graphs away before the O(n^2) complement sets are built.
     """
-    everyone = set(range(g.n))
-    comp_adj = [everyone.difference(g.adj[u], (u,)) for u in range(g.n)]
-    seen = [False] * g.n
+    n = g.n
+    count = [0] * n
+    for ns in g.adj:
+        count[len(ns)] += 1
+    if any(c % (n - d) for d, c in enumerate(count)):
+        return None
+    everyone = set(range(n))
+    comp_adj = [everyone.difference(g.adj[u], (u,)) for u in range(n)]
+    seen = [False] * n
     parts = []
-    for s in range(g.n):
+    for s in range(n):
         if seen[s]:
             continue
         stack, comp = [s], [s]
@@ -299,56 +308,3 @@ def classify(g: SimpleGraph) -> Classification:
     if t_family_witness(g) is not None:
         return Classification(ClassKind.T_FAMILY)
     return Classification(ClassKind.OTHER)
-
-
-def t_family_members(max_vertices: int, limit: int | None = None) -> list[tuple[SimpleGraph, TWitness]]:
-    """Generate triangle-family members by replaying the construction.
-
-    Deterministic breadth-first expansion, deduplicated by a cheap canonical
-    key; every returned graph carries its construction witness.
-    """
-    from .enumeration import canonical_key  # local import: avoid cycle at load
-
-    k3 = SimpleGraph(3, [(0, 1), (1, 2), (0, 2)])
-    out: list[tuple[SimpleGraph, TWitness]] = []
-    seen = set()
-    frontier = [k3]
-    while frontier:
-        next_frontier = []
-        for g in frontier:
-            key = canonical_key(g)
-            if key in seen:
-                continue
-            seen.add(key)
-            witness = t_family_witness(g)
-            if witness is None:
-                raise AssertionError("generator produced a non-member")
-            out.append((g, witness))
-            if limit is not None and len(out) >= limit:
-                return out
-            tris = triangles_of(g)
-            tri_vertices = {v for tri in tris for v in tri}
-            hosts = [v for v in tri_vertices if g.degree(v) == 2]
-            for host in hosts:
-                # pendant paths of even length
-                for ln in (2, 4, 6):
-                    if g.n + ln <= max_vertices:
-                        edges = list(g.edges)
-                        prev = host
-                        for i in range(ln):
-                            edges.append((prev, g.n + i))
-                            prev = g.n + i
-                        next_frontier.append(SimpleGraph(g.n + ln, edges))
-                # odd paths ending in a fresh triangle
-                for ln in (1, 3, 5):
-                    if g.n + ln + 2 <= max_vertices:
-                        edges = list(g.edges)
-                        prev = host
-                        for i in range(ln):
-                            edges.append((prev, g.n + i))
-                            prev = g.n + i
-                        a, b = g.n + ln, g.n + ln + 1
-                        edges += [(prev, a), (prev, b), (a, b)]
-                        next_frontier.append(SimpleGraph(g.n + ln + 2, edges))
-        frontier = next_frontier
-    return out

@@ -1,23 +1,28 @@
 """Closed-form two-colorings of doubled graphs for standard classes, and the
 recursive three-coloring of the triangle family.
 
-Doubled-edge states: RR both red, RB one red one blue, BB both blue. The
-even-length path pattern is BB,BB,RR,RR repeating; odd paths prepend
-BB,RB,RR. Cycles of length 3..7 come from a frozen base table (found once by
-exhaustive search); longer cycles splice BB,BB,RR,RR blocks in right after
-the base's two adjacent all-red multiedges.
+Doubled-edge states: RR both red, RB one red one blue, BB both blue. Each
+class has one construction, a function from a vertex order to multiedge
+states: path_assign for paths, ring_assign for cycles and wheels.
+color_double_auto runs it on the order classify found, and
+color_double_path/cycle/wheel on canonical labels. The even-length path
+pattern is BB,BB,RR,RR repeating; odd paths prepend BB,RB,RR. Cycles of
+length 3..7 take the literal CYCLE_BASE table; longer cycles splice
+BB,BB,RR,RR blocks in right after the base's two adjacent all-red
+multiedges. A wheel is its rim cycle with every spoke all red.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from collections.abc import Sequence
 
-from .classify import Classification, TWitness, t_family_witness
-from .decomposition import BB, RB, RR, Decomposition, color_conflicts, verify
+from .classify import Classification, ClassKind, TWitness, classify, t_family_witness
+from .decomposition import BB, RB, RR, Decomposition, color_conflicts
 from .graphs import (
     Edge,
     SimpleGraph,
+    bipartition_sides,
     canon_edge,
     complete_multipartite_graph,
     cycle_graph,
@@ -25,10 +30,20 @@ from .graphs import (
     path_graph,
     wheel_graph,
 )
+from .solver import _schedule
 
 State = tuple[int, int]
 
-_STATE_ORDER = (RR, RB, BB)  # enumeration digits 0/1/2
+# Doubled cycles of length 3..7. From length 4 on, the first two multiedges
+# are the all-red splice anchor. The test oracle re-derives each by
+# exhaustive search.
+CYCLE_BASE: dict[int, tuple[State, ...]] = {
+    3: (RR, RB, BB),
+    4: (RR, RR, RB, RB),
+    5: (RR, RR, BB, RB, RB),
+    6: (RR, RR, BB, BB, RB, RB),
+    7: (RR, RR, RB, BB, RR, RB, RB),
+}
 
 
 def path_states(edge_count: int) -> list[State]:
@@ -45,104 +60,50 @@ def path_states(edge_count: int) -> list[State]:
     return states
 
 
-def color_double_path(n: int) -> Decomposition:
-    """Two-coloring of the doubled path on n >= 3 vertices."""
-    if n <= 2:
-        raise ValueError("no locally irregular coloring exists for a doubled K2")
-    host = double(path_graph(n))
-    states = path_states(n - 1)
-    assign = {canon_edge(i, i + 1): states[i] for i in range(n - 1)}
-    return Decomposition(host, 2, assign)
-
-
-def _cycle_states_brute(length: int, need_adjacent_rr: bool) -> list[State] | None:
-    """First valid state vector for the doubled cycle, by base-3 counting.
-
-    With need_adjacent_rr the result is rotated so positions 0 and 1 hold the
-    required two cyclically adjacent all-red multiedges.
-    """
-    host = double(cycle_graph(length))
-    for code in range(3**length):
-        digits = []
-        rest = code
-        for _ in range(length):
-            digits.append(rest % 3)
-            rest //= 3
-        states = [_STATE_ORDER[d] for d in digits]
-        anchor = None
-        if need_adjacent_rr:
-            for i in range(length):
-                if states[i] == RR and states[(i + 1) % length] == RR:
-                    anchor = i
-                    break
-            if anchor is None:
-                continue
-        assign = {
-            canon_edge(i, (i + 1) % length): states[i] for i in range(length)
-        }
-        if verify(Decomposition(host, 2, assign)).valid:
-            if anchor:
-                states = states[anchor:] + states[:anchor]
-            return states
-    return None
-
-
-@lru_cache(maxsize=1)
-def build_cycle_base_table() -> dict[int, list[State]]:
-    """Base colorings for doubled cycles of length 3..7.
-
-    Length 3 is the fixed red/red-blue/blue triangle; lengths 4..7 are found
-    exhaustively under the two-adjacent-RR splice-anchor constraint. A search
-    failure would falsify the underlying cycle theorem, hence the hard error.
-    """
-    table: dict[int, list[State]] = {3: [RR, RB, BB]}
-    for length in range(4, 8):
-        states = _cycle_states_brute(length, need_adjacent_rr=True)
-        if states is None:
-            raise AssertionError(f"no base coloring for doubled cycle {length}")
-        table[length] = states
-    return table
-
-
 def cycle_states(length: int) -> list[State]:
     """State sequence around a doubled cycle of the given length."""
     if length < 3:
         raise ValueError("cycle needs length >= 3")
-    table = build_cycle_base_table()
-    if length <= 7:
-        return list(table[length])
-    base_len = 4 + (length - 4) % 4
-    base = table[base_len]
-    blocks = (length - base_len) // 4
+    base = CYCLE_BASE[length if length <= 7 else 4 + (length - 4) % 4]
+    blocks = (length - len(base)) // 4
     return list(base[:2]) + [BB, BB, RR, RR] * blocks + list(base[2:])
+
+
+def path_assign(order: Sequence[int]) -> dict[Edge, State]:
+    """States of the doubled path visiting `order`, keyed by its edges."""
+    states = path_states(len(order) - 1)
+    return {canon_edge(u, v): s for u, v, s in zip(order, order[1:], states)}
+
+
+def ring_assign(order: Sequence[int], hub: int | None = None) -> dict[Edge, State]:
+    """States of the doubled cycle around `order`; with a hub, of the doubled
+    wheel on that rim, every spoke all red. For a rim of four or more the
+    hub's red degree 2 * len(order) dominates every rim vertex."""
+    length = len(order)
+    states = cycle_states(length)
+    assign = {
+        canon_edge(order[i], order[(i + 1) % length]): s for i, s in enumerate(states)
+    }
+    if hub is not None:
+        for v in order:
+            assign[canon_edge(v, hub)] = RR
+    return assign
+
+
+def color_double_path(n: int) -> Decomposition:
+    """Two-coloring of the doubled path on n >= 3 vertices."""
+    assign = path_assign(range(n))
+    return Decomposition(double(path_graph(n)), 2, assign)
 
 
 def color_double_cycle(length: int) -> Decomposition:
     """Two-coloring of the doubled cycle with the given edge count."""
-    states = cycle_states(length)
-    host = double(cycle_graph(length))
-    assign = {canon_edge(i, (i + 1) % length): states[i] for i in range(length)}
-    return Decomposition(host, 2, assign)
+    return Decomposition(double(cycle_graph(length)), 2, ring_assign(range(length)))
 
 
 def color_double_wheel(n: int) -> Decomposition:
-    """Two-coloring of the doubled wheel of order n: rim pattern, spokes red.
-
-    The hub's red degree 2(n-1) dominates every rim vertex for n > 4; the
-    n = 4 wheel is validated directly.
-    """
-    if n < 4:
-        raise ValueError("wheel needs order >= 4")
-    rim = n - 1
-    host = double(wheel_graph(n))
-    states = cycle_states(rim)
-    assign = {canon_edge(i, (i + 1) % rim): states[i] for i in range(rim)}
-    for i in range(rim):
-        assign[canon_edge(i, rim)] = RR
-    d = Decomposition(host, 2, assign)
-    if n == 4 and not verify(d).valid:
-        raise AssertionError("order-4 wheel coloring failed its direct check")
-    return d
+    """Two-coloring of the doubled wheel of order n >= 4: rim 0..n-2, hub n-1."""
+    return Decomposition(double(wheel_graph(n)), 2, ring_assign(range(n - 1), n - 1))
 
 
 def color_double_complete(n: int) -> Decomposition:
@@ -163,25 +124,26 @@ def color_double_complete(n: int) -> Decomposition:
     return Decomposition(host, 2, assign)
 
 
-def _three_part_states(
-    sizes: tuple[int, int, int], order: tuple[int, int, int]
-) -> dict[tuple[int, int], State] | None:
-    """Pairwise seed states for three parts with roles assigned by `order`,
-    or None when the size pattern does not match the case the roles encode.
-    Keys are role-index pairs (i, j), i < j."""
-    ia, ib, ic = order
-    p, q, r = sizes[ia], sizes[ib], sizes[ic]
-
-    def key(i, j):
-        return (i, j) if i < j else (j, i)
-
-    if p != q and q != r and p != r:
-        return {key(ia, ib): RR, key(ia, ic): RR, key(ib, ic): RR}
-    if p == q == r:
-        return {key(ia, ic): RR, key(ib, ic): BB, key(ia, ib): RB}
-    if p == q:
-        return {key(ia, ic): BB, key(ia, ib): RR, key(ib, ic): RR}
-    return None
+def _textbook_matrix(sizes: list[int], phase: int) -> dict[tuple[int, int], State]:
+    """Textbook part matrix over ascending part sizes, keyed by part-index
+    pairs (i, j), i < j. The three smallest parts take the three-part
+    pattern for their sizes (all distinct, two equal, all equal); every later
+    part paints all its multiedges to earlier parts one color, alternating
+    from blue (phase 0) or red (phase 1)."""
+    a, b, c = sizes[:3]
+    if a == b == c:
+        st = {(0, 1): RB, (0, 2): RR, (1, 2): BB}
+    elif a == b:
+        st = {(0, 1): RR, (0, 2): BB, (1, 2): RR}
+    elif b == c:
+        st = {(0, 1): BB, (0, 2): RR, (1, 2): RR}
+    else:
+        st = {(0, 1): RR, (0, 2): RR, (1, 2): RR}
+    for j in range(3, len(sizes)):
+        state = BB if (j - 3 + phase) % 2 == 0 else RR
+        for i in range(j):
+            st[(i, j)] = state
+    return st
 
 
 def _part_matrix_valid(sizes: list[int], st: dict[tuple[int, int], State]) -> bool:
@@ -207,50 +169,49 @@ def _part_matrix_valid(sizes: list[int], st: dict[tuple[int, int], State]) -> bo
     return True
 
 
-def _part_matrices(part_sizes: list[int]):
-    """Part-level state matrices for k >= 3 parts, textbook candidate first.
+_PAIR_STATES = (RR, RB, BB)
 
-    Matrix keys are part-index pairs (i, j), i < j, over the ascending part
-    order. The seed occupies a trio of parts and takes the three-part
-    pattern; every later part takes one state toward all earlier parts. The
-    first two matrices are the textbook alternation (seed on the three
-    smallest parts, blue-led, then red-led).
+
+def _part_pair_search(sizes: list[int]) -> dict[tuple[int, int], State] | None:
+    """First valid part matrix, by backchecking search over the part pairs in
+    lexicographic order with states RR, RB, BB, or None once exhausted.
+
+    A vertex of part i has red degree sum_j sizes[j] * r_ij (blue alike), so
+    the part degrees are exact. solver._schedule places each pair's conflict
+    test at the step where both its parts' degrees become final (Haralick &
+    Elliott, Artificial Intelligence 14, 1980); the loop keeps its own stack.
     """
-    k = len(part_sizes)
-    for trio_idx in itertools.combinations(range(k), 3):
-        trio_sizes = tuple(part_sizes[i] for i in trio_idx)
-        others = [i for i in range(k) if i not in trio_idx]
-        seen_seeds = set()
-        for order in itertools.permutations(range(3)):
-            seed = _three_part_states(trio_sizes, order)
-            if seed is None:
+    k = len(sizes)
+    pairs = list(itertools.combinations(range(k), 2))
+    checks = _schedule(k, pairs)
+    deg = [[0, 0] for _ in range(k)]  # red and blue degree in each part
+    pick = [0] * len(pairs)  # states tried so far at each pair
+    i = 0
+    while True:
+        a, b = pairs[i]
+        p = pick[i]
+        if p:  # take back the state tried last at this pair
+            for c, x in enumerate(_PAIR_STATES[p - 1]):
+                deg[a][c] -= sizes[b] * x
+                deg[b][c] -= sizes[a] * x
+            if p == len(_PAIR_STATES):
+                pick[i] = 0
+                if i == 0:
+                    return None
+                i -= 1
                 continue
-            key = tuple(sorted(seed.items()))
-            if key in seen_seeds:
-                continue
-            seen_seeds.add(key)
-            lifted = {(trio_idx[i], trio_idx[j]): s for (i, j), s in seed.items()}
-            patterns = itertools.product((BB, RR, RB), repeat=len(others))
-            if trio_idx == (0, 1, 2):
-                # textbook alternation first: blue-led, then red-led
-                patterns = itertools.chain(
-                    [
-                        tuple(
-                            BB if (i + phase) % 2 == 0 else RR
-                            for i in range(len(others))
-                        )
-                        for phase in (0, 1)
-                    ],
-                    patterns,
-                )
-            for pattern in patterns:
-                st = dict(lifted)
-                painted = list(trio_idx)
-                for part_i, state in zip(others, pattern):
-                    for prev in painted:
-                        st[(min(prev, part_i), max(prev, part_i))] = state
-                    painted.append(part_i)
-                yield st
+        pick[i] = p + 1
+        for c, x in enumerate(_PAIR_STATES[p]):
+            deg[a][c] += sizes[b] * x
+            deg[b][c] += sizes[a] * x
+        if not any(
+            x and deg[u][c] == deg[v][c]
+            for j, u, v in checks[i]
+            for c, x in enumerate(_PAIR_STATES[pick[j] - 1])
+        ):
+            i += 1
+            if i == len(pairs):
+                return {pair: _PAIR_STATES[q - 1] for pair, q in zip(pairs, pick)}
 
 
 def multipartite_states(parts: list[list[int]]) -> dict[Edge, State]:
@@ -259,14 +220,12 @@ def multipartite_states(parts: list[list[int]]) -> dict[Edge, State]:
 
     Parts are taken in ascending size order (ties keep input order). Two
     parts: all red when unbalanced, else the multiedges at the first part's
-    first vertex red and the rest blue. With k >= 3 parts the colorer tries, in this order:
-    the two textbook part matrices (three smallest parts seeded with the
-    distinct / two-equal / all-equal three-part pattern, every further part
-    painting all its multiedges to earlier parts one color, alternating
-    blue-led, then red-led); a vertex-sequential coloring in four variants;
-    the remaining part matrices. A part matrix is judged by
-    _part_matrix_valid, which is exact; a vertex-sequential variant by the
-    verifier's conflict scan. The first valid candidate is returned.
+    first vertex red and the rest blue. With k >= 3 parts the colorer tries,
+    in this order: the two textbook part matrices (_textbook_matrix, phase 0
+    then 1), judged by the exact O(k^2) _part_matrix_valid; a
+    vertex-sequential coloring in four variants, judged by the verifier's
+    conflict scan; the part-pair search. The first valid candidate is
+    returned.
     """
     k = len(parts)
     if k < 2 or any(not p for p in parts):
@@ -318,20 +277,20 @@ def multipartite_states(parts: list[list[int]]) -> dict[Edge, State]:
                     return assign
         return None
 
-    scanned = _part_matrices(part_sizes)
-    for st in itertools.islice(scanned, 2):
+    for phase in (0, 1):
+        st = _textbook_matrix(part_sizes, phase)
         if _part_matrix_valid(part_sizes, st):
             return expand(st)
     assign = vertex_sequential()
     if assign is not None:
         return assign
-    for st in scanned:
-        if _part_matrix_valid(part_sizes, st):
-            return expand(st)
-    raise AssertionError(
-        f"no candidate colors the doubled complete multipartite graph {part_sizes}; "
-        "this would contradict the underlying theorem"
-    )
+    st = _part_pair_search(part_sizes)
+    if st is None:
+        raise AssertionError(
+            f"no candidate colors the doubled complete multipartite graph {part_sizes}; "
+            "this would contradict the underlying theorem"
+        )
+    return expand(st)
 
 
 def color_double_multipartite(sizes: list[int]) -> Decomposition:
@@ -417,8 +376,6 @@ def color_double_auto(
     classified g passes classify's result as tag.
     """
     from .bipartite import Bipartition, color_double_bipartite
-    from .classify import ClassKind, classify
-    from .enumeration import bipartition_sides
 
     if g.n <= 2 or g.m == 0:
         return None
@@ -438,22 +395,10 @@ def color_double_auto(
         return color_double_bipartite(g, Bipartition(frozenset(sides[0]), frozenset(sides[1])))
     if tag.kind is ClassKind.COMPLETE:
         return color_double_complete(g.n)
-    host = double(g)
-    order = tag.order
     if tag.kind is ClassKind.PATH:
-        states = path_states(g.m)
-        assign = {
-            canon_edge(order[i], order[i + 1]): states[i] for i in range(g.m)
-        }
+        assign = path_assign(tag.order)
     elif tag.kind in (ClassKind.CYCLE, ClassKind.WHEEL):
-        states = cycle_states(len(order))
-        assign = {
-            canon_edge(order[i], order[(i + 1) % len(order)]): states[i]
-            for i in range(len(order))
-        }
-        if tag.kind is ClassKind.WHEEL:
-            for v in order:
-                assign[canon_edge(v, tag.hub)] = RR
+        assign = ring_assign(tag.order, tag.hub)
     else:
         assign = multipartite_states(tag.parts)
-    return Decomposition(host, 2, assign)
+    return Decomposition(double(g), 2, assign)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Collection
 
-from .graphs import Edge, Multigraph, SimpleGraph, canon_edge
+from .graphs import Edge, Multigraph
 
 # two-color states of a doubled edge
 RR = (2, 0)
@@ -51,29 +51,6 @@ class Decomposition:
         self.k = k
         self.assign = cleaned
 
-    def colors_used(self) -> int:
-        """Number of colors with at least one edge unit."""
-        return sum(
-            1 for c in range(self.k) if any(v[c] for v in self.assign.values())
-        )
-
-    def color_class(self, c: int) -> Multigraph | None:
-        """The submultigraph induced by color c, or None when c is empty."""
-        if not (0 <= c < self.k):
-            raise ValueError(f"color {c} out of range")
-        edges = {e: v[c] for e, v in self.assign.items() if v[c] > 0}
-        if not edges:
-            return None
-        return Multigraph(SimpleGraph(self.host.n, edges.keys()), edges)
-
-    def relabeled(self, mapping: list[int], new_host: Multigraph) -> "Decomposition":
-        """Transfer onto new_host, sending vertex i to mapping[i]."""
-        assign = {
-            canon_edge(mapping[u], mapping[v]): counts
-            for (u, v), counts in self.assign.items()
-        }
-        return Decomposition(new_host, self.k, assign)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Decomposition)
@@ -95,15 +72,6 @@ class VerifyReport:
     @property
     def valid(self) -> bool:
         return not self.conflicts
-
-
-def color_degree(d: Decomposition, v: int, c: int) -> int:
-    """Degree of v in the color-c submultigraph."""
-    if not (0 <= v < d.host.n):
-        raise ValueError(f"vertex {v} out of range")
-    if not (0 <= c < d.k):
-        raise ValueError(f"color {c} out of range")
-    return sum(d.assign[canon_edge(v, w)][c] for w in d.host.base.adj[v])
 
 
 def color_degree_table(d: Decomposition) -> list[list[int]]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, bipartition_sides
 
 ENUMERATION_LIMIT = 8
 BIPARTITE_ENUMERATION_LIMIT = 10
@@ -103,28 +103,6 @@ def enumerate_connected(n: int) -> list[SimpleGraph]:
         _catalog_memo[size] = tuple(reps)
     _catalog_memo.setdefault(n, tuple(reps))
     return list(reps)
-
-
-def bipartition_sides(g: SimpleGraph) -> tuple[list[int], list[int]] | None:
-    """BFS 2-coloring; None when an odd cycle shows up."""
-    side = [-1] * g.n
-    for s in range(g.n):
-        if side[s] != -1:
-            continue
-        side[s] = 0
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
-                if side[w] == -1:
-                    side[w] = 1 - side[u]
-                    stack.append(w)
-                elif side[w] == side[u]:
-                    return None
-    return (
-        [v for v in range(g.n) if side[v] == 0],
-        [v for v in range(g.n) if side[v] == 1],
-    )
 
 
 def enumerate_connected_bipartite(n: int) -> list[SimpleGraph]:

@@ -193,6 +193,28 @@ def is_locally_irregular(m: Multigraph) -> bool:
     return all(deg[u] != deg[v] for u, v in m.edges)
 
 
+def bipartition_sides(g: SimpleGraph) -> tuple[list[int], list[int]] | None:
+    """BFS 2-coloring; None when an odd cycle shows up."""
+    side = [-1] * g.n
+    for s in range(g.n):
+        if side[s] != -1:
+            continue
+        side[s] = 0
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for w in g.adj[u]:
+                if side[w] == -1:
+                    side[w] = 1 - side[u]
+                    stack.append(w)
+                elif side[w] == side[u]:
+                    return None
+    return (
+        [v for v in range(g.n) if side[v] == 0],
+        [v for v in range(g.n) if side[v] == 1],
+    )
+
+
 # --- small graph builders -------------------------------------------------
 
 

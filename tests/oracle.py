@@ -10,8 +10,10 @@ from __future__ import annotations
 import itertools
 import random
 
-from lirdec.decomposition import Decomposition, verify
-from lirdec.graphs import Multigraph, SimpleGraph
+from lirdec.classify import TWitness, t_family_witness, triangles_of
+from lirdec.decomposition import BB, RB, RR, Decomposition, color_degree_table, verify
+from lirdec.enumeration import canonical_key
+from lirdec.graphs import Multigraph, SimpleGraph, canon_edge, cycle_graph, double
 
 
 def vectors_summing_to(total: int, k: int) -> list[tuple[int, ...]]:
@@ -169,7 +171,7 @@ def find_twin_split_reference(g: SimpleGraph):
     candidate is checked on its own: a fresh bipartition and an induced
     residue subgraph. Raises ValueError when no candidate is valid."""
     from lirdec.bipartite import TwinSplit
-    from lirdec.enumeration import bipartition_sides
+    from lirdec.graphs import bipartition_sides
 
     def split_ok(s):
         s_set = set(s)
@@ -223,12 +225,14 @@ def find_twin_split_reference(g: SimpleGraph):
 def color_double_multipartite_reference(sizes: list[int]) -> Decomposition:
     """The multipartite two-coloring built on canonical labels (part i holds
     the next sizes[i] vertices), every candidate materialized in full and
-    accepted only when verify passes as well as the part-level check. Same
-    candidate order as the program: parts by ascending size, the two textbook
-    part matrices, four vertex-sequential variants, the other part matrices."""
-    from lirdec.colorers import _part_matrix_valid, _three_part_states
-    from lirdec.decomposition import BB, RB, RR
-    from lirdec.graphs import canon_edge, complete_multipartite_graph, double
+    accepted only when verify passes as well as the part-level check. Parts
+    by ascending size, then the two textbook part matrices, four
+    vertex-sequential variants and the other part_matrices. The program
+    shares the first two tiers; its third tier is a part-pair search, so
+    vectors this reference colors from the other part matrices may get a
+    different (valid) witness there."""
+    from lirdec.colorers import _part_matrix_valid
+    from lirdec.graphs import complete_multipartite_graph
 
     k = len(sizes)
     host = double(complete_multipartite_graph(list(sizes)))
@@ -248,39 +252,6 @@ def color_double_multipartite_reference(sizes: list[int]) -> Decomposition:
         }
         return Decomposition(host, 2, assign)
     part_sizes = [len(p) for p in parts]
-    role_orders = list(itertools.permutations(range(3)))
-
-    def matrices():
-        for trio_idx in itertools.combinations(range(k), 3):
-            trio_sizes = tuple(part_sizes[i] for i in trio_idx)
-            others = [i for i in range(k) if i not in trio_idx]
-            seen_seeds = set()
-            for order in role_orders:
-                seed = _three_part_states(trio_sizes, order)
-                if seed is None:
-                    continue
-                key = tuple(sorted(seed.items()))
-                if key in seen_seeds:
-                    continue
-                seen_seeds.add(key)
-                lifted = {(trio_idx[i], trio_idx[j]): s for (i, j), s in seed.items()}
-                patterns = itertools.product((BB, RR, RB), repeat=len(others))
-                if trio_idx == (0, 1, 2):
-                    patterns = itertools.chain(
-                        [
-                            tuple(BB if (i + ph) % 2 == 0 else RR for i in range(len(others)))
-                            for ph in (0, 1)
-                        ],
-                        patterns,
-                    )
-                for pattern in patterns:
-                    st = dict(lifted)
-                    painted = list(trio_idx)
-                    for part_i, state in zip(others, pattern):
-                        for prev in painted:
-                            st[(min(prev, part_i), max(prev, part_i))] = state
-                        painted.append(part_i)
-                    yield st
 
     def materialize(st):
         if not _part_matrix_valid(part_sizes, st):
@@ -317,7 +288,7 @@ def color_double_multipartite_reference(sizes: list[int]) -> Decomposition:
                     return d
         return None
 
-    scanned = matrices()
+    scanned = part_matrices(part_sizes)
     for st in itertools.islice(scanned, 2):
         d = materialize(st)
         if d is not None:
@@ -334,11 +305,187 @@ def color_double_multipartite_reference(sizes: list[int]) -> Decomposition:
 
 def color_multipartite_graph_reference(g: SimpleGraph) -> Decomposition:
     """The multipartite two-coloring of a relabelled complete multipartite g,
-    built on canonical labels and carried over with Decomposition.relabeled:
+    built on canonical labels and carried over with relabeled:
     canonical part i is g's i-th part by ascending size (ties by smallest
     vertex), each part's vertices in ascending order."""
-    from lirdec.graphs import double
-
     parts = sorted(multipartite_parts_reference(g), key=len)
     canonical = color_double_multipartite_reference([len(p) for p in parts])
-    return canonical.relabeled([v for part in parts for v in part], double(g))
+    return relabeled(canonical, [v for part in parts for v in part], double(g))
+
+
+def colors_used(d: Decomposition) -> int:
+    """Number of colors with at least one edge unit."""
+    return sum(1 for c in range(d.k) if any(v[c] for v in d.assign.values()))
+
+
+def color_class(d: Decomposition, c: int) -> Multigraph | None:
+    """The submultigraph induced by color c, or None when c is empty."""
+    if not (0 <= c < d.k):
+        raise ValueError(f"color {c} out of range")
+    edges = {e: v[c] for e, v in d.assign.items() if v[c] > 0}
+    if not edges:
+        return None
+    return Multigraph(SimpleGraph(d.host.n, edges.keys()), edges)
+
+
+def relabeled(d: Decomposition, mapping: list[int], new_host: Multigraph) -> Decomposition:
+    """Transfer d onto new_host, sending vertex i to mapping[i]."""
+    assign = {
+        canon_edge(mapping[u], mapping[v]): counts for (u, v), counts in d.assign.items()
+    }
+    return Decomposition(new_host, d.k, assign)
+
+
+def color_degree(d: Decomposition, v: int, c: int) -> int:
+    """Degree of v in the color-c submultigraph."""
+    if not (0 <= v < d.host.n):
+        raise ValueError(f"vertex {v} out of range")
+    if not (0 <= c < d.k):
+        raise ValueError(f"color {c} out of range")
+    return sum(d.assign[canon_edge(v, w)][c] for w in d.host.base.adj[v])
+
+
+def parity_profile(d: Decomposition) -> list[tuple[int, int]]:
+    """(red parity, blue parity) per vertex; equal coordinates for doubled hosts."""
+    return [(row[0] % 2, row[1] % 2) for row in color_degree_table(d)]
+
+
+def cycle_states_brute(length: int) -> list[tuple[int, int]] | None:
+    """First valid state vector of the doubled cycle by base-3 counting
+    (digits 0/1/2 = RR/RB/BB, first edge least significant). From length 4
+    on, only vectors with two cyclically adjacent all-red multiedges count,
+    rotated so those two come first."""
+    host = double(cycle_graph(length))
+    for code in range(3**length):
+        states = []
+        for _ in range(length):
+            states.append((RR, RB, BB)[code % 3])
+            code //= 3
+        anchor = 0
+        if length > 3:
+            anchor = next(
+                (i for i in range(length) if states[i] == RR == states[(i + 1) % length]),
+                None,
+            )
+            if anchor is None:
+                continue
+        assign = {canon_edge(i, (i + 1) % length): s for i, s in enumerate(states)}
+        if verify(Decomposition(host, 2, assign)).valid:
+            return states[anchor:] + states[:anchor]
+    return None
+
+
+def three_part_states(
+    sizes: tuple[int, int, int], order: tuple[int, int, int]
+) -> dict[tuple[int, int], tuple[int, int]] | None:
+    """Pairwise seed states for three parts with roles assigned by `order`,
+    or None when the size pattern does not match the case the roles encode.
+    Keys are role-index pairs (i, j), i < j."""
+    ia, ib, ic = order
+    p, q, r = sizes[ia], sizes[ib], sizes[ic]
+
+    def key(i, j):
+        return (i, j) if i < j else (j, i)
+
+    if p != q and q != r and p != r:
+        return {key(ia, ib): RR, key(ia, ic): RR, key(ib, ic): RR}
+    if p == q == r:
+        return {key(ia, ic): RR, key(ib, ic): BB, key(ia, ib): RB}
+    if p == q:
+        return {key(ia, ic): BB, key(ia, ib): RR, key(ib, ic): RR}
+    return None
+
+
+def part_matrices(part_sizes: list[int]):
+    """Part-level state matrices for k >= 3 ascending parts, textbook first.
+
+    Keys are part-index pairs (i, j), i < j. A seed occupies a trio of parts
+    and takes the three-part pattern; every later part takes one state
+    toward all earlier parts. The first two matrices are the textbook
+    alternation (seed on the three smallest parts, blue-led, then red-led);
+    the rest run over every trio, seed and 3^(k-3) pattern.
+    """
+    k = len(part_sizes)
+    for trio_idx in itertools.combinations(range(k), 3):
+        trio_sizes = tuple(part_sizes[i] for i in trio_idx)
+        others = [i for i in range(k) if i not in trio_idx]
+        seen_seeds = set()
+        for order in itertools.permutations(range(3)):
+            seed = three_part_states(trio_sizes, order)
+            if seed is None:
+                continue
+            key = tuple(sorted(seed.items()))
+            if key in seen_seeds:
+                continue
+            seen_seeds.add(key)
+            lifted = {(trio_idx[i], trio_idx[j]): s for (i, j), s in seed.items()}
+            patterns = itertools.product((BB, RR, RB), repeat=len(others))
+            if trio_idx == (0, 1, 2):
+                patterns = itertools.chain(
+                    [
+                        tuple(BB if (i + ph) % 2 == 0 else RR for i in range(len(others)))
+                        for ph in (0, 1)
+                    ],
+                    patterns,
+                )
+            for pattern in patterns:
+                st = dict(lifted)
+                painted = list(trio_idx)
+                for part_i, state in zip(others, pattern):
+                    for prev in painted:
+                        st[(min(prev, part_i), max(prev, part_i))] = state
+                    painted.append(part_i)
+                yield st
+
+
+def t_family_members(
+    max_vertices: int, limit: int | None = None
+) -> list[tuple[SimpleGraph, TWitness]]:
+    """Generate triangle-family members by replaying the construction.
+
+    Deterministic breadth-first expansion, deduplicated by canonical_key;
+    every returned graph carries its construction witness.
+    """
+    k3 = SimpleGraph(3, [(0, 1), (1, 2), (0, 2)])
+    out: list[tuple[SimpleGraph, TWitness]] = []
+    seen = set()
+    frontier = [k3]
+    while frontier:
+        next_frontier = []
+        for g in frontier:
+            key = canonical_key(g)
+            if key in seen:
+                continue
+            seen.add(key)
+            witness = t_family_witness(g)
+            if witness is None:
+                raise AssertionError("generator produced a non-member")
+            out.append((g, witness))
+            if limit is not None and len(out) >= limit:
+                return out
+            tris = triangles_of(g)
+            tri_vertices = {v for tri in tris for v in tri}
+            hosts = [v for v in tri_vertices if g.degree(v) == 2]
+            for host in hosts:
+                # pendant paths of even length
+                for ln in (2, 4, 6):
+                    if g.n + ln <= max_vertices:
+                        edges = list(g.edges)
+                        prev = host
+                        for i in range(ln):
+                            edges.append((prev, g.n + i))
+                            prev = g.n + i
+                        next_frontier.append(SimpleGraph(g.n + ln, edges))
+                # odd paths ending in a fresh triangle
+                for ln in (1, 3, 5):
+                    if g.n + ln + 2 <= max_vertices:
+                        edges = list(g.edges)
+                        prev = host
+                        for i in range(ln):
+                            edges.append((prev, g.n + i))
+                            prev = g.n + i
+                        a, b = g.n + ln, g.n + ln + 1
+                        edges += [(prev, a), (prev, b), (a, b)]
+                        next_frontier.append(SimpleGraph(g.n + ln + 2, edges))
+        frontier = next_frontier
+    return out

@@ -8,7 +8,6 @@ from lirdec.bipartite import (
     bipartition,
     color_double_bipartite,
     find_twin_split,
-    parity_profile,
     path_system,
 )
 from lirdec.decomposition import BB, RB, Decomposition, color_degree_table, verify
@@ -25,7 +24,12 @@ from lirdec.graphs import (
 )
 from lirdec.solver import SearchLimits, SearchStatus, exact_lir_multigraph
 
-from oracle import degree_parity, find_twin_split_reference, random_connected_graph
+from oracle import (
+    degree_parity,
+    find_twin_split_reference,
+    parity_profile,
+    random_connected_graph,
+)
 
 
 def test_bipartition_p4():
@@ -310,9 +314,9 @@ def _count_bipartition_sides(monkeypatch):
     """Count bipartition_sides calls through every lirdec binding of it."""
     import sys
 
-    from lirdec import enumeration
+    from lirdec import graphs
 
-    original = enumeration.bipartition_sides
+    original = graphs.bipartition_sides
     calls = [0]
 
     def counted(g):

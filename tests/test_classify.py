@@ -13,7 +13,6 @@ from lirdec.classify import (
     path_order,
     recognize_t_prime,
     triangles_of,
-    t_family_members,
     t_family_witness,
     wheel_order,
 )
@@ -28,7 +27,12 @@ from lirdec.graphs import (
     wheel_graph,
 )
 
-from oracle import multipartite_parts_reference, random_connected_graph, size_vectors
+from oracle import (
+    multipartite_parts_reference,
+    random_connected_graph,
+    size_vectors,
+    t_family_members,
+)
 
 
 def k3_with_pendant_path(length):
@@ -171,6 +175,20 @@ def test_multipartite_parts_on_every_small_size_vector():
         rng.shuffle(perm)
         h = SimpleGraph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
         assert multipartite_parts(h) == multipartite_parts_reference(h)
+
+
+def test_multipartite_parts_on_every_connected_graph_through_seven_vertices():
+    # the degree-count pretest turns most of these away; it must never turn
+    # away a complete multipartite graph
+    from lirdec.enumeration import enumerate_connected
+
+    members = 0
+    for n in range(1, 8):
+        for g in enumerate_connected(n):
+            expected = multipartite_parts_reference(g)
+            assert multipartite_parts(g) == expected, g.edges
+            members += expected is not None
+    assert members == len(size_vectors(7, 7))  # one per partition of 2..7
 
 
 def test_multipartite_parts_on_random_non_members():

@@ -10,15 +10,14 @@ from lirdec.classify import (
     ClassKind,
     classify,
     multipartite_parts,
-    t_family_members,
 )
 from lirdec.colorers import (
     BB,
     RB,
+    CYCLE_BASE,
     RR,
-    _part_matrices,
     _part_matrix_valid,
-    build_cycle_base_table,
+    _part_pair_search,
     color_double_auto,
     color_double_complete,
     color_double_cycle,
@@ -47,7 +46,11 @@ from lirdec.solver import SearchLimits, exact_lir_multigraph
 from oracle import (
     color_double_multipartite_reference,
     color_multipartite_graph_reference,
+    colors_used,
+    cycle_states_brute,
+    part_matrices,
     size_vectors,
+    t_family_members,
 )
 
 
@@ -79,18 +82,28 @@ def test_paths_verify(n):
 
 
 def test_cycle_base_table():
-    table = build_cycle_base_table()
-    assert table[3] == [RR, RB, BB]
+    assert CYCLE_BASE[3] == (RR, RB, BB)
     for length in range(4, 8):
-        states = table[length]
+        states = CYCLE_BASE[length]
         # splice anchor: two cyclically adjacent all-red multiedges up front
         assert states[0] == RR and states[1] == RR
         assert verify(color_double_cycle(length)).valid
 
 
+def test_cycle_base_table_is_the_brute_force_result():
+    # lengths 4..7 are the first anchored vectors of the base-3 count; the
+    # triangle's entry is the complete-graph seed, and the count (no anchor
+    # fits a triangle) meets its red/blue swap first
+    for length in range(4, 8):
+        assert list(CYCLE_BASE[length]) == cycle_states_brute(length), length
+    assert cycle_states_brute(3) == [BB, RB, RR]
+    assert verify(color_double_cycle(3)).valid
+    assert color_double_cycle(3).assign == color_double_complete(3).assign
+
+
 def test_cycle_length_eight_splice():
     # one BB,BB,RR,RR block inserted right after the base-4 anchor
-    base = build_cycle_base_table()[4]
+    base = list(CYCLE_BASE[4])
     assert cycle_states(8) == base[:2] + [BB, BB, RR, RR] + base[2:]
     # frozen from the deterministic exhaustive search
     assert cycle_states(8) == [RR, RR, BB, BB, RR, RR, RB, RB]
@@ -208,11 +221,11 @@ def test_t_family_three_coloring():
     for g, w in members:
         d = color_t_family_3(g, w)
         assert verify(d).valid
-        assert d.colors_used() <= 3
+        assert colors_used(d) <= 3
 
 
 def test_t_family_triangle_uses_two_colors():
-    assert color_t_family_3(cycle_graph(3)).colors_used() == 2
+    assert colors_used(color_t_family_3(cycle_graph(3))) == 2
 
 
 def test_t_family_rejects_non_members():
@@ -262,27 +275,56 @@ def _relabel(g, rng):
     return SimpleGraph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
-def test_multipartite_matches_the_canonical_then_relabeled_reference():
+def _count_searches(monkeypatch):
+    """Record the part sizes of every part-pair search the colorer runs."""
+    import lirdec.colorers as colorers
+
+    searched = []
+
+    def recorded(sizes):
+        searched.append(tuple(sizes))
+        return _part_pair_search(sizes)
+
+    monkeypatch.setattr(colorers, "_part_pair_search", recorded)
+    return searched
+
+
+def test_multipartite_matches_the_canonical_then_relabeled_reference(monkeypatch):
+    """Equal to the reference wherever a textbook matrix or the
+    vertex-sequential coloring is taken; on the vectors that reach the
+    part-pair search the reference scans its other part matrices instead,
+    so there only validity is required."""
     rng = random.Random(977)
     vectors = size_vectors(6, 18)
     assert len(vectors) == 977
+    searched = _count_searches(monkeypatch)
     other_class = []
+    third_tier = []
     for sizes in vectors:
         if sizes == [1, 1]:
             continue  # K2: test_multipartite_rejects_k2
-        assert color_double_multipartite(sizes) == color_double_multipartite_reference(sizes)
+        searched.clear()
+        d = color_double_multipartite(sizes)
         h = _relabel(complete_multipartite_graph(sizes), rng)
-        expected = color_multipartite_graph_reference(h)
-        parts = multipartite_parts(h)
-        assert Decomposition(expected.host, 2, multipartite_states(parts)) == expected, sizes
+        states = multipartite_states(multipartite_parts(h))
         tag = classify(h)
-        d = color_double_auto(h, tag)
+        auto = color_double_auto(h, tag)
+        if searched:
+            third_tier.append(tuple(sizes))
+            assert verify(d).valid, sizes
+            assert verify(Decomposition(double(h), 2, states)).valid, sizes
+            assert verify(auto).valid, sizes
+            continue
+        assert d == color_double_multipartite_reference(sizes)
+        expected = color_multipartite_graph_reference(h)
+        assert Decomposition(expected.host, 2, states) == expected, sizes
         if tag.kind is ClassKind.COMPLETE_MULTIPARTITE:
-            assert d == expected, sizes
+            assert auto == expected, sizes
         else:
             # caught first by a more specific class (path, cycle, complete, wheel)
             other_class.append(tuple(sizes))
-            assert verify(d).valid, sizes
+            assert verify(auto).valid, sizes
+    assert len(third_tier) == 144
     assert sorted(other_class) == sorted(
         [(2, 1), (2, 2), (1, 1, 1), (2, 2, 1), (1, 1, 1, 1), (1,) * 5, (1,) * 6]
     )
@@ -319,7 +361,7 @@ def test_part_matrix_check_agrees_with_verify_on_every_matrix_up_to_five_parts()
     for total in range(3, 11):
         for k in range(3, 6):
             for sizes in _vectors_with_total(total, k):
-                for st in _part_matrices(sizes):
+                for st in part_matrices(sizes):
                     ok = _part_matrix_valid(sizes, st)
                     assert ok == _matrix_verifies(sizes, st), (sizes, st)
                     matrices += 1
@@ -338,10 +380,10 @@ def test_part_matrix_check_agrees_with_verify_on_every_scanned_matrix(monkeypatc
         return ok
 
     monkeypatch.setattr(colorers, "_part_matrix_valid", recorded)
-    for total in range(3, 11):
-        for k in range(3, total + 1):
-            for sizes in _vectors_with_total(total, k):
-                color_double_multipartite(sizes)
+    # at most the two textbook matrices per vector, so totals run to 16
+    for sizes in size_vectors(16, 16):
+        if len(sizes) >= 3:
+            color_double_multipartite(sizes)
     assert len(scanned) > 1000
     for sizes, st, ok in scanned:
         assert ok == _matrix_verifies(sizes, st), (sizes, st)
@@ -352,13 +394,12 @@ def test_part_matrix_check_agrees_with_verify_on_every_scanned_matrix(monkeypatc
     [
         ([1, 1, 2, 2], "textbook", 2),
         ([1, 1, 1, 2], "vertex-sequential", 2),
-        ([1, 1, 1, 1, 1, 3], "part matrix", 502),
+        ([1, 1, 1, 1, 1, 3], "part-pair search", 2),
     ],
 )
 def test_each_tier_of_the_multipartite_scan(monkeypatch, sizes, tier, matrices):
     import lirdec.colorers as colorers
 
-    expected = color_double_multipartite_reference(sizes)
     seen = []
 
     def counted(part_sizes, st):
@@ -367,10 +408,13 @@ def test_each_tier_of_the_multipartite_scan(monkeypatch, sizes, tier, matrices):
         return ok
 
     monkeypatch.setattr(colorers, "_part_matrix_valid", counted)
+    searched = _count_searches(monkeypatch)
     d = color_double_multipartite(sizes)
     assert verify(d).valid
-    assert d == expected
     assert len(seen) == matrices
+    assert len(searched) == (tier == "part-pair search")
+    if tier != "part-pair search":
+        assert d == color_double_multipartite_reference(sizes)
     parts = _canonical_parts(sizes)
     # a part-level coloring gives all multiedges between two parts one state
     part_level = all(
@@ -378,7 +422,37 @@ def test_each_tier_of_the_multipartite_scan(monkeypatch, sizes, tier, matrices):
         for i, j in itertools.combinations(range(len(parts)), 2)
     )
     assert part_level == (tier != "vertex-sequential")
-    assert seen[-1] == (tier != "vertex-sequential")
+    assert seen[-1] == (tier == "textbook")
+
+
+def test_part_pair_search_colors_every_vector_up_to_eight_parts():
+    vectors = [sorted(s) for s in size_vectors(8, 24) if len(s) >= 3]
+    assert len(vectors) == 4776
+    for sizes in vectors:
+        st = _part_pair_search(sizes)
+        assert st is not None, sizes
+        assert sorted(st) == list(itertools.combinations(range(len(sizes)), 2))
+        assert _part_matrix_valid(sizes, st), sizes
+        assert _matrix_verifies(sizes, st), sizes
+
+
+@pytest.mark.parametrize("ones", [31, 40])
+def test_part_pair_search_is_not_reached_by_singletons_and_a_pair(monkeypatch, ones):
+    # the search alone needs over 200k nodes on (1^31, 2); the
+    # vertex-sequential tier colors these at once
+    searched = _count_searches(monkeypatch)
+    d = color_double_multipartite([1] * ones + [2])
+    assert searched == []
+    assert verify(d).valid
+
+
+def test_singletons_and_a_triple_reach_the_part_pair_search(monkeypatch):
+    # every textbook and vertex-sequential candidate conflicts here; the old
+    # scan over trios x 3^(k-3) part matrices did not finish
+    searched = _count_searches(monkeypatch)
+    d = color_double_multipartite([1] * 30 + [3])
+    assert searched == [tuple([1] * 30 + [3])]
+    assert verify(d).valid
 
 
 def test_multipartite_states_rejects_bad_parts():

@@ -11,13 +11,19 @@ from lirdec.decomposition import (
     RED,
     RR,
     Decomposition,
-    color_degree,
     color_degree_table,
     verify,
 )
 from lirdec.graphs import Multigraph, SimpleGraph, cycle_graph, double, is_locally_irregular, path_graph
 
-from oracle import random_connected_graph, vectors_summing_to
+from oracle import (
+    color_class,
+    color_degree,
+    colors_used,
+    random_connected_graph,
+    relabeled,
+    vectors_summing_to,
+)
 
 
 def two_c3(states):
@@ -121,7 +127,7 @@ def test_verify_equals_per_class_irregularity():
         classwise = all(
             is_locally_irregular(cls)
             for c in range(2)
-            if (cls := d.color_class(c)) is not None
+            if (cls := color_class(d, c)) is not None
         )
         assert verify(d).valid == classwise
 
@@ -129,14 +135,14 @@ def test_verify_equals_per_class_irregularity():
 def test_colors_used():
     host = double(cycle_graph(3))
     d = Decomposition(host, 3, {(0, 1): (2, 0, 0), (1, 2): (1, 1, 0), (0, 2): (0, 2, 0)})
-    assert d.colors_used() == 2
+    assert colors_used(d) == 2
 
 
 def test_relabeled():
     host = double(path_graph(3))
     d = Decomposition(host, 2, {(0, 1): RR, (1, 2): BB})
     other = double(SimpleGraph(3, [(0, 2), (1, 2)]))
-    moved = d.relabeled([0, 2, 1], other)
+    moved = relabeled(d, [0, 2, 1], other)
     assert moved.assign[(0, 2)] == RR
     assert moved.assign[(1, 2)] == BB
 

@@ -5,13 +5,12 @@ import random
 import pytest
 
 from lirdec.enumeration import (
-    bipartition_sides,
     canonical_key,
     enumerate_connected,
     enumerate_connected_bipartite,
     random_connected_bipartite,
 )
-from lirdec.graphs import SimpleGraph, cycle_graph, path_graph
+from lirdec.graphs import SimpleGraph, bipartition_sides, cycle_graph, path_graph
 
 
 # published counts of connected graphs on n unlabeled vertices

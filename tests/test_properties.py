@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lirdec.bipartite import color_double_bipartite
-from lirdec.classify import t_family_members
 from lirdec.colorers import (
     color_double_auto,
     color_double_complete,
@@ -29,6 +28,8 @@ from lirdec.graphs import (
     path_graph,
     wheel_graph,
 )
+
+from oracle import t_family_members
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 

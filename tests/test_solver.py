@@ -27,6 +27,7 @@ from lirdec.solver import (
 from oracle import (
     brute_graph_decomposable,
     brute_min_colors,
+    color_class,
     random_connected_graph,
     two_color_brute,
 )
@@ -87,7 +88,7 @@ def test_decomposable_witness_classes_have_multiple_edges():
     res = is_decomposable(bowtie_graph())
     d = res.witness
     for c in range(d.k):
-        cls = d.color_class(c)
+        cls = color_class(d, c)
         if cls is not None:
             assert len(cls.edges) >= 2
 
