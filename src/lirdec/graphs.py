@@ -18,6 +18,13 @@ def canon_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+# Graphs on at most _SHARED_N vertices take their edge and neighbour tuples
+# from one table: a catalog holds thousands of such graphs, and ids below 10
+# allow only 45 edges and 1024 neighbour sets.
+_SHARED_N = 10
+_shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+
 class SimpleGraph:
     """Undirected simple graph: no loops, no parallel edges.
 
@@ -38,27 +45,33 @@ class SimpleGraph:
                 raise ValueError(f"loop at vertex {u} not allowed")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            e = canon_edge(u, v)
+            e = (u, v) if u < v else (v, u)
             if e in seen:
                 raise ValueError(f"duplicate edge {e}")
             seen.add(e)
         self.n = n
-        self.edges: tuple[Edge, ...] = tuple(sorted(seen))
-        self._edge_set = frozenset(self.edges)
+        edges = sorted(seen)
         neighbors: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.edges:
+        for u, v in edges:  # each list fills in ascending order
             neighbors[u].append(v)
             neighbors[v].append(u)
-        self.adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(ns)) for ns in neighbors
-        )
+        adj = [tuple(ns) for ns in neighbors]
+        if n <= _SHARED_N:
+            edges = map(_shared.setdefault, edges, edges)
+            adj = map(_shared.setdefault, adj, adj)
+        self.edges: tuple[Edge, ...] = tuple(edges)
+        self.adj: tuple[tuple[int, ...], ...] = tuple(adj)
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return canon_edge(u, v) in self._edge_set
+        try:
+            edge_set = self._edge_set
+        except AttributeError:  # built on first use: few callers need it
+            edge_set = self._edge_set = frozenset(self.edges)
+        return canon_edge(u, v) in edge_set
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -139,9 +152,10 @@ class Multigraph:
 
     def __init__(self, base: SimpleGraph, mult: dict[Edge, int] | None = None):
         mult = dict(mult) if mult else {}
+        # the edges are canonical pairs only
+        extra = mult.keys() - base.edges
         for e, mu in mult.items():
-            # the edge set holds canonical pairs only
-            if e not in base._edge_set:
+            if e in extra:
                 raise ValueError(f"multiplicity given for non-edge {e}")
             if mu < 1:
                 raise ValueError(f"multiplicity of {e} must be >= 1, got {mu}")

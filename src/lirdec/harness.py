@@ -16,7 +16,6 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from multiprocessing import Pool
 from typing import Iterable, Iterator
 
 from .classify import classify
@@ -171,6 +170,8 @@ def sweep(
         for g in graphs:
             yield check_graph(g, lim, cross_check)
         return
+    from multiprocessing import Pool  # its import costs about 1 MB, so serial runs skip it
+
     with Pool(processes=jobs) as pool:
         tasks = ((g, lim, cross_check) for g in graphs)
         for record in pool.imap(_check_star, tasks, chunksize=8):

@@ -10,6 +10,21 @@ precomputes, for each step, the edges whose endpoints become final there
 placing a state the search tests only those. Both engines are explicit-stack
 loops, so the instance size is not bounded by the recursion limit.
 
+Symmetry is broken twice, by lex-leader constraints over the edge order
+(Crawford, Ginsberg, Luks & Roy, KR 1996). Colors: restricted growth in
+graph mode, a non-increasing first edge in multigraph mode. Vertices:
+twins a, b (same open or same closed neighbourhood) make the transposition
+(a b) an automorphism, and `_lex_checks` turns each consecutive pair of a
+twin class into checks that backtrack once the assignment is lex-larger
+than its image. Values are compared in the order the search tries them:
+the color, or the rank in `compositions(mult, k)`. The search visits
+assignments in lex order, so its first valid one is the lex-least valid
+assignment, which no such constraint excludes: status, color count and
+witness are those of the search without them, and only the node count
+drops. `is_decomposable(K8)` takes about 0.1 s (103k nodes, 36M without
+twin constraints); all 11117 connected graphs on 8 vertices are decided in
+about 2 s (2 vCPU, CPython 3.11).
+
 k = 1 needs no search: the only 1-coloring gives every edge its whole
 multiplicity, so it is valid iff the host is locally irregular, an O(m)
 degree check. `SolveResult.nodes` therefore counts the states tried at
@@ -20,7 +35,6 @@ a blown node budget yields "inconclusive", never "none".
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
@@ -85,33 +99,36 @@ def _edge_states(total: int, k: int, first: bool) -> tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=None)
-def _units(states: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Each count vector as its (color, count) pairs with count > 0."""
-    return tuple(tuple((c, x) for c, x in enumerate(s) if x) for s in states)
+def _units(total: int, k: int, first: bool) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Each of _edge_states(total, k, first) as its (color, count) pairs
+    with count > 0."""
+    return tuple(tuple((c, x) for c, x in enumerate(s) if x) for s in _edge_states(total, k, first))
 
 
 def _edge_order(g: SimpleGraph) -> list[Edge]:
-    """Edges sorted so vertices finish early: BFS from a max-degree vertex."""
-    if not g.edges:
-        return []
-    pos = [-1] * g.n
-    order = 0
-    for s in sorted(range(g.n), key=lambda v: -len(g.adj[v])):
-        if pos[s] != -1:
+    """Edges sorted so vertices finish early: BFS from a max-degree vertex,
+    each edge at its later endpoint's BFS position, then by the earlier one's.
+    """
+    adj = g.adj
+    n = g.n
+    pos = [-1] * n
+    seq: list[int] = []  # vertices by BFS position; the BFS queue too
+    back: list[list[Edge]] = [[] for _ in range(n)]  # edges to earlier vertices
+    for root in sorted(range(n), key=[len(nb) for nb in adj].__getitem__, reverse=True):
+        if pos[root] != -1:
             continue
-        pos[s] = order
-        order += 1
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in g.adj[u]:
+        head = pos[root] = len(seq)
+        seq.append(root)
+        while head < len(seq):
+            u = seq[head]
+            for w in adj[u]:
                 if pos[w] == -1:
-                    pos[w] = order
-                    order += 1
-                    queue.append(w)
-    return sorted(
-        g.edges, key=lambda e: (max(pos[e[0]], pos[e[1]]), min(pos[e[0]], pos[e[1]]))
-    )
+                    pos[w] = len(seq)
+                    seq.append(w)
+                if pos[w] > head:  # u is taken in BFS order, so back[w] stays sorted
+                    back[w].append((u, w) if u < w else (w, u))
+            head += 1
+    return [e for v in seq for e in back[v]]
 
 
 def _schedule(n: int, edges: list[Edge]) -> list[list[tuple[int, int, int]]]:
@@ -131,34 +148,108 @@ def _schedule(n: int, edges: list[Edge]) -> list[list[tuple[int, int, int]]]:
     return checks
 
 
+def _lex_checks(
+    g: SimpleGraph, edges: list[Edge], mult: dict[Edge, int] | None = None
+) -> list[tuple[tuple[tuple[int, int], ...], ...]]:
+    """Lex-leader checks per step from twin transpositions.
+
+    Twins a, b (same open or same closed neighbourhood) make (a b) an
+    automorphism; on a multigraph it counts only when mult(aw) = mult(bw)
+    for every w. It swaps the edges at positions f < s in the pairs
+    (pos(aw), pos(bw)), w in N(a) - {b}, so the lex-least valid assignment
+    x has x[f] < x[s] at the first pair, by f, where the two differ.
+
+    `_edge_order` ranks an edge by its endpoints' BFS positions, later one
+    first, so pos(aw) and pos(bw) both grow with w's BFS position: sorted
+    by f, the pairs are sorted by s too. lex[i] holds, for each pair with
+    s = i, the pairs up to it; after step i the search compares them in
+    order and backtracks when the first differing pair has x[f] > x[s].
+    """
+    lex: list = [()] * len(edges)
+    # open neighbourhoods as bit masks, kept for vertices with edges only so
+    # that isolated vertices cost nothing; an open neighbourhood never
+    # equals another vertex's closed one, so both kinds share one table
+    opened = [0] * g.n
+    for u, v in edges:
+        opened[u] |= 1 << v
+        opened[v] |= 1 << u
+    last: dict[int, int] = {}  # the latest vertex with each neighbourhood
+    swaps = []
+    for v, bits in enumerate(opened):
+        if not bits:
+            continue
+        a = last.get(bits)
+        if a is not None:
+            swaps.append((a, v))
+        last[bits] = v
+        bits |= 1 << v
+        a = last.get(bits)
+        if a is not None:
+            swaps.append((a, v))
+        last[bits] = v
+    if not swaps:
+        return lex
+    adj = g.adj
+    pos = {e: i for i, e in enumerate(edges)}
+    if mult is not None and len(set(mult.values())) == 1:
+        mult = None  # every transposition qualifies
+    for a, b in swaps:
+        pairs = []
+        for w in adj[a]:
+            if w != b:
+                ea = (a, w) if a < w else (w, a)
+                eb = (b, w) if b < w else (w, b)
+                if mult is not None and mult[ea] != mult[eb]:
+                    break
+                p = pos[ea]
+                q = pos[eb]
+                pairs.append((p, q) if p < q else (q, p))
+        else:
+            pairs.sort()
+            for t, (_, s) in enumerate(pairs):
+                lex[s] += (tuple(pairs[: t + 1]),)
+    return lex
+
+
 def _search_multigraph_k(
     m: Multigraph,
     edges: list[Edge],
     checks: list[list[tuple[int, int, int]]],
+    lex: list[tuple[tuple[tuple[int, int], ...], ...]],
     k: int,
     budget: list[int],
 ) -> dict[Edge, tuple[int, ...]] | None:
     """Find a valid k-coloring of m, or None after exhausting the space.
 
-    edges is _edge_order(m.base) and checks is _schedule over it. budget[0]
-    is decremented per search node; raises _BudgetExhausted when it runs
-    out.
+    edges is _edge_order(m.base), checks is _schedule and lex is _lex_checks
+    over it. A state's value is its rank in compositions(mult, k), the order
+    the search tries states in. budget[0] is decremented per search node;
+    raises _BudgetExhausted when it runs out.
     """
     n_edges = len(edges)
     deg = [[0] * k for _ in range(m.n)]
     mult = m.mult
-    state_lists = [_edge_states(mult[e], k, i == 0) for i, e in enumerate(edges)]
+    # an edge's states depend on its multiplicity, and on being the first
+    kinds = set(mult.values())
+    states_of = {mu: _edge_states(mu, k, False) for mu in kinds}
+    units_of = {mu: _units(mu, k, False) for mu in kinds}
+    state_lists = [states_of[mult[e]] for e in edges]
+    unit_lists = [units_of[mult[e]] for e in edges]
+    if n_edges:
+        state_lists[0] = _edge_states(mult[edges[0]], k, True)
+        unit_lists[0] = _units(mult[edges[0]], k, True)
     # per step: both endpoints' color degrees, each state's (color, count)
-    # units, and the backchecks against the endpoints' color degrees
+    # units, the backchecks against the endpoints' color degrees, and the
+    # lex-leader checks
     steps = [
-        (deg[u], deg[v], _units(states), [(j, deg[a], deg[b]) for j, a, b in step])
-        for (u, v), states, step in zip(edges, state_lists, checks)
+        (deg[u], deg[v], options, step and [(j, deg[a], deg[b]) for j, a, b in step], twins)
+        for (u, v), options, step, twins in zip(edges, unit_lists, checks, lex)
     ]
     pick = [0] * n_edges  # states tried so far at each step
     units: list[tuple[tuple[int, int], ...]] = [()] * n_edges
     i = 0
     while n_edges:  # an edgeless host has just the empty coloring
-        du, dv, options, tests = steps[i]
+        du, dv, options, tests, twins = steps[i]
         p = pick[i]
         if p:  # take back the state tried last at this step
             for c, x in units[i]:
@@ -187,9 +278,20 @@ def _search_multigraph_k(
             if not ok:
                 break
         if ok:
-            i += 1
-            if i == n_edges:
-                break
+            for pairs in twins:
+                for f, s in pairs:
+                    xf = state_lists[f][pick[f] - 1]
+                    xs = state_lists[s][pick[s] - 1]
+                    if xf != xs:
+                        break
+                else:
+                    continue
+                if xf < xs:  # a lex-larger vector has a lower rank
+                    break
+            else:
+                i += 1
+                if i == n_edges:
+                    break
     return {e: states[q - 1] for e, states, q in zip(edges, state_lists, pick)}
 
 
@@ -197,24 +299,26 @@ def _search_graph_k(
     g: SimpleGraph,
     edges: list[Edge],
     checks: list[list[tuple[int, int, int]]],
+    lex: list[tuple[tuple[tuple[int, int], ...], ...]],
     k: int,
     budget: list[int],
 ) -> list[int] | None:
     """One color per edge, colors introduced in index order (restricted growth).
 
-    edges is _edge_order(g) and checks is _schedule over it.
+    edges is _edge_order(g), checks is _schedule and lex is _lex_checks
+    over it; a state's value is its color.
     """
     n_edges = len(edges)
     deg = [[0] * k for _ in range(g.n)]
     steps = [
-        (deg[u], deg[v], [(j, deg[a], deg[b]) for j, a, b in step])
-        for (u, v), step in zip(edges, checks)
+        (deg[u], deg[v], step and [(j, deg[a], deg[b]) for j, a, b in step], twins)
+        for (u, v), step, twins in zip(edges, checks, lex)
     ]
     color = [-1] * n_edges
     used = [0] * (n_edges + 1)  # colors in use before each step
     i = 0
     while n_edges:  # an edgeless graph has just the empty coloring
-        du, dv, tests = steps[i]
+        du, dv, tests, twins = steps[i]
         c = color[i]
         if c >= 0:  # take back the color tried last at this step
             du[c] -= 1
@@ -237,10 +341,21 @@ def _search_graph_k(
             if da[cj] == db[cj]:
                 break
         else:
-            used[i + 1] = used[i] if c < used[i] else c + 1
-            i += 1
-            if i == n_edges:
-                break
+            for pairs in twins:
+                for f, s in pairs:
+                    cf = color[f]
+                    cs = color[s]
+                    if cf != cs:
+                        break
+                else:
+                    continue
+                if cf > cs:  # the swapped assignment is lex-smaller
+                    break
+            else:
+                used[i + 1] = used[i] if c < used[i] else c + 1
+                i += 1
+                if i == n_edges:
+                    break
     return color
 
 
@@ -273,9 +388,10 @@ def exact_lir_multigraph(m: Multigraph, lim: SearchLimits | None = None) -> Solv
     budget = [lim.node_budget]
     edges = _edge_order(m.base)
     checks = _schedule(m.n, edges)
+    lex = _lex_checks(m.base, edges, m.mult)
     for k in range(2, lim.max_colors + 1):
         try:
-            found = _search_multigraph_k(m, edges, checks, k, budget)
+            found = _search_multigraph_k(m, edges, checks, lex, k, budget)
         except _BudgetExhausted:
             return SolveResult(SearchStatus.INCONCLUSIVE, nodes=lim.node_budget)
         if found is not None:
@@ -291,15 +407,18 @@ def exact_lir_graph(g: SimpleGraph, lim: SearchLimits | None = None) -> SolveRes
     lim = lim or SearchLimits()
     if g.m > lim.max_edges:
         raise ValueError(f"too many edges: {g.m} > limit {lim.max_edges}")
-    if is_locally_irregular(Multigraph(g)):
+    adj = g.adj
+    if all(len(adj[u]) != len(adj[v]) for u, v in g.edges):
+        # locally irregular: one class holds every edge
         witness = _checked(_one_per_edge_witness(g, list(g.edges), [0] * g.m, 1))
         return SolveResult(SearchStatus.FOUND, 1, witness, 0)
     budget = [lim.node_budget]
     edges = _edge_order(g)
     checks = _schedule(g.n, edges)
+    lex = _lex_checks(g, edges)
     for k in range(2, lim.max_colors + 1):
         try:
-            found = _search_graph_k(g, edges, checks, k, budget)
+            found = _search_graph_k(g, edges, checks, lex, k, budget)
         except _BudgetExhausted:
             return SolveResult(SearchStatus.INCONCLUSIVE, nodes=lim.node_budget)
         if found is not None:

@@ -13,7 +13,14 @@ import random
 from lirdec.classify import TWitness, t_family_witness, triangles_of
 from lirdec.decomposition import BB, RB, RR, Decomposition, color_degree_table, verify
 from lirdec.enumeration import canonical_key
-from lirdec.graphs import Multigraph, SimpleGraph, canon_edge, cycle_graph, double
+from lirdec.graphs import (
+    Multigraph,
+    SimpleGraph,
+    canon_edge,
+    cycle_graph,
+    double,
+    is_locally_irregular,
+)
 
 
 def vectors_summing_to(total: int, k: int) -> list[tuple[int, ...]]:
@@ -110,9 +117,11 @@ def random_connected_graph(n: int, extra_edges: int, rng: random.Random) -> Simp
 
 
 def graph6_reference(n: int, edge_set) -> str:
-    """graph6 text of a graph on n <= 62 vertices, bit by bit: for j = 1..n-1
-    and i < j, in that order, one bit for "is {i, j} an edge", padded with
-    zeros to a multiple of six and written six bits per char, offset 63."""
+    """graph6 text of a graph, bit by bit: the size as the char n + 63 up to
+    n = 62, else "~" and n in three 6-bit chars, big end first, each plus
+    63; then for j = 1..n-1 and i < j, in that order, one bit for "is
+    {i, j} an edge", padded with zeros to a multiple of six and written six
+    bits per char, offset 63."""
     edges = {tuple(sorted(e)) for e in edge_set}
     bits = [1 if (i, j) in edges else 0 for j in range(1, n) for i in range(j)]
     bits += [0] * (-len(bits) % 6)
@@ -120,7 +129,8 @@ def graph6_reference(n: int, edge_set) -> str:
         chr(63 + int("".join(map(str, bits[t : t + 6])), 2))
         for t in range(0, len(bits), 6)
     ]
-    return chr(63 + n) + "".join(chars)
+    size = chr(63 + n) if n <= 62 else "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
+    return size + "".join(chars)
 
 
 def size_vectors(max_parts: int, max_total: int) -> list[list[int]]:
@@ -489,3 +499,119 @@ def t_family_members(
                         next_frontier.append(SimpleGraph(g.n + ln + 2, edges))
         frontier = next_frontier
     return out
+
+
+def _reference_multigraph_k(m: Multigraph, edges, checks, k: int, budget: list[int]):
+    """The doubled-mode loop with first-edge symmetry breaking only."""
+    from lirdec.solver import _BudgetExhausted, _edge_states, _units
+
+    n_edges = len(edges)
+    deg = [[0] * k for _ in range(m.n)]
+    state_lists = [_edge_states(m.mult[e], k, i == 0) for i, e in enumerate(edges)]
+    steps = [
+        (deg[u], deg[v], _units(m.mult[(u, v)], k, i == 0), [(j, deg[a], deg[b]) for j, a, b in step])
+        for i, ((u, v), step) in enumerate(zip(edges, checks))
+    ]
+    pick = [0] * n_edges
+    units = [()] * n_edges
+    i = 0
+    while n_edges:
+        du, dv, options, tests = steps[i]
+        p = pick[i]
+        if p:
+            for c, x in units[i]:
+                du[c] -= x
+                dv[c] -= x
+            if p == len(options):
+                pick[i] = 0
+                if i == 0:
+                    return None
+                i -= 1
+                continue
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise _BudgetExhausted
+        pick[i] = p + 1
+        placed = units[i] = options[p]
+        for c, x in placed:
+            du[c] += x
+            dv[c] += x
+        if all(da[c] != db[c] for j, da, db in tests for c, _ in units[j]):
+            i += 1
+            if i == n_edges:
+                break
+    return {e: states[q - 1] for e, states, q in zip(edges, state_lists, pick)}
+
+
+def _reference_graph_k(g: SimpleGraph, edges, checks, k: int, budget: list[int]):
+    """The graph-mode loop with restricted growth only."""
+    from lirdec.solver import _BudgetExhausted
+
+    n_edges = len(edges)
+    deg = [[0] * k for _ in range(g.n)]
+    steps = [
+        (deg[u], deg[v], [(j, deg[a], deg[b]) for j, a, b in step])
+        for (u, v), step in zip(edges, checks)
+    ]
+    color = [-1] * n_edges
+    used = [0] * (n_edges + 1)
+    i = 0
+    while n_edges:
+        du, dv, tests = steps[i]
+        c = color[i]
+        if c >= 0:
+            du[c] -= 1
+            dv[c] -= 1
+            if c + 1 == (used[i] + 1 if used[i] < k else k):
+                color[i] = -1
+                if i == 0:
+                    return None
+                i -= 1
+                continue
+        c += 1
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise _BudgetExhausted
+        color[i] = c
+        du[c] += 1
+        dv[c] += 1
+        if all(da[color[j]] != db[color[j]] for j, da, db in tests):
+            used[i + 1] = used[i] if c < used[i] else c + 1
+            i += 1
+            if i == n_edges:
+                break
+    return {e: tuple(int(c == x) for x in range(k)) for e, c in zip(edges, color)}
+
+
+def reference_exact_search(host, lim, graph_mode: bool = False):
+    """The exact search without vertex symmetry breaking: the same edge
+    order, backchecks and color symmetry breaking as lirdec.solver, so the
+    same status, color count and witness, with more nodes. host is a
+    Multigraph, or a SimpleGraph with graph_mode (one color per edge)."""
+    from lirdec.solver import (
+        SearchStatus,
+        SolveResult,
+        _BudgetExhausted,
+        _edge_order,
+        _schedule,
+    )
+
+    m = Multigraph(host) if graph_mode else host
+    if is_locally_irregular(m):
+        return SolveResult(
+            SearchStatus.FOUND, 1, Decomposition(m, 1, {e: (mu,) for e, mu in m.mult.items()}), 0
+        )
+    budget = [lim.node_budget]
+    edges = _edge_order(m.base)
+    checks = _schedule(m.n, edges)
+    search = _reference_graph_k if graph_mode else _reference_multigraph_k
+    for k in range(2, lim.max_colors + 1):
+        try:
+            found = search(host if graph_mode else m, edges, checks, k, budget)
+        except _BudgetExhausted:
+            return SolveResult(SearchStatus.INCONCLUSIVE, nodes=lim.node_budget)
+        if found is not None:
+            return SolveResult(
+                SearchStatus.FOUND, k, Decomposition(m, k, found), lim.node_budget - budget[0]
+            )
+    return SolveResult(SearchStatus.NONE, nodes=lim.node_budget - budget[0])

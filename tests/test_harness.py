@@ -289,3 +289,22 @@ def test_check_graph_classifies_once_and_verifies_at_most_once(monkeypatch):
     assert methods == {"constructive", "exact"}
     assert ClassKind.COMPLETE_MULTIPARTITE in kinds and ClassKind.OTHER in kinds
 
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # the process pool is imported only when a sweep runs with jobs > 1
+    import os
+    import subprocess
+    import sys
+
+    import lirdec
+
+    src = str(Path(lirdec.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, lirdec.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

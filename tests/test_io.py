@@ -1,6 +1,8 @@
 """graph6, edge-list, JSON, and DOT serialization."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lirdec.decomposition import BB, RB, RR, Decomposition
 from lirdec.graph_io import (
@@ -167,3 +169,28 @@ def test_dot_third_color_is_purple():
     host = double(path_graph(3))
     d = Decomposition(host, 3, {(0, 1): (0, 0, 2), (1, 2): (2, 0, 0)})
     assert 'color="purple"' in decomposition_to_dot(d)
+
+
+@st.composite
+def graphs_up_to_90_vertices(draw) -> tuple[int, set]:
+    n = draw(st.integers(0, 90))
+    if n < 2:
+        return n, set()
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    return n, {tuple(sorted(e)) for e in draw(st.lists(pair, max_size=3 * n))}
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(graphs_up_to_90_vertices())
+def test_graph6_round_trip_property(spec):
+    # the long "~" size form above 62 vertices is read; emission stops at 62
+    n, edges = spec
+    g = SimpleGraph(n, edges)
+    text = graph6_reference(n, edges)
+    assert parse_graph6(text) == g
+    if n <= 62:
+        assert to_graph6(g) == text
+    else:
+        assert text.startswith("~")
+        with pytest.raises(ValueError, match="62"):
+            to_graph6(g)

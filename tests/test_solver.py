@@ -1,12 +1,14 @@
 """Exact solver against independent enumeration oracles."""
 
 import random
+from pathlib import Path
 
 import pytest
 
+from lirdec.classify import recognize_t_prime
 from lirdec.decomposition import verify
 from lirdec.enumeration import enumerate_connected
-from lirdec.graph_io import parse_graph6
+from lirdec.graph_io import parse_graph6, read_graph6_lines
 from lirdec.graphs import (
     Multigraph,
     SimpleGraph,
@@ -172,22 +174,22 @@ def petersen_graph():
 # the three 8-vertex graphs whose doubled two-color search is longest
 SLOWEST_SWEEP8 = ("G?\\vjw", "GHFENk", "Gl^gNo")
 
-# (mode, graph, limits, status, colors, nodes). nodes counts k >= 2 states;
-# the values come from the earlier recursive search, so they pin the loop to
-# the same search tree in the same order
+# (mode, graph, limits, status, colors, nodes). nodes counts k >= 2 states
+# with color and twin symmetry broken; they pin the search tree, and
+# test_symmetry.py pins the answers to the search without twin constraints
 GOLDEN = [
-    pytest.param("double", complete_graph(5), SearchLimits(), "found", 2, 63, id="double-K5"),
+    pytest.param("double", complete_graph(5), SearchLimits(), "found", 2, 39, id="double-K5"),
     pytest.param("double", petersen_graph(), SearchLimits(), "found", 2, 24, id="double-petersen"),
     pytest.param("graph", petersen_graph(), SearchLimits(), "found", 2, 99, id="graph-petersen"),
     pytest.param("double", bowtie_graph(), SearchLimits(max_colors=2), "found", 2, 24, id="double-bowtie"),
-    pytest.param("graph", bowtie_graph(), SearchLimits(), "found", 4, 2633, id="graph-bowtie"),
-    pytest.param("graph", bowtie_graph(), SearchLimits(max_colors=3), "none", None, 2421, id="graph-bowtie-3colors"),
-    pytest.param("double", parse_graph6(SLOWEST_SWEEP8[0]), SearchLimits(2, 28), "found", 2, 4963, id="double-slowest1"),
-    pytest.param("double", parse_graph6(SLOWEST_SWEEP8[1]), SearchLimits(2, 28), "found", 2, 3856, id="double-slowest2"),
-    pytest.param("double", parse_graph6(SLOWEST_SWEEP8[2]), SearchLimits(2, 28), "found", 2, 3538, id="double-slowest3"),
-    pytest.param("graph", parse_graph6(SLOWEST_SWEEP8[0]), SearchLimits(max_edges=28), "found", 2, 316, id="graph-slowest1"),
-    pytest.param("graph", parse_graph6(SLOWEST_SWEEP8[1]), SearchLimits(max_edges=28), "found", 2, 226, id="graph-slowest2"),
-    pytest.param("graph", parse_graph6(SLOWEST_SWEEP8[2]), SearchLimits(max_edges=28), "found", 2, 1737, id="graph-slowest3"),
+    pytest.param("graph", bowtie_graph(), SearchLimits(), "found", 4, 920, id="graph-bowtie"),
+    pytest.param("graph", bowtie_graph(), SearchLimits(max_colors=3), "none", None, 759, id="graph-bowtie-3colors"),
+    pytest.param("double", parse_graph6(SLOWEST_SWEEP8[0]), SearchLimits(2, 28), "found", 2, 1300, id="double-slowest1"),
+    pytest.param("double", parse_graph6(SLOWEST_SWEEP8[1]), SearchLimits(2, 28), "found", 2, 2104, id="double-slowest2"),
+    pytest.param("double", parse_graph6(SLOWEST_SWEEP8[2]), SearchLimits(2, 28), "found", 2, 1957, id="double-slowest3"),
+    pytest.param("graph", parse_graph6(SLOWEST_SWEEP8[0]), SearchLimits(max_edges=28), "found", 2, 148, id="graph-slowest1"),
+    pytest.param("graph", parse_graph6(SLOWEST_SWEEP8[1]), SearchLimits(max_edges=28), "found", 2, 162, id="graph-slowest2"),
+    pytest.param("graph", parse_graph6(SLOWEST_SWEEP8[2]), SearchLimits(max_edges=28), "found", 2, 1161, id="graph-slowest3"),
     pytest.param("double", path_graph(3), SearchLimits(), "found", 1, 0, id="double-P3-k1"),
     pytest.param("graph", path_graph(3), SearchLimits(), "found", 1, 0, id="graph-P3-k1"),
     pytest.param("graph", bowtie_graph(), SearchLimits(node_budget=3), "inconclusive", None, 3, id="graph-bowtie-budget3"),
@@ -208,7 +210,7 @@ def test_golden_node_counts(mode, g, lim, status, colors, nodes):
 def test_golden_decision_node_counts():
     # exact_lir_graph at the cap floor(m/2): the graph-bowtie and
     # graph-petersen counts above
-    assert is_decomposable(bowtie_graph()).nodes == 2633
+    assert is_decomposable(bowtie_graph()).nodes == 920
     assert is_decomposable(petersen_graph()).nodes == 99
 
 
@@ -265,3 +267,20 @@ def test_decision_ignores_max_colors_and_keeps_the_edge_cap():
     assert is_decomposable(SimpleGraph(1, [])).colors == 0
     with pytest.raises(ValueError, match="too many edges"):
         is_decomposable(complete_graph(8), SearchLimits(max_edges=27))
+
+
+def test_order8_none_is_exactly_the_non_decomposable_family():
+    # ground truth at order 8: every connected graph on 8 vertices has a
+    # locally irregular decomposition unless it is an odd path, an odd cycle
+    # or in the triangle family (Baudon, Bensmail, Przybylo & Wozniak,
+    # Eur. J. Combin. 2015)
+    data = Path(__file__).resolve().parent.parent / "bench" / "data" / "connected8.g6"
+    graphs = list(read_graph6_lines(data.read_text()))
+    assert len(graphs) == 11117
+    nones = 0
+    for g in graphs:
+        res = is_decomposable(g, SearchLimits(max_edges=28))
+        assert res.status is not SearchStatus.INCONCLUSIVE
+        assert (res.status is SearchStatus.NONE) == recognize_t_prime(g).member, g.edges
+        nones += res.status is SearchStatus.NONE
+    assert nones == 3
