@@ -85,9 +85,16 @@ def check_graph(
     g: SimpleGraph, lim: SearchLimits | None = None, cross_check: bool = False
 ) -> SweepRecord:
     """Conjecture check for one connected graph."""
-    lim = lim or SearchLimits()
+    return _check_graph(g, _graph_id(g), lim or SearchLimits(), cross_check)
+
+
+def _graph_id(g: SimpleGraph) -> str:
+    return to_graph6(g) if g.n <= 62 else f"n{g.n}m{g.m}"
+
+
+def _check_graph(g: SimpleGraph, gid: str, lim: SearchLimits, cross_check: bool) -> SweepRecord:
+    """check_graph with the graph's id already computed."""
     start = time.perf_counter()
-    gid = to_graph6(g) if g.n <= 62 else f"n{g.n}m{g.m}"
     if g.n == 2 and g.m == 1:
         return SweepRecord(
             gid, g.n, g.m, "path", "none", RESULT_EXCLUDED,
@@ -144,8 +151,7 @@ def check_graph(
 
 
 def _check_star(args) -> SweepRecord:
-    g, lim, cross_check = args
-    return check_graph(g, lim, cross_check)
+    return _check_graph(*args)
 
 
 def sweep(
@@ -161,19 +167,17 @@ def sweep(
     re-checked. Workers share nothing; report order equals input order.
     """
     lim = lim or SearchLimits()
-    graphs = (
-        g
-        for g in source
-        if not skip_ids or (g.n > 62 or to_graph6(g) not in skip_ids)
-    )
+    # each graph's id is computed once, for the skip test and the record
+    tasks = ((g, _graph_id(g), lim, cross_check) for g in source)
+    if skip_ids:
+        tasks = (task for task in tasks if task[0].n > 62 or task[1] not in skip_ids)
     if jobs <= 1:
-        for g in graphs:
-            yield check_graph(g, lim, cross_check)
+        for task in tasks:
+            yield _check_graph(*task)
         return
     from multiprocessing import Pool  # its import costs about 1 MB, so serial runs skip it
 
     with Pool(processes=jobs) as pool:
-        tasks = ((g, lim, cross_check) for g in graphs)
         for record in pool.imap(_check_star, tasks, chunksize=8):
             yield record
 

@@ -14,6 +14,7 @@ from lirdec.classify import TWitness, t_family_witness, triangles_of
 from lirdec.decomposition import BB, RB, RR, Decomposition, color_degree_table, verify
 from lirdec.enumeration import canonical_key
 from lirdec.graphs import (
+    Edge,
     Multigraph,
     SimpleGraph,
     canon_edge,
@@ -338,6 +339,23 @@ def color_class(d: Decomposition, c: int) -> Multigraph | None:
     return Multigraph(SimpleGraph(d.host.n, edges.keys()), edges)
 
 
+def conflicts_by_definition(d: Decomposition) -> set[tuple[int, Edge, int]]:
+    """Every (c, {u,v}, deg) where edge {u,v} lies in color class c and both
+    its ends have degree deg there, straight from the definition: class c
+    holds the edges with a positive count of c, and a vertex's degree in it
+    is the sum of those counts over the edges that contain the vertex."""
+    out = set()
+    items = list(d.assign.items())
+    for c in range(d.k):
+        for (u, v), counts in items:
+            if counts[c]:
+                du = sum(x[c] for e, x in items if u in e)
+                dv = sum(x[c] for e, x in items if v in e)
+                if du == dv:
+                    out.add((c, (u, v), du))
+    return out
+
+
 def relabeled(d: Decomposition, mapping: list[int], new_host: Multigraph) -> Decomposition:
     """Transfer d onto new_host, sending vertex i to mapping[i]."""
     assign = {
@@ -501,22 +519,25 @@ def t_family_members(
     return out
 
 
-def _reference_multigraph_k(m: Multigraph, edges, checks, k: int, budget: list[int]):
-    """The doubled-mode loop with first-edge symmetry breaking only."""
+def _chronological_multigraph_k(m: Multigraph, edges, checks, lex, k: int, budget: list[int]):
+    """The doubled-mode loop with chronological backtracking: first-edge
+    color symmetry breaking, plus the twin lex-leader checks in lex (all
+    empty for the search without them)."""
     from lirdec.solver import _BudgetExhausted, _edge_states, _units
 
     n_edges = len(edges)
     deg = [[0] * k for _ in range(m.n)]
-    state_lists = [_edge_states(m.mult[e], k, i == 0) for i, e in enumerate(edges)]
+    mult = m.mult
+    state_lists = [_edge_states(mult[e], k, i == 0) for i, e in enumerate(edges)]
     steps = [
-        (deg[u], deg[v], _units(m.mult[(u, v)], k, i == 0), [(j, deg[a], deg[b]) for j, a, b in step])
-        for i, ((u, v), step) in enumerate(zip(edges, checks))
+        (deg[u], deg[v], _units(mult[(u, v)], k, i == 0), [(j, deg[a], deg[b]) for j, a, b in step], twins)
+        for i, ((u, v), step, twins) in enumerate(zip(edges, checks, lex))
     ]
     pick = [0] * n_edges
     units = [()] * n_edges
     i = 0
     while n_edges:
-        du, dv, options, tests = steps[i]
+        du, dv, options, tests, twins = steps[i]
         p = pick[i]
         if p:
             for c, x in units[i]:
@@ -536,7 +557,19 @@ def _reference_multigraph_k(m: Multigraph, edges, checks, k: int, budget: list[i
         for c, x in placed:
             du[c] += x
             dv[c] += x
-        if all(da[c] != db[c] for j, da, db in tests for c, _ in units[j]):
+        if not all(da[c] != db[c] for j, da, db in tests for c, _ in units[j]):
+            continue
+        for pairs in twins:
+            for f, s in pairs:
+                xf = state_lists[f][pick[f] - 1]
+                xs = state_lists[s][pick[s] - 1]
+                if xf != xs:
+                    break
+            else:
+                continue
+            if xf < xs:  # a lex-larger vector has a lower rank
+                break
+        else:
             i += 1
             if i == n_edges:
                 break
@@ -583,19 +616,25 @@ def _reference_graph_k(g: SimpleGraph, edges, checks, k: int, budget: list[int])
     return {e: tuple(int(c == x) for x in range(k)) for e, c in zip(edges, color)}
 
 
-def reference_exact_search(host, lim, graph_mode: bool = False):
-    """The exact search without vertex symmetry breaking: the same edge
-    order, backchecks and color symmetry breaking as lirdec.solver, so the
-    same status, color count and witness, with more nodes. host is a
-    Multigraph, or a SimpleGraph with graph_mode (one color per edge)."""
+def reference_exact_search(host, lim, graph_mode: bool = False, twins: bool = False):
+    """The exact search with chronological backtracking and without vertex
+    symmetry breaking: the same edge order, backchecks and color symmetry
+    breaking as lirdec.solver, so the same status, color count and witness,
+    with more nodes. host is a Multigraph, or a SimpleGraph with graph_mode
+    (one color per edge). twins (doubled mode only) adds the solver's twin
+    lex-leader checks: the solver's search before conflict-directed
+    backjumping."""
     from lirdec.solver import (
         SearchStatus,
         SolveResult,
         _BudgetExhausted,
         _edge_order,
+        _lex_checks,
         _schedule,
     )
 
+    if graph_mode and twins:
+        raise ValueError("the twin checks are kept for the doubled-mode loop only")
     m = Multigraph(host) if graph_mode else host
     if is_locally_irregular(m):
         return SolveResult(
@@ -604,10 +643,13 @@ def reference_exact_search(host, lim, graph_mode: bool = False):
     budget = [lim.node_budget]
     edges = _edge_order(m.base)
     checks = _schedule(m.n, edges)
-    search = _reference_graph_k if graph_mode else _reference_multigraph_k
+    lex = _lex_checks(m.base, edges, m.mult) if twins else [()] * len(edges)
     for k in range(2, lim.max_colors + 1):
         try:
-            found = search(host if graph_mode else m, edges, checks, k, budget)
+            if graph_mode:
+                found = _reference_graph_k(host, edges, checks, k, budget)
+            else:
+                found = _chronological_multigraph_k(m, edges, checks, lex, k, budget)
         except _BudgetExhausted:
             return SolveResult(SearchStatus.INCONCLUSIVE, nodes=lim.node_budget)
         if found is not None:

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lirdec.decomposition import (
     BB,
@@ -20,10 +22,12 @@ from oracle import (
     color_class,
     color_degree,
     colors_used,
+    conflicts_by_definition,
     random_connected_graph,
     relabeled,
     vectors_summing_to,
 )
+from test_symmetry import small_multigraphs
 
 
 def two_c3(states):
@@ -130,6 +134,23 @@ def test_verify_equals_per_class_irregularity():
             if (cls := color_class(d, c)) is not None
         )
         assert verify(d).valid == classwise
+
+
+@st.composite
+def small_decompositions(draw) -> Decomposition:
+    host = draw(small_multigraphs())
+    k = draw(st.integers(1, 3))
+    return Decomposition(host, k, {e: draw(st.sampled_from(vectors_summing_to(mu, k))) for e, mu in host.mult.items()})
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(small_decompositions())
+def test_verify_agrees_with_the_definition(d):
+    # the conflicts themselves, each reported once, not just the verdict
+    report = verify(d)
+    want = conflicts_by_definition(d)
+    assert sorted(report.conflicts) == sorted(want)
+    assert report.valid == (not want)
 
 
 def test_colors_used():

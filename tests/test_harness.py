@@ -290,6 +290,15 @@ def test_check_graph_classifies_once_and_verifies_at_most_once(monkeypatch):
     assert ClassKind.COMPLETE_MULTIPARTITE in kinds and ClassKind.OTHER in kinds
 
 
+def test_resumed_sweep_writes_each_graph_id_once(monkeypatch):
+    # the skip test and the record share one to_graph6 call per graph
+    graphs = enumerate_connected(5)
+    first = list(sweep(graphs))
+    calls = _count_calls(monkeypatch, "lirdec.graph_io", "to_graph6")
+    rest = list(sweep(graphs, skip_ids={first[0].graph_id}))
+    assert [r.graph_id for r in rest] == [r.graph_id for r in first[1:]]
+    assert calls[0] == len(graphs)
+
 
 def test_cli_import_leaves_multiprocessing_out():
     # the process pool is imported only when a sweep runs with jobs > 1

@@ -1,8 +1,11 @@
-"""Twin lex-leader constraints change node counts only.
+"""Twin lex-leader constraints and backjumping change node counts only.
 
 Both exact engines are checked against oracle.reference_exact_search, the
-same search without vertex symmetry breaking: the status, color count and
-witness must match, and the nodes can only drop.
+same search with chronological backtracking and without vertex symmetry
+breaking; the doubled-mode engine also against the same chronological
+search with the twin checks (twins=True), the solver before
+conflict-directed backjumping. The status, color count and witness must
+match, and the nodes can only drop.
 """
 
 import tracemalloc
@@ -28,6 +31,7 @@ from lirdec.solver import (
     SearchStatus,
     _edge_order,
     _lex_checks,
+    _touch_masks,
     exact_lir_graph,
     exact_lir_multigraph,
     is_decomposable,
@@ -119,6 +123,23 @@ def test_reference_keeps_the_node_counts_without_twin_constraints(host, lim, gra
     assert reference_exact_search(host, lim, graph_mode).nodes == nodes
 
 
+@pytest.mark.parametrize(
+    "g6,nodes",
+    [("G?\\vjw", 1300), ("GHFENk", 2104), ("Gl^gNo", 1957)],
+    ids=["double-slowest1", "double-slowest2", "double-slowest3"],
+)
+def test_chronological_reference_keeps_the_node_counts_with_twin_constraints(g6, nodes):
+    # the counts the solver reported before it jumped back over conflicts
+    m = double(parse_graph6(g6))
+    assert reference_exact_search(m, SearchLimits(2, 28), twins=True).nodes == nodes
+
+
+def test_touch_masks_mark_the_steps_at_each_vertex():
+    # path 0-1-2-3 plus an isolated vertex 4: bit t for edge t
+    edges = [(0, 1), (1, 2), (2, 3)]
+    assert _touch_masks(5, edges) == [0b001, 0b011, 0b110, 0b100, 0]
+
+
 def test_atlas7_graph_mode_matches_the_reference():
     graphs = data_graphs("atlas7.g6")
     assert len(graphs) == 995
@@ -135,7 +156,9 @@ def test_exact_route_doubled_order8_matches_the_reference():
     assert len(exact) == 10917
     for g in exact:
         m = double(g)
-        assert_same_answer(exact_lir_multigraph(m, lim), reference_exact_search(m, lim))
+        got = exact_lir_multigraph(m, lim)
+        assert_same_answer(got, reference_exact_search(m, lim, twins=True))
+        assert_same_answer(got, reference_exact_search(m, lim))
 
 
 @st.composite
@@ -151,7 +174,9 @@ def small_multigraphs(draw) -> Multigraph:
 @given(small_multigraphs(), st.integers(1, 3))
 def test_random_multigraphs_match_the_reference(m, k):
     lim = SearchLimits(max_colors=k)
-    assert_same_answer(exact_lir_multigraph(m, lim), reference_exact_search(m, lim))
+    got = exact_lir_multigraph(m, lim)
+    assert_same_answer(got, reference_exact_search(m, lim, twins=True))
+    assert_same_answer(got, reference_exact_search(m, lim))
 
 
 def test_k8_decision_is_found_at_three_classes():
