@@ -41,14 +41,6 @@ class TwinSplit:
     xp: frozenset[int]  # X without S
     yp: frozenset[int]  # Y without T
 
-    @property
-    def s_size(self) -> int:
-        return len(self.s)
-
-    @property
-    def t_size(self) -> int:
-        return len(self.t)
-
 
 def bipartition(g: SimpleGraph) -> Bipartition:
     """BFS 2-coloring; X is the class of vertex 0."""

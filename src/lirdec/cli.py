@@ -28,10 +28,9 @@ from .graph_io import (
     parse_edge_list,
     parse_graph6,
     read_graph6_lines,
-    to_graph6,
 )
 from .graphs import SimpleGraph, double
-from .harness import SweepSummary, drop_torn_tail, load_report_ids, sweep
+from .harness import SweepSummary, _graph_id, drop_torn_tail, load_report_ids, sweep
 from .solver import (
     SearchLimits,
     SearchStatus,
@@ -131,11 +130,8 @@ def _emit(decomposition: Decomposition, fmt: str, out) -> None:
     elif fmt == "dot":
         out.write(decomposition_to_dot(decomposition))
     else:
-        table = {}
-        for (u, v), counts in sorted(decomposition.assign.items()):
-            table[(u, v)] = counts
         out.write(f"n={decomposition.host.n} k={decomposition.k}\n")
-        for (u, v), counts in table.items():
+        for (u, v), counts in sorted(decomposition.assign.items()):
             out.write(f"{u} {v} {' '.join(map(str, counts))}\n")
 
 
@@ -149,6 +145,12 @@ def _cmd_color(args, out) -> int:
         sys.stderr.write("K2 is excluded by the conjecture statement\n")
         return EXIT_INVALID
     if args.exact:
+        d = None
+    elif args.bipartite:
+        d = color_double_bipartite(g)
+    else:
+        d = color_double_auto(g)
+    if d is None:
         res = exact_lir_multigraph(double(g), lim)
         if res.status is SearchStatus.INCONCLUSIVE:
             sys.stderr.write("search inconclusive: node budget exhausted\n")
@@ -157,19 +159,6 @@ def _cmd_color(args, out) -> int:
             sys.stderr.write("no coloring within the color limit\n")
             return EXIT_INVALID
         d = res.witness
-    elif args.bipartite:
-        d = color_double_bipartite(g)
-    else:
-        d = color_double_auto(g)
-        if d is None:
-            res = exact_lir_multigraph(double(g), lim)
-            if res.status is SearchStatus.INCONCLUSIVE:
-                sys.stderr.write("search inconclusive: node budget exhausted\n")
-                return EXIT_INCONCLUSIVE
-            if res.status is SearchStatus.NONE:
-                sys.stderr.write("no coloring within the color limit\n")
-                return EXIT_INVALID
-            d = res.witness
     report = verify(d)
     if not report.valid:
         raise AssertionError(f"emitted witness failed verification: {report.conflicts}")
@@ -226,7 +215,7 @@ def _cmd_classify(args, out) -> int:
     for g in graphs:
         tag = classify(g)
         prime = recognize_t_prime(g)
-        gid = to_graph6(g) if g.n <= 62 else f"n{g.n}m{g.m}"
+        gid = _graph_id(g)
         extra = f" parts={list(tag.part_sizes)}" if tag.part_sizes else ""
         nd = f" non-decomposable-family={prime.kind.value}" if prime.member else ""
         out.write(f"{gid} n={g.n} m={g.m} class={tag.kind.value}{extra}{nd}\n")

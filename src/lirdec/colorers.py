@@ -2,14 +2,21 @@
 recursive three-coloring of the triangle family.
 
 Doubled-edge states: RR both red, RB one red one blue, BB both blue. Each
-class has one construction, a function from a vertex order to multiedge
-states: path_assign for paths, ring_assign for cycles and wheels.
-color_double_auto runs it on the order classify found, and
-color_double_path/cycle/wheel on canonical labels. The even-length path
-pattern is BB,BB,RR,RR repeating; odd paths prepend BB,RB,RR. Cycles of
-length 3..7 take the literal CYCLE_BASE table; longer cycles splice
-BB,BB,RR,RR blocks in right after the base's two adjacent all-red
-multiedges. A wheel is its rim cycle with every spoke all red.
+class has one construction, a function from a vertex order or parts to
+multiedge states: path_assign for paths, ring_assign for cycles and wheels,
+multipartite_states for complete multipartite and complete graphs.
+color_double_auto runs it on the order or parts classify found (a complete
+graph's parts are its single vertices), and the color_double_<class>
+functions on canonical labels. The even-length path pattern is
+BB,BB,RR,RR repeating; odd paths prepend BB,RB,RR. Cycles of length 3..7
+take the literal CYCLE_BASE table; longer cycles splice BB,BB,RR,RR blocks
+in right after the base's two adjacent all-red multiedges. A wheel is its
+rim cycle with every spoke all red. With three or more parts, largest
+first, a seed fixes the pairs among the three largest; each later part
+paints all its multiedges to earlier parts one state, BB unless an earlier
+part of its size has no red yet, then RR. All vertices of a part share
+their color degrees, so validity is a statement about part sizes; the
+proof is in _part_matrix.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import itertools
 from collections.abc import Sequence
 
 from .classify import Classification, ClassKind, TWitness, classify, t_family_witness
-from .decomposition import BB, RB, RR, Decomposition, color_conflicts
+from .decomposition import BB, RB, RR, Decomposition
 from .graphs import (
     Edge,
     SimpleGraph,
@@ -30,7 +37,6 @@ from .graphs import (
     path_graph,
     wheel_graph,
 )
-from .solver import _schedule
 
 State = tuple[int, int]
 
@@ -107,190 +113,82 @@ def color_double_wheel(n: int) -> Decomposition:
 
 
 def color_double_complete(n: int) -> Decomposition:
-    """Two-coloring of the doubled complete graph on n >= 3 vertices.
+    """Two-coloring of the doubled complete graph on n >= 3 vertices: the
+    multipartite construction on singleton parts 0..n-1."""
+    return color_double_multipartite([1] * n)
 
-    Seeds the doubled triangle on 0,1,2; each later vertex colors all its
-    multiedges to earlier vertices one color, alternating blue, red, blue...
+
+def _part_matrix(sizes: list[int]) -> dict[tuple[int, int], State]:
+    """Part matrix of the doubled complete multipartite graph on k >= 3
+    parts with these sizes, largest first, keyed by part-index pairs (i, j),
+    i < j.
+
+    Seed, on the three largest parts a >= b >= c: all equal, 01 RR, 12 RB,
+    02 BB; a = b > c, 01 RR, 02 RR, 12 BB; a > b = c, 01 RR, 02 BB, 12 RR;
+    all distinct, every pair RR. Each later part t, of size s, paints its
+    multiedges to every earlier part BB, or RR when an earlier part of size
+    s has red degree 0 so far.
+
+    Proof. A vertex of part i has red degree sum_j sizes[j] * r_ij, blue
+    alike, so the four seeds are checked by direct case analysis. A uniform
+    row moves the red degree of every earlier part by the same amount, and
+    the blue degree too, so every earlier pair stays valid. Let N be the
+    total size of the parts before t. BB ties t with an earlier part i only
+    if blue_i = 2(N - s); as red_i + blue_i = 2(N - s_i) and s_i >= s, this
+    needs s_i = s and red_i = 0. RR ties them only in the mirror case,
+    s_i = s and blue_i = 0. An earlier part with no red and another with no
+    blue would share a multiedge that is both all red and all blue, so BB
+    or RR always fits.
     """
-    if n < 3:
-        raise ValueError("complete graph coloring needs n >= 3")
-    g = SimpleGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    host = double(g)
-    assign = {(0, 1): RR, (1, 2): RB, (0, 2): BB}
-    for v in range(3, n):
-        state = BB if (v - 3) % 2 == 0 else RR
-        for u in range(v):
-            assign[(u, v)] = state
-    return Decomposition(host, 2, assign)
-
-
-def _textbook_matrix(sizes: list[int], phase: int) -> dict[tuple[int, int], State]:
-    """Textbook part matrix over ascending part sizes, keyed by part-index
-    pairs (i, j), i < j. The three smallest parts take the three-part
-    pattern for their sizes (all distinct, two equal, all equal); every later
-    part paints all its multiedges to earlier parts one color, alternating
-    from blue (phase 0) or red (phase 1)."""
     a, b, c = sizes[:3]
-    if a == b == c:
-        st = {(0, 1): RB, (0, 2): RR, (1, 2): BB}
+    if a == c:
+        st = {(0, 1): RR, (1, 2): RB, (0, 2): BB}
     elif a == b:
-        st = {(0, 1): RR, (0, 2): BB, (1, 2): RR}
+        st = {(0, 1): RR, (0, 2): RR, (1, 2): BB}
     elif b == c:
-        st = {(0, 1): BB, (0, 2): RR, (1, 2): RR}
+        st = {(0, 1): RR, (0, 2): BB, (1, 2): RR}
     else:
         st = {(0, 1): RR, (0, 2): RR, (1, 2): RR}
-    for j in range(3, len(sizes)):
-        state = BB if (j - 3 + phase) % 2 == 0 else RR
-        for i in range(j):
-            st[(i, j)] = state
+    # Every seed part has red. A BB row changes no red degree and leaves t
+    # without red; an RR row gives every part red. So the parts without red
+    # are those painted BB since the last RR row.
+    blank: set[int] = set()  # their sizes
+    for t in range(3, len(sizes)):
+        s = sizes[t]
+        state = RR if s in blank else BB
+        for i in range(t):
+            st[(i, t)] = state
+        blank = set() if state == RR else blank | {s}
     return st
-
-
-def _part_matrix_valid(sizes: list[int], st: dict[tuple[int, int], State]) -> bool:
-    """Conflict check on the part-level state matrix: O(k^2).
-
-    Exact for the doubled complete multipartite graph: every vertex of part
-    i has red degree sum_j sizes[j] * r_ij (blue alike), so an edge between
-    parts i and j conflicts exactly when these sums tie in a color it holds.
-    """
-    k = len(sizes)
-    red = [0] * k
-    blue = [0] * k
-    for (i, j), (r, b) in st.items():
-        red[i] += sizes[j] * r
-        red[j] += sizes[i] * r
-        blue[i] += sizes[j] * b
-        blue[j] += sizes[i] * b
-    for (i, j), (r, b) in st.items():
-        if r and red[i] == red[j]:
-            return False
-        if b and blue[i] == blue[j]:
-            return False
-    return True
-
-
-_PAIR_STATES = (RR, RB, BB)
-
-
-def _part_pair_search(sizes: list[int]) -> dict[tuple[int, int], State] | None:
-    """First valid part matrix, by backchecking search over the part pairs in
-    lexicographic order with states RR, RB, BB, or None once exhausted.
-
-    A vertex of part i has red degree sum_j sizes[j] * r_ij (blue alike), so
-    the part degrees are exact. solver._schedule places each pair's conflict
-    test at the step where both its parts' degrees become final (Haralick &
-    Elliott, Artificial Intelligence 14, 1980); the loop keeps its own stack.
-    """
-    k = len(sizes)
-    pairs = list(itertools.combinations(range(k), 2))
-    checks = _schedule(k, pairs)
-    deg = [[0, 0] for _ in range(k)]  # red and blue degree in each part
-    pick = [0] * len(pairs)  # states tried so far at each pair
-    i = 0
-    while True:
-        a, b = pairs[i]
-        p = pick[i]
-        if p:  # take back the state tried last at this pair
-            for c, x in enumerate(_PAIR_STATES[p - 1]):
-                deg[a][c] -= sizes[b] * x
-                deg[b][c] -= sizes[a] * x
-            if p == len(_PAIR_STATES):
-                pick[i] = 0
-                if i == 0:
-                    return None
-                i -= 1
-                continue
-        pick[i] = p + 1
-        for c, x in enumerate(_PAIR_STATES[p]):
-            deg[a][c] += sizes[b] * x
-            deg[b][c] += sizes[a] * x
-        if not any(
-            x and deg[u][c] == deg[v][c]
-            for j, u, v in checks[i]
-            for c, x in enumerate(_PAIR_STATES[pick[j] - 1])
-        ):
-            i += 1
-            if i == len(pairs):
-                return {pair: _PAIR_STATES[q - 1] for pair, q in zip(pairs, pick)}
 
 
 def multipartite_states(parts: list[list[int]]) -> dict[Edge, State]:
     """States of every multiedge of the doubled complete multipartite graph
     with these parts, on the parts' own vertex labels.
 
-    Parts are taken in ascending size order (ties keep input order). Two
-    parts: all red when unbalanced, else the multiedges at the first part's
-    first vertex red and the rest blue. With k >= 3 parts the colorer tries,
-    in this order: the two textbook part matrices (_textbook_matrix, phase 0
-    then 1), judged by the exact O(k^2) _part_matrix_valid; a
-    vertex-sequential coloring in four variants, judged by the verifier's
-    conflict scan; the part-pair search. The first valid candidate is
-    returned.
+    Parts are taken largest first (ties keep input order). Two parts: all
+    red when unbalanced, else the multiedges at the first part's first
+    vertex red and the rest blue. Three or more: _part_matrix, every
+    multiedge between two parts in their pair's state.
     """
     k = len(parts)
     if k < 2 or any(not p for p in parts):
         raise ValueError("need >= 2 parts, all non-empty")
     if sum(len(p) for p in parts) < 3:
         raise ValueError("no locally irregular coloring exists for a doubled K2")
-    parts = sorted(parts, key=len)
-
+    parts = sorted(parts, key=len, reverse=True)
     if k == 2:
         a, b = parts
         if len(a) != len(b):
             return {canon_edge(u, v): RR for u in a for v in b}
         chosen = a[0]
         return {canon_edge(u, v): RR if u == chosen else BB for u in a for v in b}
-
-    part_sizes = [len(p) for p in parts]
-
-    def expand(st) -> dict[Edge, State]:
-        return {
-            canon_edge(u, v): state
-            for (i, j), state in st.items()
-            for u in parts[i]
-            for v in parts[j]
-        }
-
-    def vertex_sequential() -> dict[Edge, State] | None:
-        """Complete-graph-style fallback: triangle seed on one vertex from
-        each of the three smallest parts, every later vertex painting its
-        back multiedges a single alternating color."""
-        part_of = {v: i for i, part in enumerate(parts) for v in part}
-        n = max(part_of) + 1
-        seed = [parts[0][0], parts[1][0], parts[2][0]]
-        for ordered in (parts, list(reversed(parts))):
-            rest = [v for part in ordered for v in part if v not in seed]
-            for phase in (0, 1):
-                assign = {
-                    canon_edge(seed[0], seed[1]): RR,
-                    canon_edge(seed[1], seed[2]): RB,
-                    canon_edge(seed[0], seed[2]): BB,
-                }
-                earlier = list(seed)
-                for i, v in enumerate(rest):
-                    state = BB if (i + phase) % 2 == 0 else RR
-                    for u in earlier:
-                        if part_of[u] != part_of[v]:
-                            assign[canon_edge(u, v)] = state
-                    earlier.append(v)
-                if not color_conflicts(n, 2, assign, assign):
-                    return assign
-        return None
-
-    for phase in (0, 1):
-        st = _textbook_matrix(part_sizes, phase)
-        if _part_matrix_valid(part_sizes, st):
-            return expand(st)
-    assign = vertex_sequential()
-    if assign is not None:
-        return assign
-    st = _part_pair_search(part_sizes)
-    if st is None:
-        raise AssertionError(
-            f"no candidate colors the doubled complete multipartite graph {part_sizes}; "
-            "this would contradict the underlying theorem"
-        )
-    return expand(st)
+    return {
+        canon_edge(u, v): state
+        for (i, j), state in _part_matrix([len(p) for p in parts]).items()
+        for u in parts[i]
+        for v in parts[j]
+    }
 
 
 def color_double_multipartite(sizes: list[int]) -> Decomposition:
@@ -393,12 +291,12 @@ def color_double_auto(
         if sides is None:
             return None
         return color_double_bipartite(g, Bipartition(frozenset(sides[0]), frozenset(sides[1])))
-    if tag.kind is ClassKind.COMPLETE:
-        return color_double_complete(g.n)
     if tag.kind is ClassKind.PATH:
         assign = path_assign(tag.order)
     elif tag.kind in (ClassKind.CYCLE, ClassKind.WHEEL):
         assign = ring_assign(tag.order, tag.hub)
+    elif tag.kind is ClassKind.COMPLETE:
+        assign = multipartite_states([[v] for v in range(g.n)])
     else:
         assign = multipartite_states(tag.parts)
     return Decomposition(double(g), 2, assign)

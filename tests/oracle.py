@@ -233,27 +233,46 @@ def find_twin_split_reference(g: SimpleGraph):
     raise ValueError("twin split not found")
 
 
+def part_matrix_valid(sizes: list[int], st: dict[tuple[int, int], tuple[int, int]]) -> bool:
+    """Conflict check on a part-level state matrix keyed by part-index pairs
+    (i, j), i < j: O(k^2).
+
+    Exact for the doubled complete multipartite graph: every vertex of part
+    i has red degree sum_j sizes[j] * r_ij (blue alike), so an edge between
+    parts i and j conflicts exactly when these sums tie in a color it holds.
+    """
+    k = len(sizes)
+    red = [0] * k
+    blue = [0] * k
+    for (i, j), (r, b) in st.items():
+        red[i] += sizes[j] * r
+        red[j] += sizes[i] * r
+        blue[i] += sizes[j] * b
+        blue[j] += sizes[i] * b
+    return not any(
+        r and red[i] == red[j] or b and blue[i] == blue[j] for (i, j), (r, b) in st.items()
+    )
+
+
 def color_double_multipartite_reference(sizes: list[int]) -> Decomposition:
     """The multipartite two-coloring built on canonical labels (part i holds
-    the next sizes[i] vertices), every candidate materialized in full and
-    accepted only when verify passes as well as the part-level check. Parts
-    by ascending size, then the two textbook part matrices, four
-    vertex-sequential variants and the other part_matrices. The program
-    shares the first two tiers; its third tier is a part-pair search, so
-    vectors this reference colors from the other part matrices may get a
-    different (valid) witness there."""
-    from lirdec.colorers import _part_matrix_valid
+    the next sizes[i] vertices), re-derived part by part with verify as the
+    only judge. Parts by descending size, ties in input order. Two parts:
+    all red when unbalanced, else red exactly at the first part's first
+    vertex. Three or more: the seed on the three largest parts, then each
+    later part gives all its multiedges to earlier parts the first of BB
+    and RR that verify accepts on the coloring built so far."""
     from lirdec.graphs import complete_multipartite_graph
 
-    k = len(sizes)
-    host = double(complete_multipartite_graph(list(sizes)))
     bounds = [0]
     for s in sizes:
         bounds.append(bounds[-1] + s)
     parts = sorted(
-        (list(range(bounds[i], bounds[i + 1])) for i in range(k)), key=len
+        (list(range(bounds[i], bounds[i + 1])) for i in range(len(sizes))),
+        key=lambda part: -len(part),
     )
-    if k == 2:
+    host = double(complete_multipartite_graph(list(sizes)))
+    if len(parts) == 2:
         a, b = parts
         chosen = a[0] if len(a) == len(b) else None
         assign = {
@@ -262,64 +281,44 @@ def color_double_multipartite_reference(sizes: list[int]) -> Decomposition:
             for v in b
         }
         return Decomposition(host, 2, assign)
-    part_sizes = [len(p) for p in parts]
 
-    def materialize(st):
-        if not _part_matrix_valid(part_sizes, st):
-            return None
-        assign = {
-            canon_edge(u, v): state
-            for (i, j), state in st.items()
-            for u in parts[i]
-            for v in parts[j]
-        }
-        d = Decomposition(host, 2, assign)
-        return d if verify(d).valid else None
+    def paint(assign, i, j, state):
+        for u in parts[i]:
+            for v in parts[j]:
+                assign[canon_edge(u, v)] = state
 
-    def vertex_sequential():
-        part_of = {v: i for i, part in enumerate(parts) for v in part}
-        seed = [parts[0][0], parts[1][0], parts[2][0]]
-        for ordered in (parts, list(reversed(parts))):
-            rest = [v for part in ordered for v in part if v not in seed]
-            for phase in (0, 1):
-                assign = {
-                    canon_edge(seed[0], seed[1]): RR,
-                    canon_edge(seed[1], seed[2]): RB,
-                    canon_edge(seed[0], seed[2]): BB,
-                }
-                earlier = list(seed)
-                for i, v in enumerate(rest):
-                    state = BB if (i + phase) % 2 == 0 else RR
-                    for u in earlier:
-                        if part_of[u] != part_of[v]:
-                            assign[canon_edge(u, v)] = state
-                    earlier.append(v)
-                d = Decomposition(host, 2, assign)
-                if verify(d).valid:
-                    return d
-        return None
-
-    scanned = part_matrices(part_sizes)
-    for st in itertools.islice(scanned, 2):
-        d = materialize(st)
-        if d is not None:
-            return d
-    d = vertex_sequential()
-    if d is not None:
-        return d
-    for st in scanned:
-        d = materialize(st)
-        if d is not None:
-            return d
-    raise AssertionError(f"no candidate colors {sizes}")
+    a, b, c = (len(p) for p in parts[:3])
+    if a == b == c:
+        seed = {(0, 1): RR, (1, 2): RB, (0, 2): BB}
+    elif a == b:
+        seed = {(0, 1): RR, (0, 2): RR, (1, 2): BB}
+    elif b == c:
+        seed = {(0, 1): RR, (0, 2): BB, (1, 2): RR}
+    else:
+        seed = {(0, 1): RR, (0, 2): RR, (1, 2): RR}
+    assign: dict[Edge, tuple[int, int]] = {}
+    for (i, j), state in seed.items():
+        paint(assign, i, j, state)
+    for t in range(3, len(parts)):
+        for state in (BB, RR):
+            trial = dict(assign)
+            for i in range(t):
+                paint(trial, i, t, state)
+            partial = double(SimpleGraph(host.n, trial))
+            if verify(Decomposition(partial, 2, trial)).valid:
+                assign = trial
+                break
+        else:
+            raise AssertionError(f"neither BB nor RR extends {sizes} at part {t}")
+    return Decomposition(host, 2, assign)
 
 
 def color_multipartite_graph_reference(g: SimpleGraph) -> Decomposition:
     """The multipartite two-coloring of a relabelled complete multipartite g,
     built on canonical labels and carried over with relabeled:
-    canonical part i is g's i-th part by ascending size (ties by smallest
+    canonical part i is g's i-th part by descending size (ties by smallest
     vertex), each part's vertices in ascending order."""
-    parts = sorted(multipartite_parts_reference(g), key=len)
+    parts = sorted(multipartite_parts_reference(g), key=lambda part: -len(part))
     canonical = color_double_multipartite_reference([len(p) for p in parts])
     return relabeled(canonical, [v for part in parts for v in part], double(g))
 

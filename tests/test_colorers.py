@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -16,8 +17,7 @@ from lirdec.colorers import (
     RB,
     CYCLE_BASE,
     RR,
-    _part_matrix_valid,
-    _part_pair_search,
+    _part_matrix,
     color_double_auto,
     color_double_complete,
     color_double_cycle,
@@ -49,6 +49,7 @@ from oracle import (
     colors_used,
     cycle_states_brute,
     part_matrices,
+    part_matrix_valid,
     size_vectors,
     t_family_members,
 )
@@ -275,46 +276,19 @@ def _relabel(g, rng):
     return SimpleGraph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
-def _count_searches(monkeypatch):
-    """Record the part sizes of every part-pair search the colorer runs."""
-    import lirdec.colorers as colorers
-
-    searched = []
-
-    def recorded(sizes):
-        searched.append(tuple(sizes))
-        return _part_pair_search(sizes)
-
-    monkeypatch.setattr(colorers, "_part_pair_search", recorded)
-    return searched
-
-
-def test_multipartite_matches_the_canonical_then_relabeled_reference(monkeypatch):
-    """Equal to the reference wherever a textbook matrix or the
-    vertex-sequential coloring is taken; on the vectors that reach the
-    part-pair search the reference scans its other part matrices instead,
-    so there only validity is required."""
+def test_multipartite_matches_the_canonical_then_relabeled_reference():
     rng = random.Random(977)
     vectors = size_vectors(6, 18)
     assert len(vectors) == 977
-    searched = _count_searches(monkeypatch)
     other_class = []
-    third_tier = []
     for sizes in vectors:
         if sizes == [1, 1]:
             continue  # K2: test_multipartite_rejects_k2
-        searched.clear()
         d = color_double_multipartite(sizes)
         h = _relabel(complete_multipartite_graph(sizes), rng)
         states = multipartite_states(multipartite_parts(h))
         tag = classify(h)
         auto = color_double_auto(h, tag)
-        if searched:
-            third_tier.append(tuple(sizes))
-            assert verify(d).valid, sizes
-            assert verify(Decomposition(double(h), 2, states)).valid, sizes
-            assert verify(auto).valid, sizes
-            continue
         assert d == color_double_multipartite_reference(sizes)
         expected = color_multipartite_graph_reference(h)
         assert Decomposition(expected.host, 2, states) == expected, sizes
@@ -324,10 +298,18 @@ def test_multipartite_matches_the_canonical_then_relabeled_reference(monkeypatch
             # caught first by a more specific class (path, cycle, complete, wheel)
             other_class.append(tuple(sizes))
             assert verify(auto).valid, sizes
-    assert len(third_tier) == 144
     assert sorted(other_class) == sorted(
         [(2, 1), (2, 2), (1, 1, 1), (2, 2, 1), (1, 1, 1, 1), (1,) * 5, (1,) * 6]
     )
+
+
+def test_multipartite_matches_the_reference_on_every_vector_up_to_twelve_vertices():
+    vectors = [sizes for sizes in size_vectors(12, 12) if sizes != [1, 1]]
+    for sizes in vectors:
+        for ordered in (sizes, sizes[::-1]):
+            assert color_double_multipartite(ordered) == (
+                color_double_multipartite_reference(ordered)
+            ), ordered
 
 
 def _canonical_parts(sizes):
@@ -362,97 +344,62 @@ def test_part_matrix_check_agrees_with_verify_on_every_matrix_up_to_five_parts()
         for k in range(3, 6):
             for sizes in _vectors_with_total(total, k):
                 for st in part_matrices(sizes):
-                    ok = _part_matrix_valid(sizes, st)
+                    ok = part_matrix_valid(sizes, st)
                     assert ok == _matrix_verifies(sizes, st), (sizes, st)
                     matrices += 1
                     valid += ok
     assert matrices > 6000 and 0 < valid < matrices
 
 
-def test_part_matrix_check_agrees_with_verify_on_every_scanned_matrix(monkeypatch):
-    import lirdec.colorers as colorers
-
-    scanned = []
-
-    def recorded(sizes, st):
-        ok = _part_matrix_valid(sizes, st)
-        scanned.append((list(sizes), dict(st), ok))
-        return ok
-
-    monkeypatch.setattr(colorers, "_part_matrix_valid", recorded)
-    # at most the two textbook matrices per vector, so totals run to 16
-    for sizes in size_vectors(16, 16):
-        if len(sizes) >= 3:
-            color_double_multipartite(sizes)
-    assert len(scanned) > 1000
-    for sizes, st, ok in scanned:
-        assert ok == _matrix_verifies(sizes, st), (sizes, st)
-
-
-@pytest.mark.parametrize(
-    "sizes,tier,matrices",
-    [
-        ([1, 1, 2, 2], "textbook", 2),
-        ([1, 1, 1, 2], "vertex-sequential", 2),
-        ([1, 1, 1, 1, 1, 3], "part-pair search", 2),
-    ],
-)
-def test_each_tier_of_the_multipartite_scan(monkeypatch, sizes, tier, matrices):
-    import lirdec.colorers as colorers
-
-    seen = []
-
-    def counted(part_sizes, st):
-        ok = _part_matrix_valid(part_sizes, st)
-        seen.append(ok)
-        return ok
-
-    monkeypatch.setattr(colorers, "_part_matrix_valid", counted)
-    searched = _count_searches(monkeypatch)
-    d = color_double_multipartite(sizes)
-    assert verify(d).valid
-    assert len(seen) == matrices
-    assert len(searched) == (tier == "part-pair search")
-    if tier != "part-pair search":
-        assert d == color_double_multipartite_reference(sizes)
-    parts = _canonical_parts(sizes)
-    # a part-level coloring gives all multiedges between two parts one state
-    part_level = all(
-        len({d.assign[canon_edge(u, v)] for u in parts[i] for v in parts[j]}) == 1
-        for i, j in itertools.combinations(range(len(parts)), 2)
-    )
-    assert part_level == (tier != "vertex-sequential")
-    assert seen[-1] == (tier == "textbook")
-
-
-def test_part_pair_search_colors_every_vector_up_to_eight_parts():
-    vectors = [sorted(s) for s in size_vectors(8, 24) if len(s) >= 3]
+def test_part_matrix_colors_every_vector_up_to_eight_parts():
+    vectors = [s for s in size_vectors(8, 24) if len(s) >= 3]
     assert len(vectors) == 4776
     for sizes in vectors:
-        st = _part_pair_search(sizes)
-        assert st is not None, sizes
+        st = _part_matrix(sizes)
         assert sorted(st) == list(itertools.combinations(range(len(sizes)), 2))
-        assert _part_matrix_valid(sizes, st), sizes
+        assert part_matrix_valid(sizes, st), sizes
         assert _matrix_verifies(sizes, st), sizes
 
 
-@pytest.mark.parametrize("ones", [31, 40])
-def test_part_pair_search_is_not_reached_by_singletons_and_a_pair(monkeypatch, ones):
-    # the search alone needs over 200k nodes on (1^31, 2); the
-    # vertex-sequential tier colors these at once
-    searched = _count_searches(monkeypatch)
-    d = color_double_multipartite([1] * ones + [2])
-    assert searched == []
+def test_part_matrix_colors_one_part_and_up_to_two_hundred_singletons():
+    for s in range(1, 7):
+        for ones in range(2, 201):
+            sizes = [s] + [1] * ones
+            st = _part_matrix(sizes)
+            assert part_matrix_valid(sizes, st), (s, ones)
+            if len(sizes) <= 24:
+                assert _matrix_verifies(sizes, st), (s, ones)
+
+
+@pytest.mark.parametrize("sizes", [[1] * 40 + [3], [1] * 40 + [4], [1] * 39 + [3]])
+def test_singletons_and_a_small_part_color_at_once(sizes):
+    # an exhaustive part-pair search took seconds on each of these
+    start = time.perf_counter()
+    d = color_double_multipartite(sizes)
+    assert time.perf_counter() - start < 1.0
     assert verify(d).valid
 
 
-def test_singletons_and_a_triple_reach_the_part_pair_search(monkeypatch):
-    # every textbook and vertex-sequential candidate conflicts here; the old
-    # scan over trios x 3^(k-3) part matrices did not finish
-    searched = _count_searches(monkeypatch)
-    d = color_double_multipartite([1] * 30 + [3])
-    assert searched == [tuple([1] * 30 + [3])]
-    assert verify(d).valid
+def test_complete_graph_is_the_multipartite_construction_on_singletons():
+    # the doubled-triangle seed on 0, 1, 2, then each later vertex paints
+    # all its multiedges to earlier vertices BB, RR, BB, ...
+    for n in range(3, 60):
+        expected = {(0, 1): RR, (1, 2): RB, (0, 2): BB}
+        for v in range(3, n):
+            expected.update(dict.fromkeys(((u, v) for u in range(v)), (BB, RR)[(v - 3) % 2]))
+        assert color_double_complete(n).assign == expected, n
+        assert multipartite_states([[v] for v in range(n)]) == expected, n
+
+
+def test_auto_colors_a_relabelled_complete_graph():
+    rng = random.Random(5)
+    for n in (4, 5, 9, 17):
+        g = _relabel(complete_graph(n), rng)
+        tag = classify(g)
+        assert tag.kind is ClassKind.COMPLETE
+        d = color_double_auto(g, tag)
+        assert verify(d).valid
+        assert d == color_double_complete(n)
 
 
 def test_multipartite_states_rejects_bad_parts():

@@ -232,7 +232,8 @@ def _golden_cases():
 
 
 def test_record_json_matches_golden_bytes():
-    # captured before the record path was rewritten; runtime zeroed
+    # captured before the record path was rewritten, the multipartite line
+    # re-pinned when its part matrix became one closed form; runtime zeroed
     golden = {}
     for line in (Path(__file__).parent / "data" / "sweep_records.golden").read_text().splitlines():
         name, text = line.split(" ", 1)
