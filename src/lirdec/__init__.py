@@ -5,7 +5,7 @@ exhaustive exact solver for small instances, and a sweep harness that checks
 the two-color conjecture over graph catalogs.
 """
 
-from .bipartite import bipartition, color_double_bipartite, find_twin_split, path_system
+from .bipartite import color_double_bipartite, find_twin_split, path_system
 from .classify import ClassKind, classify, recognize_t_prime
 from .colorers import (
     color_double_auto,
@@ -40,7 +40,6 @@ __all__ = [
     "SimpleGraph",
     "SweepRecord",
     "VerifyReport",
-    "bipartition",
     "check_graph",
     "classify",
     "color_double_auto",

@@ -3,143 +3,99 @@
 Strategy: when a side has even size, a parity path-system makes that side
 odd-degree in both colors and the other side even, which separates every
 edge's endpoints. When both sides are odd, a twin split S, T = N(S) peels
-off a complete-bipartite corner; the residue gets the path-system treatment
-and the corner is colored by case analysis on the parities of |S| and the
-relation between |S| and |T|.
+off a complete-bipartite corner; the residue X' + Y' gets the path-system
+treatment within itself and the corner is colored by case analysis on the
+parities of |S| and the relation between |S| and |T|.
 
 "Exchange colors along a path" is realized as the mod-2 symmetric difference
 of spanning-tree paths (a T-join): its edges become red-blue multiedges, so
 each endpoint's red degree moves by exactly one per incident join edge.
+Sides are the sorted vertex lists that `graphs.bipartition_sides` returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable
 
 from .colorers import multipartite_states
 from .decomposition import BB, RB, RR, Decomposition
 from .graphs import Edge, SimpleGraph, bipartition_sides, canon_edge, double
 
 
-@dataclass
-class Bipartition:
-    x: frozenset[int]
-    y: frozenset[int]
-
-
-@dataclass
-class ParityEdgeSet:
-    """Edge set whose induced degree is odd exactly at the terminals."""
-
-    edges: frozenset[Edge]
-
-
-@dataclass
-class TwinSplit:
-    s: frozenset[int]
-    t: frozenset[int]
-    xp: frozenset[int]  # X without S
-    yp: frozenset[int]  # Y without T
-
-
-def bipartition(g: SimpleGraph) -> Bipartition:
-    """BFS 2-coloring; X is the class of vertex 0."""
-    if not g.is_connected():
-        raise ValueError("bipartition requires a connected graph")
-    sides = bipartition_sides(g)
-    if sides is None:
-        raise ValueError("not bipartite: odd cycle found")
-    return Bipartition(frozenset(sides[0]), frozenset(sides[1]))
-
-
-def path_system(g: SimpleGraph, terminals: set[int] | frozenset[int]) -> ParityEdgeSet:
-    """Symmetric difference of spanning-tree paths pairing up the terminals.
-
-    Terminals are paired ascending; only parity matters, so any pairing and
-    any spanning tree give a valid result.
-    """
-    terms = sorted(terminals)
-    if any(v < 0 or v >= g.n for v in terms):
-        raise ValueError("terminal outside the graph")
-    if len(terms) % 2 != 0:
-        raise ValueError("terminal set must have even size")
-    if not g.is_connected():
-        raise ValueError("path system requires a connected graph")
-    if not terms:
-        return ParityEdgeSet(frozenset())
-    # BFS spanning tree rooted at the first terminal
-    root = terms[0]
+def _spanning_tree(g: SimpleGraph, keep: list[bool], root: int) -> tuple[list[int], int]:
+    """BFS tree from root over the vertices marked in keep: each reached
+    vertex's parent (the root is its own, -1 elsewhere) and how many were
+    reached."""
     parent = [-1] * g.n
     parent[root] = root
     queue = [root]
     for u in queue:
         for w in g.adj[u]:
-            if parent[w] == -1:
+            if keep[w] and parent[w] == -1:
                 parent[w] = u
                 queue.append(w)
+    return parent, len(queue)
+
+
+def path_system(
+    g: SimpleGraph, terminals: Iterable[int], region: Iterable[int] | None = None
+) -> frozenset[Edge]:
+    """Edge set whose degree is odd exactly at the terminals: the mod-2 sum
+    of each terminal's path to the root of a BFS tree rooted at the smallest
+    terminal. The tree spans region (all of g when None), which must induce
+    a connected subgraph holding the terminals; only parity matters, so any
+    spanning tree gives a valid result.
+    """
+    terms = sorted(terminals)
+    inside = list(range(g.n)) if region is None else sorted(set(region))
+    keep = [False] * g.n
+    for v in inside:
+        keep[v] = True
+    if any(v < 0 or v >= g.n or not keep[v] for v in terms):
+        raise ValueError("terminal outside the graph")
+    if len(terms) % 2 != 0:
+        raise ValueError("terminal set must have even size")
+    if not inside:
+        return frozenset()
+    parent, reached = _spanning_tree(g, keep, terms[0] if terms else inside[0])
+    if reached != len(inside):
+        raise ValueError("path system requires a connected graph")
     flips: set[Edge] = set()
-
-    def flip_to_root(v: int) -> None:
+    for v in terms:
         while parent[v] != v:
-            e = canon_edge(v, parent[v])
-            flips.symmetric_difference_update({e})
+            flips ^= {canon_edge(v, parent[v])}
             v = parent[v]
-
-    for a, b in zip(terms[::2], terms[1::2]):
-        flip_to_root(a)
-        flip_to_root(b)
-    return ParityEdgeSet(frozenset(flips))
+    return frozenset(flips)
 
 
-def _twin_classes(g: SimpleGraph) -> list[list[int]]:
-    """Maximal classes of vertices sharing an open neighborhood."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(g.adj[v], []).append(v)
-    return [sorted(vs) for vs in groups.values()]
-
-
-def _connected_within(g: SimpleGraph, keep: list[bool], start: int, size: int) -> bool:
-    """Whether the `size` vertices marked in keep induce a connected subgraph
-    of g; start is one of them."""
-    seen = [False] * g.n
-    seen[start] = True
-    stack = [start]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for w in g.adj[u]:
-            if keep[w] and not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == size
-
-
-def find_twin_split(g: SimpleGraph, bip: Bipartition | None = None) -> TwinSplit:
+def find_twin_split(
+    g: SimpleGraph, sides: tuple[list[int], list[int]] | None = None
+) -> tuple[list[int], list[int], list[int], list[int]]:
     """Twin set S with connected residue, minimizing |S| + |N(S)|.
 
-    Maximal twin classes are tried first; only when none works do subsets
-    leaving a single leftover twin enter the pool (a bigger leftover would sit
-    isolated in the residue). Each pool is tried in ascending order of
+    Returns (S, T, X', Y') as sorted lists: T = N(S), X' the rest of S's
+    side and Y' the rest of T's. Maximal twin classes (vertices sharing an
+    open neighborhood) are tried first; only when none works do subsets
+    leaving a single leftover twin enter the pool (a bigger leftover would
+    sit isolated in the residue). Each pool is tried in ascending order of
     (|S| + |N(S)|, sorted S), and the first valid split is returned; keys
-    within a pool are unique, so this is the pool's minimum. Sides are
-    swapped as needed so S lives in X. bip, when given, must be g's
-    bipartition; otherwise it is computed once here.
+    within a pool are unique, so this is the pool's minimum. sides, when
+    given, must be bipartition_sides(g); otherwise it is computed once here.
     """
     if not g.is_connected():
         raise ValueError("twin split requires a connected graph")
-    if bip is None:
+    if sides is None:
         sides = bipartition_sides(g)
         if sides is None:
             raise ValueError("twin split not found")
-        side_x, side_y = sides
-    else:
-        side_x, side_y = bip.x, bip.y
+    side_x, side_y = sides
     on_x = [False] * g.n
     for v in side_x:
         on_x[v] = True
-    classes = _twin_classes(g)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for v in range(g.n):
+        groups.setdefault(g.adj[v], []).append(v)
+    classes = list(groups.values())
     for pool in (
         classes,
         [c[:i] + c[i + 1 :] for c in classes if len(c) >= 2 for i in range(len(c))],
@@ -161,58 +117,52 @@ def find_twin_split(g: SimpleGraph, bip: Bipartition | None = None) -> TwinSplit
                 continue  # T member with no neighbor in the residue
             yp = [v for v in (side_y if s_on_x else side_x) if keep[v]]
             rest = len(xp) + len(yp)
-            if rest and not _connected_within(g, keep, (xp or yp)[0], rest):
+            if rest and _spanning_tree(g, keep, (xp or yp)[0])[1] != rest:
                 continue
-            return TwinSplit(frozenset(s), frozenset(t), frozenset(xp), frozenset(yp))
+            return s, list(t), xp, yp
     raise ValueError("twin split not found")
 
 
-def _region_states(
-    g: SimpleGraph, region: set[int], terminals: set[int]
-) -> dict[Edge, tuple[int, int]]:
-    """Color the induced doubled region: join edges red-blue, rest blue."""
-    sub, ids = g.induced_subgraph(region)
-    back = {i: v for i, v in enumerate(ids)}
-    fwd = {v: i for i, v in enumerate(ids)}
-    join = path_system(sub, {fwd[v] for v in terminals})
-    states = {}
-    for u, v in sub.edges:
-        e = canon_edge(back[u], back[v])
-        states[e] = RB if (u, v) in join.edges else BB
-    return states
-
-
-def color_double_bipartite(g: SimpleGraph, bip: Bipartition | None = None) -> Decomposition:
+def color_double_bipartite(
+    g: SimpleGraph, sides: tuple[list[int], list[int]] | None = None
+) -> Decomposition:
     """Two-coloring of the doubled connected bipartite graph g (not K2).
 
-    bip, when given, must be g's bipartition; otherwise it is computed here.
+    sides, when given, must be bipartition_sides(g); otherwise it is
+    computed here.
     """
     if g.n <= 2:
         raise ValueError("no locally irregular coloring exists for a doubled K2")
-    if bip is None:
-        bip = bipartition(g)
+    if sides is None:
+        if not g.is_connected():
+            raise ValueError("bipartition requires a connected graph")
+        sides = bipartition_sides(g)
+        if sides is None:
+            raise ValueError("not bipartite: odd cycle found")
     host = double(g)
-    x, y = sorted(bip.x), sorted(bip.y)
+    x, y = sides
     if len(x) % 2 == 0 or len(y) % 2 == 0:
         # a side of even size: make it odd/odd via the path system
-        side = x if len(x) % 2 == 0 else y
-        join = path_system(g, set(side))
-        assign = {e: RB if e in join.edges else BB for e in g.edges}
-        return Decomposition(host, 2, assign)
+        join = path_system(g, x if len(x) % 2 == 0 else y)
+        return Decomposition(host, 2, {e: RB if e in join else BB for e in g.edges})
 
-    split = find_twin_split(g, bip)
-    if not split.xp and not split.yp:
+    s_list, t_list, xp, yp = find_twin_split(g, sides)
+    if not xp and not yp:
         # complete bipartite: the two-part colorer on the actual labels
-        return Decomposition(host, 2, multipartite_states([sorted(split.s), sorted(split.t)]))
+        return Decomposition(host, 2, multipartite_states([s_list, t_list]))
 
-    s_list = sorted(split.s)
-    t_list = sorted(split.t)
-    xp = set(split.xp)
-    yp = set(split.yp)
-    region = xp | yp
+    xp_set = set(xp)
+    region = xp_set.union(yp)
     s = len(s_list)
     t = len(t_list)
     assign: dict[Edge, tuple[int, int]] = {}
+
+    def paint_region(terminals):
+        # the doubled residue: join edges red-blue, the rest blue
+        join = path_system(g, terminals, region)
+        for e in g.edges:
+            if e[0] in region and e[1] in region:
+                assign[e] = RB if e in join else BB
 
     def paint(us, vs, state):
         for u in us:
@@ -223,13 +173,12 @@ def color_double_bipartite(g: SimpleGraph, bip: Bipartition | None = None) -> De
 
     if s % 2 == 1:
         # Case 1: residue path-system over all of X', corner mostly blue
-        assign.update(_region_states(g, region, xp))
+        paint_region(xp)
         paint(s_list, t_list, BB)
         paint(t_list, xp, RR if s != t else BB)
     else:
         # Case 2: one red-blue hook x0-y0-z0 moves a unit of parity across
         x0 = s_list[0]
-        xp_set = xp
         hooks = [
             (y0, min(w for w in g.adj[y0] if w in xp_set))
             for y0 in t_list
@@ -238,7 +187,7 @@ def color_double_bipartite(g: SimpleGraph, bip: Bipartition | None = None) -> De
         # prefer a y0 with a second residue neighbor: no repair needed then
         rich = [h for h in hooks if sum(1 for w in g.adj[h[0]] if w in xp_set) >= 2]
         y0, z0 = rich[0] if rich else hooks[0]
-        assign.update(_region_states(g, region, xp - {z0}))
+        paint_region(v for v in xp if v != z0)
         paint(s_list, t_list, BB)
         assign[canon_edge(x0, y0)] = RB
         assign[canon_edge(y0, z0)] = RB
@@ -257,8 +206,7 @@ def color_double_bipartite(g: SimpleGraph, bip: Bipartition | None = None) -> De
                 if w in xp_set and w != z0:
                     assign[canon_edge(y0, w)] = BB
             if not rich:
-                yt = others_t[0]
-                paint([yt], s_list, RR)
+                paint(others_t[:1], s_list, RR)
 
     missing = [e for e in g.edges if e not in assign]
     if missing:

@@ -273,7 +273,7 @@ def color_double_auto(
     constructive two-colorer covers the class. A caller that has already
     classified g passes classify's result as tag.
     """
-    from .bipartite import Bipartition, color_double_bipartite
+    from .bipartite import color_double_bipartite
 
     if g.n <= 2 or g.m == 0:
         return None
@@ -290,7 +290,7 @@ def color_double_auto(
         sides = bipartition_sides(g)
         if sides is None:
             return None
-        return color_double_bipartite(g, Bipartition(frozenset(sides[0]), frozenset(sides[1])))
+        return color_double_bipartite(g, sides)
     if tag.kind is ClassKind.PATH:
         assign = path_assign(tag.order)
     elif tag.kind in (ClassKind.CYCLE, ClassKind.WHEEL):

@@ -139,15 +139,39 @@ def decomposition_to_json(d: Decomposition) -> str:
     return f'{{"edges":[{edges}],"k":{d.k},"n":{d.host.n}}}'
 
 
+def _ints(*values) -> bool:
+    return all(type(v) is int for v in values)  # bool is not a count
+
+
 def decomposition_from_json(text: str) -> Decomposition:
-    """Rebuild a decomposition (and its host multigraph) from JSON."""
+    """Rebuild a decomposition (and its host multigraph) from JSON.
+
+    Raises ValueError unless the payload is an object with int n and k and a
+    list of edges, each an object with int u and v and a list of int counts,
+    and no edge listed twice.
+    """
     payload = json.loads(text)
+    if not (
+        isinstance(payload, dict)
+        and _ints(payload.get("n"), payload.get("k"))
+        and isinstance(payload.get("edges"), list)
+    ):
+        raise ValueError("expected an object with int n, int k and a list of edges")
     n = payload["n"]
     k = payload["k"]
     assign = {}
     mult = {}
     for rec in payload["edges"]:
+        if not (
+            isinstance(rec, dict)
+            and _ints(rec.get("u"), rec.get("v"))
+            and isinstance(rec.get("counts"), list)
+            and _ints(*rec["counts"])
+        ):
+            raise ValueError(f"edge {rec!r} needs int u and v and a list of int counts")
         e = canon_edge(rec["u"], rec["v"])
+        if e in assign:
+            raise ValueError(f"edge {e} listed twice")
         counts = tuple(rec["counts"])
         assign[e] = counts
         mult[e] = sum(counts)

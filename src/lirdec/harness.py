@@ -210,23 +210,28 @@ def load_report_ids(path: str) -> set[str]:
     """Graph ids already present in a JSON-lines report (for --resume).
 
     An unparseable final line is a record torn by an interrupted run and is
-    ignored, so its graph is checked again; one followed by more lines is
-    still an error.
+    ignored, so its graph is checked again; one followed by more lines, or
+    any line of JSON that is not a record, raises ValueError naming its
+    line number.
     """
     ids = set()
     torn = None
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
                 if torn is not None:
-                    raise torn
+                    raise ValueError(f"{path}: line {torn[0]}: {torn[1]}")
                 try:
-                    ids.add(json.loads(line)["graph"])
+                    record = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    torn = exc
+                    torn = (lineno, exc)
+                    continue
+                if not isinstance(record, dict) or not isinstance(record.get("graph"), str):
+                    raise ValueError(f"{path}: line {lineno}: not a sweep record")
+                ids.add(record["graph"])
     except FileNotFoundError:
         pass
     return ids

@@ -180,8 +180,8 @@ def find_twin_split_reference(g: SimpleGraph):
     a valid split (maximal twin classes, then classes less one member), the
     valid candidate S with the smallest (|S| + |N(S)|, sorted S). Each
     candidate is checked on its own: a fresh bipartition and an induced
-    residue subgraph. Raises ValueError when no candidate is valid."""
-    from lirdec.bipartite import TwinSplit
+    residue subgraph. Returns (S, T, X', Y') as sorted lists; raises
+    ValueError when no candidate is valid."""
     from lirdec.graphs import bipartition_sides
 
     def split_ok(s):
@@ -208,7 +208,7 @@ def find_twin_split_reference(g: SimpleGraph):
             for t in t_set:
                 if not set(xp) & set(g.adj[t]):
                     return None
-        return TwinSplit(frozenset(s_set), frozenset(t_set), frozenset(xp), frozenset(yp))
+        return sorted(s_set), sorted(t_set), sorted(xp), sorted(yp)
 
     if not g.is_connected():
         raise ValueError("twin split requires a connected graph")
@@ -225,7 +225,7 @@ def find_twin_split_reference(g: SimpleGraph):
             split = split_ok(cand)
             if split is None:
                 continue
-            score = (len(split.s) + len(split.t), sorted(split.s))
+            score = (len(split[0]) + len(split[1]), split[0])
             if best is None or score < best[0]:
                 best = (score, split)
         if best is not None:

@@ -179,12 +179,12 @@ def test_criterion_8_parity_property():
         rng.shuffle(pool)
         terminals = set(pool[: 2 * rng.randrange(0, n // 2 + 1)])
         join = path_system(g, terminals)
-        parities = degree_parity(n, join.edges)
+        parities = degree_parity(n, join)
         assert all(
             parities[v] == (1 if v in terminals else 0) for v in range(n)
         )
         d = Decomposition(
-            double(g), 2, {e: RB if e in join.edges else BB for e in g.edges}
+            double(g), 2, {e: RB if e in join else BB for e in g.edges}
         )
         prof = parity_profile(d)
         for v in range(n):

@@ -4,12 +4,7 @@ import random
 
 import pytest
 
-from lirdec.bipartite import (
-    bipartition,
-    color_double_bipartite,
-    find_twin_split,
-    path_system,
-)
+from lirdec.bipartite import color_double_bipartite, find_twin_split, path_system
 from lirdec.decomposition import BB, RB, Decomposition, color_degree_table, verify
 from lirdec.enumeration import (
     enumerate_connected_bipartite,
@@ -17,6 +12,8 @@ from lirdec.enumeration import (
 )
 from lirdec.graphs import (
     SimpleGraph,
+    bipartition_sides,
+    canon_edge,
     complete_multipartite_graph,
     cycle_graph,
     double,
@@ -33,33 +30,36 @@ from oracle import (
 
 
 def test_bipartition_p4():
-    bip = bipartition(path_graph(4))
-    assert sorted(bip.x) == [0, 2] and sorted(bip.y) == [1, 3]
+    # X is the class of vertex 0; both sides come sorted
+    assert bipartition_sides(path_graph(4)) == ([0, 2], [1, 3])
 
 
 def test_bipartition_c6_sides():
-    bip = bipartition(cycle_graph(6))
-    assert {len(bip.x), len(bip.y)} == {3}
+    x, y = bipartition_sides(cycle_graph(6))
+    assert {len(x), len(y)} == {3}
 
 
 def test_bipartition_rejects_odd_cycle():
+    assert bipartition_sides(cycle_graph(5)) is None
     with pytest.raises(ValueError, match="not bipartite"):
-        bipartition(cycle_graph(5))
+        color_double_bipartite(cycle_graph(5))
+    with pytest.raises(ValueError, match="requires a connected graph"):
+        color_double_bipartite(SimpleGraph(4, [(0, 1), (2, 3)]))
 
 
 def test_path_system_unique_path():
     j = path_system(path_graph(3), {0, 2})
-    assert j.edges == frozenset({(0, 1), (1, 2)})
+    assert j == frozenset({(0, 1), (1, 2)})
 
 
 def test_path_system_empty_terminals():
-    assert path_system(cycle_graph(4), set()).edges == frozenset()
+    assert path_system(cycle_graph(4), set()) == frozenset()
 
 
 def test_path_system_c4_opposite_pair():
     j = path_system(cycle_graph(4), {0, 2})
     # one of the two arcs; parity is what matters
-    assert degree_parity(4, j.edges) == [1, 0, 1, 0]
+    assert degree_parity(4, j) == [1, 0, 1, 0]
 
 
 def test_path_system_rejects_odd_terminals():
@@ -81,7 +81,7 @@ def test_path_system_parity_property():
         rng.shuffle(pool)
         terms = set(pool[: 2 * rng.randrange(0, n // 2 + 1)])
         j = path_system(g, terms)
-        par = degree_parity(n, j.edges)
+        par = degree_parity(n, j)
         assert all(par[v] == (1 if v in terms else 0) for v in range(n))
 
 
@@ -96,7 +96,7 @@ def test_parity_after_coloring():
         terms = set(pool[: 2 * rng.randrange(1, max(2, n // 2))])
         j = path_system(g, terms)
         d = Decomposition(
-            double(g), 2, {e: RB if e in j.edges else BB for e in g.edges}
+            double(g), 2, {e: RB if e in j else BB for e in g.edges}
         )
         prof = parity_profile(d)
         assert all(
@@ -104,39 +104,80 @@ def test_parity_after_coloring():
         )
 
 
+def _path_system_on_induced_subgraph(g, terminals, region):
+    """path_system run on the relabelled induced subgraph, mapped back to
+    g's labels."""
+    sub, ids = g.induced_subgraph(region)
+    pos = {v: i for i, v in enumerate(ids)}
+    join = path_system(sub, {pos[v] for v in terminals})
+    return frozenset(canon_edge(ids[a], ids[b]) for a, b in join)
+
+
+def test_path_system_in_a_region_equals_it_on_the_induced_subgraph():
+    rng = random.Random(1414)
+    for _ in range(1000):
+        n = rng.randrange(2, 16)
+        g = random_connected_graph(n, rng.randrange(0, 2 * n), rng)
+        # a connected region: a random walk's vertex set
+        v = rng.randrange(n)
+        region = {v}
+        for _ in range(rng.randrange(0, 2 * n)):
+            v = rng.choice(g.adj[v])
+            region.add(v)
+        pool = sorted(region)
+        rng.shuffle(pool)
+        terms = set(pool[: 2 * rng.randrange(0, len(pool) // 2 + 1)])
+        join = path_system(g, terms, region)
+        assert join == _path_system_on_induced_subgraph(g, terms, region), g.edges
+        assert all(u in region and w in region for u, w in join)
+        assert path_system(g, terms, range(n)) == path_system(g, terms)
+
+
+def test_path_system_region_must_be_connected_and_hold_the_terminals():
+    g = path_graph(5)
+    with pytest.raises(ValueError, match="connected"):
+        path_system(g, {0, 4}, [0, 1, 3, 4])
+    with pytest.raises(ValueError, match="outside"):
+        path_system(g, {0, 4}, [0, 1, 2])
+    assert path_system(g, set(), []) == frozenset()
+
+
 def test_twin_split_star():
-    ts = find_twin_split(complete_multipartite_graph([1, 4]))
+    s, t, xp, yp = find_twin_split(complete_multipartite_graph([1, 4]))
     # both corners are twin classes with empty residue; the tie-break picks
     # the lexicographically smaller set
-    assert not ts.xp and not ts.yp
-    assert sorted(ts.s) + sorted(ts.t) == [0, 1, 2, 3, 4]
+    assert not xp and not yp
+    assert s + t == [0, 1, 2, 3, 4]
 
 
 def test_twin_split_c6():
-    ts = find_twin_split(cycle_graph(6))
-    assert sorted(ts.s) == [0]
-    assert sorted(ts.t) == [1, 5]
-    assert sorted(ts.xp) == [2, 4] and sorted(ts.yp) == [3]
+    s, t, xp, yp = find_twin_split(cycle_graph(6))
+    assert s == [0]
+    assert t == [1, 5]
+    assert xp == [2, 4] and yp == [3]
 
 
 def test_twin_split_k33_takes_a_full_side():
-    ts = find_twin_split(complete_multipartite_graph([3, 3]))
-    assert len(ts.s) == 3 and len(ts.t) == 3
-    assert not ts.xp and not ts.yp
+    s, t, xp, yp = find_twin_split(complete_multipartite_graph([3, 3]))
+    assert len(s) == 3 and len(t) == 3
+    assert not xp and not yp
 
 
 def test_twin_split_structural_invariants():
     rng = random.Random(31)
     for _ in range(120):
         g = random_connected_bipartite(rng.randrange(3, 16), rng)
-        ts = find_twin_split(g)
+        s, t, xp, yp = find_twin_split(g)
+        # every part comes sorted, and together they cover g once
+        assert all(part == sorted(part) for part in (s, t, xp, yp))
+        assert sorted(s + t + xp + yp) == list(range(g.n))
         # no S vertex touches the residue's far side
-        for v in ts.s:
-            assert not (set(g.adj[v]) & ts.yp)
+        for v in s:
+            assert not (set(g.adj[v]) & set(yp))
         # every T vertex keeps a neighbor in the residue when it exists
-        if ts.xp:
-            for t in ts.t:
-                assert set(g.adj[t]) & ts.xp
+        if xp:
+            for w in t:
+                assert set(g.adj[w]) & set(xp)
 
 
 def test_k12_coloring():
@@ -193,19 +234,18 @@ def test_random_bipartite_up_to_sixty():
 
 def _branch_of(g):
     """Which case of the both-sides-odd analysis handles g."""
-    bip = bipartition(g)
-    if len(bip.x) % 2 == 0 or len(bip.y) % 2 == 0:
+    x, y = bipartition_sides(g)
+    if len(x) % 2 == 0 or len(y) % 2 == 0:
         return "even-side"
-    split = find_twin_split(g, bip)
-    if not split.xp and not split.yp:
+    s_list, t_list, xp, yp = find_twin_split(g, (x, y))
+    if not xp and not yp:
         return "complete-bipartite"
-    s, t = len(split.s), len(split.t)
+    s, t = len(s_list), len(t_list)
     if s % 2 == 1:
         return "case1"
-    xp = set(split.xp)
     rich = [
         y0
-        for y0 in sorted(split.t)
+        for y0 in t_list
         if sum(1 for w in g.adj[y0] if w in xp) >= 2
     ]
     if s != t:
@@ -286,7 +326,7 @@ def test_twin_split_matches_the_all_candidates_reference_on_the_catalog():
         for g in enumerate_connected_bipartite(n):
             expected = _twin_split_or_none(find_twin_split_reference, g)
             assert _twin_split_or_none(find_twin_split, g) == expected, g.edges
-            assert find_twin_split(g, bipartition(g)) == expected, g.edges
+            assert find_twin_split(g, bipartition_sides(g)) == expected, g.edges
             checked += 1
     assert checked == 254  # 1 + 1 + 1 + 3 + 5 + 17 + 44 + 182
 
@@ -298,8 +338,8 @@ def test_twin_split_matches_the_all_candidates_reference_on_random_graphs():
         g = _random_bipartite(rng)
         expected = _twin_split_or_none(find_twin_split_reference, g)
         assert _twin_split_or_none(find_twin_split, g) == expected, g.edges
-        bip = bipartition(g)
-        both_odd += len(bip.x) % 2 == 1 and len(bip.y) % 2 == 1
+        x, y = bipartition_sides(g)
+        both_odd += len(x) % 2 == 1 and len(y) % 2 == 1
     assert both_odd > 500  # the colorer's twin-split branch is well covered
 
 
@@ -340,9 +380,9 @@ def test_bipartition_is_computed_once_per_coloring(monkeypatch):
         calls[0] = 0
         assert verify(color_double_bipartite(g)).valid
         assert calls[0] == 1, g.edges
-        bip = bipartition(g)
+        sides = bipartition_sides(g)
         calls[0] = 0
-        find_twin_split(g, bip)
+        find_twin_split(g, sides)
         assert calls[0] == 0, g.edges  # a given bipartition is used as is
         calls[0] = 0
         find_twin_split(g)

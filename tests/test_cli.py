@@ -36,6 +36,31 @@ def test_color_verify_round_trip(capsys, tmp_path):
     assert out3 == out
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        "[]",
+        "null",
+        '{"n":2,"k":1,"edges":5}',
+        '{"n":"a","k":1,"edges":[]}',
+        '{"n":2,"k":2,"edges":[{"u":0,"v":1,"counts":[1,"x"]}]}',
+        '{"n":2,"k":1,"edges":[{"u":0,"v":1,"counts":[1]},3]}',
+        '{"n":2,"k":1.5,"edges":[]}',
+        # a second record of an edge would silently replace the first
+        '{"n":3,"k":2,"edges":[{"u":0,"v":1,"counts":[2,0]},{"u":1,"v":2,"counts":[0,2]},'
+        '{"u":1,"v":0,"counts":[0,1]}]}',
+    ],
+)
+def test_verify_rejects_json_of_the_wrong_shape(capsys, tmp_path, payload):
+    with pytest.raises(ValueError):
+        decomposition_from_json(payload)
+    witness = tmp_path / "w.json"
+    witness.write_text(payload)
+    code, out, err = run(capsys, "verify", str(witness))
+    assert code == EXIT_USAGE
+    assert "bad decomposition JSON" in err and not out
+
+
 def test_verify_tampered_witness(capsys, tmp_path):
     code, out, _ = run(capsys, "color", "cycle:3")
     payload = json.loads(out)
@@ -163,6 +188,19 @@ def test_sweep_resume_after_a_torn_last_line(capsys, tmp_path):
     records = [json.loads(line) for line in report.read_text().splitlines()]
     assert [r["graph"] for r in records] == [json.loads(x)["graph"] for x in lines]
     assert records[-1]["graph"] == torn
+
+
+@pytest.mark.parametrize("line", ['{"x":1}', "[1]"])
+def test_sweep_resume_rejects_a_report_line_that_is_not_a_record(capsys, tmp_path, line):
+    report = tmp_path / "report.jsonl"
+    code, _, _ = run(capsys, "sweep", "cycle:5", "-o", str(report))
+    assert code == EXIT_OK
+    report.write_text(report.read_text() + line + "\n")
+    before = report.read_text()
+    code, _, err = run(capsys, "sweep", "cycle:5", "-o", str(report), "--resume")
+    assert code == EXIT_USAGE
+    assert "line 2: not a sweep record" in err and "Traceback" not in err
+    assert report.read_text() == before
 
 
 def test_sweep_report_is_flushed_after_each_record(capsys, tmp_path, monkeypatch):
