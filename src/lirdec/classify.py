@@ -76,17 +76,21 @@ def path_order(g: SimpleGraph) -> list[int] | None:
         return [0] if g.m == 0 else None
     if g.m != g.n - 1:
         return None
-    ends = [v for v in range(g.n) if g.degree(v) == 1]
-    if len(ends) != 2 or any(g.degree(v) > 2 for v in range(g.n)):
+    adj = g.adj
+    degrees = list(map(len, adj))
+    if degrees.count(1) != 2 or max(degrees) > 2:
         return None
-    order = [ends[0]]
     prev = -1
-    while len(order) < g.n:
-        nxt = [w for w in g.adj[order[-1]] if w != prev]
-        if not nxt:
+    cur = degrees.index(1)
+    order = [cur]
+    for _ in range(g.n - 1):
+        ns = adj[cur]
+        nxt = ns[-1] if ns[0] == prev else ns[0]
+        if nxt == prev:
             return None  # the other end before n vertices: cycles elsewhere
-        prev = order[-1]
-        order.append(nxt[0])
+        prev = cur
+        cur = nxt
+        order.append(cur)
     return order
 
 
@@ -94,16 +98,20 @@ def cycle_order(g: SimpleGraph) -> list[int] | None:
     """Vertex order around g when g is a single cycle, else None."""
     if g.n < 3 or g.m != g.n:
         return None
-    if any(g.degree(v) != 2 for v in range(g.n)):
+    adj = g.adj
+    if any(len(ns) != 2 for ns in adj):
         return None
-    order = [0]
     prev = -1
+    cur = 0
+    order = [0]
     while True:
-        nxt = [w for w in g.adj[order[-1]] if w != prev][0]
+        a, b = adj[cur]
+        nxt = b if a == prev else a
         if nxt == 0:
             break
-        prev = order[-1]
-        order.append(nxt)
+        prev = cur
+        cur = nxt
+        order.append(cur)
     return order if len(order) == g.n else None  # closed early: several cycles
 
 
@@ -116,22 +124,25 @@ def wheel_order(g: SimpleGraph) -> tuple[int, list[int]] | None:
     """
     if g.n < 5 or g.m != 2 * (g.n - 1):
         return None
-    hubs = [v for v in range(g.n) if g.degree(v) == g.n - 1]
-    if len(hubs) != 1:
+    adj = g.adj
+    degrees = list(map(len, adj))
+    if degrees.count(g.n - 1) != 1 or degrees.count(3) != g.n - 1:
         return None
-    hub = hubs[0]
-    if any(g.degree(v) != 3 for v in range(g.n) if v != hub):
-        return None
+    hub = degrees.index(g.n - 1)
     # every rim vertex has the hub and exactly two rim neighbors
     start = 1 if hub == 0 else 0
-    order = [start]
     prev = -1
+    cur = start
+    order = [start]
     while True:
-        nxt = [w for w in g.adj[order[-1]] if w != prev and w != hub][0]
+        for nxt in adj[cur]:
+            if nxt != prev and nxt != hub:
+                break
         if nxt == start:
             break
-        prev = order[-1]
-        order.append(nxt)
+        prev = cur
+        cur = nxt
+        order.append(cur)
     return (hub, order) if len(order) == g.n - 1 else None
 
 

@@ -14,12 +14,13 @@ import argparse
 import os
 import random
 import sys
+from typing import Iterator
 
 from .bipartite import color_double_bipartite
 from .classify import classify, recognize_t_prime
 from .colorers import color_double_auto
 from .decomposition import Decomposition, verify
-from .enumeration import enumerate_connected, random_connected_bipartite
+from .enumeration import ENUMERATION_LIMIT, enumerate_connected, random_connected_bipartite
 from .graph_io import (
     Graph6Error,
     decomposition_from_json,
@@ -220,11 +221,23 @@ def _cmd_classify(args, out) -> int:
     return EXIT_OK
 
 
+def _enumerated(limit: int) -> Iterator[SimpleGraph]:
+    """The built-in catalog on 2..limit vertices, one order at a time: order
+    n is enumerated only once order n - 1 has been consumed. The limit is
+    checked here, before anything is swept."""
+    if limit < 1:
+        raise CliError("--enumerate needs N >= 1")
+    if limit > ENUMERATION_LIMIT:
+        raise CliError(
+            f"built-in enumeration supports n <= {ENUMERATION_LIMIT}; "
+            "ingest a graph6 file for larger orders"
+        )
+    return (g for n in range(2, limit + 1) for g in enumerate_connected(n))
+
+
 def _cmd_sweep(args, out) -> int:
-    if args.enumerate:
-        graphs = []
-        for n in range(2, args.enumerate + 1):
-            graphs.extend(enumerate_connected(n))
+    if args.enumerate is not None:
+        graphs = _enumerated(args.enumerate)
     else:
         if not args.input:
             raise CliError("sweep needs an input file or --enumerate N")

@@ -16,7 +16,7 @@ first, a seed fixes the pairs among the three largest; each later part
 paints all its multiedges to earlier parts one state, BB unless an earlier
 part of its size has no red yet, then RR. All vertices of a part share
 their color degrees, so validity is a statement about part sizes; the
-proof is in _part_matrix.
+proof is in _part_rows.
 """
 
 from __future__ import annotations
@@ -78,21 +78,21 @@ def cycle_states(length: int) -> list[State]:
 def path_assign(order: Sequence[int]) -> dict[Edge, State]:
     """States of the doubled path visiting `order`, keyed by its edges."""
     states = path_states(len(order) - 1)
-    return {canon_edge(u, v): s for u, v, s in zip(order, order[1:], states)}
+    return {
+        (u, v) if u < v else (v, u): s for u, v, s in zip(order, order[1:], states)
+    }
 
 
 def ring_assign(order: Sequence[int], hub: int | None = None) -> dict[Edge, State]:
     """States of the doubled cycle around `order`; with a hub, of the doubled
     wheel on that rim, every spoke all red. For a rim of four or more the
     hub's red degree 2 * len(order) dominates every rim vertex."""
-    length = len(order)
-    states = cycle_states(length)
-    assign = {
-        canon_edge(order[i], order[(i + 1) % length]): s for i, s in enumerate(states)
-    }
+    states = cycle_states(len(order))
+    after = itertools.chain(order[1:], order[:1])
+    assign = {(u, v) if u < v else (v, u): s for u, v, s in zip(order, after, states)}
     if hub is not None:
         for v in order:
-            assign[canon_edge(v, hub)] = RR
+            assign[(v, hub) if v < hub else (hub, v)] = RR
     return assign
 
 
@@ -118,10 +118,11 @@ def color_double_complete(n: int) -> Decomposition:
     return color_double_multipartite([1] * n)
 
 
-def _part_matrix(sizes: list[int]) -> dict[tuple[int, int], State]:
+def _part_rows(sizes: list[int]) -> tuple[dict[tuple[int, int], State], list[State]]:
     """Part matrix of the doubled complete multipartite graph on k >= 3
-    parts with these sizes, largest first, keyed by part-index pairs (i, j),
-    i < j.
+    parts with these sizes, largest first: the seed, keyed by part-index
+    pairs (i, j), i < j, among the three largest parts, and for each later
+    part t the one state of all its multiedges to the parts before it.
 
     Seed, on the three largest parts a >= b >= c: all equal, 01 RR, 12 RB,
     02 BB; a = b > c, 01 RR, 02 RR, 12 BB; a > b = c, 01 RR, 02 BB, 12 RR;
@@ -142,24 +143,26 @@ def _part_matrix(sizes: list[int]) -> dict[tuple[int, int], State]:
     """
     a, b, c = sizes[:3]
     if a == c:
-        st = {(0, 1): RR, (1, 2): RB, (0, 2): BB}
+        seed = {(0, 1): RR, (1, 2): RB, (0, 2): BB}
     elif a == b:
-        st = {(0, 1): RR, (0, 2): RR, (1, 2): BB}
+        seed = {(0, 1): RR, (0, 2): RR, (1, 2): BB}
     elif b == c:
-        st = {(0, 1): RR, (0, 2): BB, (1, 2): RR}
+        seed = {(0, 1): RR, (0, 2): BB, (1, 2): RR}
     else:
-        st = {(0, 1): RR, (0, 2): RR, (1, 2): RR}
+        seed = {(0, 1): RR, (0, 2): RR, (1, 2): RR}
     # Every seed part has red. A BB row changes no red degree and leaves t
     # without red; an RR row gives every part red. So the parts without red
     # are those painted BB since the last RR row.
     blank: set[int] = set()  # their sizes
-    for t in range(3, len(sizes)):
-        s = sizes[t]
-        state = RR if s in blank else BB
-        for i in range(t):
-            st[(i, t)] = state
-        blank = set() if state == RR else blank | {s}
-    return st
+    rows = []
+    for s in sizes[3:]:
+        if s in blank:
+            rows.append(RR)
+            blank.clear()
+        else:
+            rows.append(BB)
+            blank.add(s)
+    return seed, rows
 
 
 def multipartite_states(parts: list[list[int]]) -> dict[Edge, State]:
@@ -168,8 +171,10 @@ def multipartite_states(parts: list[list[int]]) -> dict[Edge, State]:
 
     Parts are taken largest first (ties keep input order). Two parts: all
     red when unbalanced, else the multiedges at the first part's first
-    vertex red and the rest blue. Three or more: _part_matrix, every
-    multiedge between two parts in their pair's state.
+    vertex red and the rest blue. Three or more: _part_rows, every multiedge
+    among the three largest parts in their pair's seed state, and every
+    multiedge from a later part to an earlier one in the later part's row
+    state.
     """
     k = len(parts)
     if k < 2 or any(not p for p in parts):
@@ -180,15 +185,22 @@ def multipartite_states(parts: list[list[int]]) -> dict[Edge, State]:
     if k == 2:
         a, b = parts
         if len(a) != len(b):
-            return {canon_edge(u, v): RR for u in a for v in b}
+            return {(u, v) if u < v else (v, u): RR for u in a for v in b}
         chosen = a[0]
-        return {canon_edge(u, v): RR if u == chosen else BB for u in a for v in b}
-    return {
-        canon_edge(u, v): state
-        for (i, j), state in _part_matrix([len(p) for p in parts]).items()
-        for u in parts[i]
-        for v in parts[j]
-    }
+        return {(u, v) if u < v else (v, u): RR if u == chosen else BB for u in a for v in b}
+    seed, rows = _part_rows([len(p) for p in parts])
+    assign = {}
+    for (i, j), state in seed.items():
+        for u in parts[i]:
+            for v in parts[j]:
+                assign[(u, v) if u < v else (v, u)] = state
+    earlier = parts[0] + parts[1] + parts[2]
+    for part, state in zip(parts[3:], rows):
+        for v in part:
+            for u in earlier:
+                assign[(u, v) if u < v else (v, u)] = state
+        earlier += part
+    return assign
 
 
 def color_double_multipartite(sizes: list[int]) -> Decomposition:

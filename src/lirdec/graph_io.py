@@ -9,6 +9,7 @@ Formats:
 
 from __future__ import annotations
 
+import binascii
 import json
 from typing import Iterator
 
@@ -80,17 +81,22 @@ def to_graph6(g: SimpleGraph) -> str:
     """Encode a SimpleGraph as a graph6 string (n <= 62)."""
     if g.n > 62:
         raise ValueError("graph6 emission supports at most 62 vertices")
-    # bit j(j-1)/2 + i, counted from the top, is set when {i, j} is an edge
+    # bit j(j-1)/2 + i, counted from the top, is set when {i, j} is an edge;
+    # the bits are padded to whole 24-bit groups, which base64 turns into
+    # whole 6-bit digits, the first count/6 of them graph6's
     count = g.n * (g.n - 1) // 2
-    bits = 0
+    bits = bytearray(b"0") * (-(-count // 24) * 24)
     for i, j in g.edges:
-        bits |= 1 << (count - 1 - j * (j - 1) // 2 - i)
-    pad = (-count) % 6
-    bits <<= pad
-    chars = []
-    for shift in range(count + pad - 6, -6, -6):
-        chars.append(chr(63 + ((bits >> shift) & 0x3F)))
-    return chr(63 + g.n) + "".join(chars)
+        bits[j * (j - 1) // 2 + i] = 49  # "1"
+    raw = int(bits or b"0", 2).to_bytes(len(bits) // 8, "big")
+    body = binascii.b2a_base64(raw, newline=False)[: (count + 5) // 6]
+    return chr(63 + g.n) + body.translate(_BASE64_TO_G6).decode("ascii")
+
+
+_BASE64_TO_G6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(63, 127)),
+)
 
 
 def read_graph6_lines(text: str) -> Iterator[SimpleGraph]:
@@ -128,15 +134,16 @@ def decomposition_to_json(d: Decomposition) -> str:
     """Serialize a decomposition; byte-stable across runs.
 
     Writes the text directly: it equals json.dumps of the payload with
-    sorted keys and compact separators, without building the payload.
+    sorted keys and compact separators, without building the payload. Each
+    edge's text is its state's text, then its two vertex names.
     """
     assign = d.assign
-    counts = {c: ",".join(map(str, c)) for c in set(assign.values())}
-    edges = ",".join(
-        f'{{"counts":[{counts[assign[e]]}],"u":{e[0]},"v":{e[1]}}}'
-        for e in d.host.edges
-    )
-    return f'{{"edges":[{edges}],"k":{d.k},"n":{d.host.n}}}'
+    edges = d.host.edges
+    heads = {c: '{"counts":[%s],"u":' % ",".join(map(str, c)) for c in set(assign.values())}
+    names = list(map(str, range(d.host.n)))
+    states = assign.values() if tuple(assign) == edges else map(assign.__getitem__, edges)
+    body = ",".join([f'{heads[s]}{names[u]},"v":{names[v]}}}' for (u, v), s in zip(edges, states)])
+    return f'{{"edges":[{body}],"k":{d.k},"n":{d.host.n}}}'
 
 
 def _ints(*values) -> bool:

@@ -151,17 +151,22 @@ class Multigraph:
     __slots__ = ("base", "mult")
 
     def __init__(self, base: SimpleGraph, mult: dict[Edge, int] | None = None):
+        edges = base.edges
         mult = dict(mult) if mult else {}
-        # the edges are canonical pairs only
-        extra = mult.keys() - base.edges
-        for e, mu in mult.items():
-            if e in extra:
-                raise ValueError(f"multiplicity given for non-edge {e}")
-            if mu < 1:
-                raise ValueError(f"multiplicity of {e} must be >= 1, got {mu}")
+        keys = tuple(mult)
+        if mult:
+            # the edges are canonical pairs only
+            try:
+                fits = min(mult.values()) >= 1 and (keys == edges or not mult.keys() - edges)
+            except TypeError:  # a value that does not compare with 1
+                fits = False
+            if not fits:
+                _check_each_multiplicity(base, mult)
         self.base = base
-        # edges without an explicit multiplicity default to 1
-        self.mult: dict[Edge, int] = {e: mult.get(e, 1) for e in base.edges}
+        # in edge order; edges without an explicit multiplicity default to 1
+        self.mult: dict[Edge, int] = (
+            mult if keys == edges else {e: mult.get(e, 1) for e in edges}
+        )
 
     @property
     def n(self) -> int:
@@ -195,7 +200,18 @@ def double(g: SimpleGraph) -> Multigraph:
     """
     if not g.edges:
         raise ValueError("nothing to double: graph has no edges")
-    return Multigraph(g, {e: 2 for e in g.edges})
+    return Multigraph(g, dict.fromkeys(g.edges, 2))
+
+
+def _check_each_multiplicity(base: SimpleGraph, mult: dict[Edge, int]) -> None:
+    """Raise for the first entry, in the given order, that names a non-edge
+    or a multiplicity below 1."""
+    extra = mult.keys() - base.edges
+    for e, mu in mult.items():
+        if e in extra:
+            raise ValueError(f"multiplicity given for non-edge {e}")
+        if mu < 1:
+            raise ValueError(f"multiplicity of {e} must be >= 1, got {mu}")
 
 
 def is_locally_irregular(m: Multigraph) -> bool:

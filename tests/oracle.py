@@ -11,6 +11,7 @@ import itertools
 import random
 
 from lirdec.classify import TWitness, t_family_witness, triangles_of
+from lirdec.colorers import _part_rows
 from lirdec.decomposition import BB, RB, RR, Decomposition, color_degree_table, verify
 from lirdec.enumeration import canonical_key
 from lirdec.graphs import (
@@ -231,6 +232,17 @@ def find_twin_split_reference(g: SimpleGraph):
         if best is not None:
             return best[1]
     raise ValueError("twin split not found")
+
+
+def part_matrix(sizes: list[int]) -> dict[tuple[int, int], tuple[int, int]]:
+    """colorers._part_rows spelled out pair by pair: keyed by part-index
+    pairs (i, j), i < j, each later part's row state on every pair (i, t)."""
+    seed, rows = _part_rows(sizes)
+    st = dict(seed)
+    for t, state in enumerate(rows, 3):
+        for i in range(t):
+            st[(i, t)] = state
+    return st
 
 
 def part_matrix_valid(sizes: list[int], st: dict[tuple[int, int], tuple[int, int]]) -> bool:
@@ -656,3 +668,70 @@ def reference_exact_search(host, lim, graph_mode: bool = False, twins: bool = Fa
                 SearchStatus.FOUND, k, Decomposition(m, k, found), lim.node_budget - budget[0]
             )
     return SolveResult(SearchStatus.NONE, nodes=lim.node_budget - budget[0])
+
+
+# --- the witness layers' original per-edge loops ------------------------------
+# Multigraph.__init__, Decomposition.__init__ and verify as they were before
+# each became one pass per layer; the tests hold the program to them, message
+# by message.
+
+
+def multiplicities_reference(base: SimpleGraph, mult) -> dict[Edge, int]:
+    """Multigraph(base, mult).mult, checking one entry at a time in the
+    given order: the first non-edge or multiplicity below 1 raises."""
+    mult = dict(mult) if mult else {}
+    extra = mult.keys() - base.edges
+    for e, mu in mult.items():
+        if e in extra:
+            raise ValueError(f"multiplicity given for non-edge {e}")
+        if mu < 1:
+            raise ValueError(f"multiplicity of {e} must be >= 1, got {mu}")
+    return {e: mult.get(e, 1) for e in base.edges}
+
+
+def assignment_reference(host: Multigraph, k: int, assign) -> dict[Edge, tuple[int, ...]]:
+    """Decomposition(host, k, assign).assign, checking one edge at a time in
+    edge order: coverage, length, sign and sum, then the non-edges."""
+    if k < 1:
+        raise ValueError("need at least one color")
+    cleaned = {}
+    for e in host.edges:
+        counts = assign.get(e)
+        if counts is None:
+            raise ValueError(f"edge {e} has no color assignment")
+        counts = tuple(counts)
+        if len(counts) != k:
+            raise ValueError(f"edge {e}: expected {k} counts, got {len(counts)}")
+        if min(counts) < 0:
+            raise ValueError(f"edge {e}: negative color count")
+        if sum(counts) != host.mult[e]:
+            raise ValueError(
+                f"edge {e}: counts sum {sum(counts)} != multiplicity {host.mult[e]}"
+            )
+        cleaned[e] = counts
+    if len(assign) != len(host.edges):
+        extra = set(assign) - set(host.edges)
+        raise ValueError(f"assignment for non-edges: {sorted(extra)}")
+    return cleaned
+
+
+def verify_reference(d: Decomposition) -> list[tuple[int, Edge, int]]:
+    """verify(d).conflicts in separate passes: every sum in assignment
+    order, then the degree table, then the conflicts one color at a time."""
+    for e, counts in d.assign.items():
+        if sum(counts) != d.host.mult[e]:
+            raise ValueError(f"malformed decomposition at edge {e}")
+    table = [[0] * d.k for _ in range(d.host.n)]
+    for (u, v), counts in d.assign.items():
+        for c, cnt in enumerate(counts):
+            if cnt:
+                table[u][c] += cnt
+                table[v][c] += cnt
+    conflicts = []
+    for c in range(d.k):
+        for e in d.host.edges:
+            if d.assign[e][c] >= 1:
+                u, v = e
+                if table[u][c] == table[v][c]:
+                    conflicts.append((c, e, table[u][c]))
+    return conflicts

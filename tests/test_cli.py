@@ -222,6 +222,42 @@ def test_sweep_report_is_flushed_after_each_record(capsys, tmp_path, monkeypatch
     assert on_disk == list(range(9))
 
 
+def test_sweep_enumerate_streams_one_order_at_a_time(capsys, tmp_path, monkeypatch):
+    import lirdec.cli as cli
+
+    report = tmp_path / "report.jsonl"
+    real_enumerate = cli.enumerate_connected
+    on_disk = {}
+
+    def logged(n):
+        # records already in the report when order n is asked for
+        on_disk[n] = len(report.read_text().splitlines())
+        return real_enumerate(n)
+
+    monkeypatch.setattr(cli, "enumerate_connected", logged)
+    code, _, _ = run(capsys, "sweep", "--enumerate", "4", "-o", str(report))
+    assert code == EXIT_OK
+    # K2 is on disk before order 3 is built, and orders 2 and 3 before order 4
+    assert on_disk == {2: 0, 3: 1, 4: 3}
+
+
+@pytest.mark.parametrize("limit", ["9", "-1", "0"])
+def test_sweep_enumerate_out_of_range_writes_nothing(capsys, tmp_path, monkeypatch, limit):
+    import lirdec.cli as cli
+
+    def refused(n):
+        raise AssertionError(f"order {n} enumerated for an out-of-range limit")
+
+    monkeypatch.setattr(cli, "enumerate_connected", refused)
+    report = tmp_path / "report.jsonl"
+    code, out, err = run(capsys, "sweep", "--enumerate", limit, "-o", str(report))
+    assert code == EXIT_USAGE
+    assert out == "" and "Traceback" not in err
+    assert not report.exists()
+    code, out, _ = run(capsys, "sweep", "--enumerate", limit)
+    assert code == EXIT_USAGE and out == ""
+
+
 def test_sweep_stdout_records(capsys, tmp_path):
     g6 = tmp_path / "one.g6"
     g6.write_text(to_graph6(cycle_graph(6)) + "\n")

