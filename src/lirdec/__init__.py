@@ -14,7 +14,6 @@ from .colorers import (
     color_double_multipartite,
     color_double_path,
     color_double_wheel,
-    color_t_family_3,
 )
 from .decomposition import BB, RB, RR, Decomposition, VerifyReport, verify
 from .enumeration import enumerate_connected, enumerate_connected_bipartite
@@ -49,7 +48,6 @@ __all__ = [
     "color_double_multipartite",
     "color_double_path",
     "color_double_wheel",
-    "color_t_family_3",
     "double",
     "enumerate_connected",
     "enumerate_connected_bipartite",

@@ -10,7 +10,8 @@ parities of |S| and the relation between |S| and |T|.
 "Exchange colors along a path" is realized as the mod-2 symmetric difference
 of spanning-tree paths (a T-join): its edges become red-blue multiedges, so
 each endpoint's red degree moves by exactly one per incident join edge.
-Sides are the sorted vertex lists that `graphs.bipartition_sides` returns.
+Sides are the sorted vertex lists that `graphs.bipartition_sides` returns;
+`classify` finds them in its connectivity walk and carries them to here.
 """
 
 from __future__ import annotations
@@ -80,11 +81,12 @@ def find_twin_split(
     sit isolated in the residue). Each pool is tried in ascending order of
     (|S| + |N(S)|, sorted S), and the first valid split is returned; keys
     within a pool are unique, so this is the pool's minimum. sides, when
-    given, must be bipartition_sides(g); otherwise it is computed once here.
+    given, must be bipartition_sides(g) of a connected g, and is used as
+    is; otherwise connectivity is tested and the sides computed here.
     """
-    if not g.is_connected():
-        raise ValueError("twin split requires a connected graph")
     if sides is None:
+        if not g.is_connected():
+            raise ValueError("twin split requires a connected graph")
         sides = bipartition_sides(g)
         if sides is None:
             raise ValueError("twin split not found")
@@ -128,7 +130,9 @@ def color_double_bipartite(
 ) -> Decomposition:
     """Two-coloring of the doubled connected bipartite graph g (not K2).
 
-    sides, when given, must be bipartition_sides(g); otherwise it is
+    sides, when given, must be bipartition_sides(g), as classify carries
+    it for a bipartite OTHER graph; then neither this colorer nor the twin
+    split walks g again. Otherwise connectivity is tested and the sides
     computed here.
     """
     if g.n <= 2:

@@ -43,6 +43,8 @@ class Classification:
     order: list[int] | None = field(default=None, compare=False, repr=False)
     hub: int | None = field(default=None, compare=False, repr=False)  # wheel only
     parts: list[list[int]] | None = field(default=None, compare=False, repr=False)
+    # OTHER only: bipartition_sides(g), or None after an odd cycle
+    sides: tuple[list[int], list[int]] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -198,8 +200,12 @@ def triangles_of(g: SimpleGraph) -> list[tuple[int, int, int]]:
 
 
 def t_family_witness(g: SimpleGraph) -> TWitness | None:
-    """Construction witness when g belongs to the triangle family, else None."""
-    if g.n < 3:
+    """Construction witness when g belongs to the triangle family, else None.
+
+    A member has m = n - 1 + #triangles >= n and every degree in 1..3, an
+    O(n) pretest that turns most other graphs away before the scan.
+    """
+    if g.n < 3 or g.m < g.n or max(map(len, g.adj)) > 3 or min(map(len, g.adj)) < 1:
         return None
     tris = triangles_of(g)
     if not tris:
@@ -295,8 +301,14 @@ def recognize_t_prime(g: SimpleGraph) -> TPrimeResult:
 
 def classify(g: SimpleGraph) -> Classification:
     """Most specific structural tag, for colorer dispatch, carrying the path
-    or cycle order, the wheel hub and rim order, or the multipartite parts."""
-    if not g.is_connected():
+    or cycle order, the wheel hub and rim order, the multipartite parts, or
+    for OTHER the bipartition sides.
+
+    One walk tests connectivity and 2-colors g. A graph with no odd cycle
+    has no triangle, so only the others are tested for the triangle family.
+    """
+    side: list[int] = []
+    if not g.is_connected(side):
         raise ValueError("classification requires a connected graph")
     order = path_order(g)
     if order is not None:
@@ -316,6 +328,10 @@ def classify(g: SimpleGraph) -> Classification:
             tuple(sorted(len(p) for p in parts)),
             parts=parts,
         )
-    if t_family_witness(g) is not None:
-        return Classification(ClassKind.T_FAMILY)
-    return Classification(ClassKind.OTHER)
+    if not side:
+        if t_family_witness(g) is not None:
+            return Classification(ClassKind.T_FAMILY)
+        return Classification(ClassKind.OTHER)
+    x = [v for v in range(g.n) if side[v] > 0]
+    y = [v for v in range(g.n) if side[v] < 0]
+    return Classification(ClassKind.OTHER, sides=(x, y))

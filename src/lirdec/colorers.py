@@ -1,5 +1,4 @@
-"""Closed-form two-colorings of doubled graphs for standard classes, and the
-recursive three-coloring of the triangle family.
+"""Closed-form two-colorings of doubled graphs for standard classes.
 
 Doubled-edge states: RR both red, RB one red one blue, BB both blue. Each
 class has one construction, a function from a vertex order or parts to
@@ -24,13 +23,11 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 
-from .classify import Classification, ClassKind, TWitness, classify, t_family_witness
+from .classify import Classification, ClassKind, classify
 from .decomposition import BB, RB, RR, Decomposition
 from .graphs import (
     Edge,
     SimpleGraph,
-    bipartition_sides,
-    canon_edge,
     complete_multipartite_graph,
     cycle_graph,
     double,
@@ -213,65 +210,6 @@ def color_double_multipartite(sizes: list[int]) -> Decomposition:
     return Decomposition(double(complete_multipartite_graph(list(sizes))), 2, assign)
 
 
-def color_t_family_3(g: SimpleGraph, witness: TWitness | None = None) -> Decomposition:
-    """Three-coloring of the doubled triangle-family member.
-
-    Replays the construction: the root triangle takes the two-color triangle
-    pattern; every attached multipath splits into length-two blocks colored
-    with two alternating colors, starting with a color absent at the
-    attachment vertex. Odd paths absorb their closing triangle into the last
-    two blocks.
-    """
-    if witness is None:
-        witness = t_family_witness(g)
-    if witness is None:
-        raise ValueError("graph is not in the triangle family")
-    host = double(g)
-    assign: dict[tuple[int, int], tuple[int, int, int]] = {}
-    vertex_color_deg = [[0, 0, 0] for _ in range(g.n)]
-
-    def put(u: int, v: int, color: int) -> None:
-        counts = [0, 0, 0]
-        counts[color] = 2
-        assign[canon_edge(u, v)] = tuple(counts)
-        vertex_color_deg[u][color] += 2
-        vertex_color_deg[v][color] += 2
-
-    a, b, c = witness.root
-    # doubled-triangle pattern in colors 0 and 1: (0,0), (0,1), (1,1)
-    assign[canon_edge(a, b)] = (2, 0, 0)
-    assign[canon_edge(b, c)] = (1, 1, 0)
-    assign[canon_edge(a, c)] = (0, 2, 0)
-    for v, w, counts in ((a, b, (2, 0, 0)), (b, c, (1, 1, 0)), (a, c, (0, 2, 0))):
-        for col, cnt in enumerate(counts):
-            vertex_color_deg[v][col] += cnt
-            vertex_color_deg[w][col] += cnt
-
-    for step in witness.steps:
-        host_v = step.host
-        c1 = min(col for col in range(3) if vertex_color_deg[host_v][col] == 0)
-        c2 = min(col for col in range(3) if col != c1)
-        path = step.path
-        blocks: list[list[tuple[int, int]]] = []
-        path_edges = list(zip(path, path[1:]))
-        if step.triangle is None:
-            for i in range(0, len(path_edges), 2):
-                blocks.append(path_edges[i : i + 2])
-        else:
-            q1, q2 = step.triangle
-            end = path[-1]
-            closing = path_edges + [(end, q1)]
-            for i in range(0, len(closing), 2):
-                blocks.append(closing[i : i + 2])
-            blocks.append([(q1, q2), (q2, end)])
-        for i, block in enumerate(blocks):
-            color = c1 if i % 2 == 0 else c2
-            for u, w in block:
-                put(u, w, color)
-
-    return Decomposition(host, 3, assign)
-
-
 # --- dispatch --------------------------------------------------------------
 
 
@@ -281,34 +219,27 @@ def color_double_auto(
     """Two-coloring of the doubled input via the matching class construction.
 
     Every construction runs on the caller's vertex labels, from the vertex
-    order, hub or parts that classify found. Returns None when no
-    constructive two-colorer covers the class. A caller that has already
-    classified g passes classify's result as tag.
+    order, hub, parts or bipartition sides that classify found, so no
+    colorer walks g again. Returns None when no constructive two-colorer
+    covers the class. A caller that has already classified g passes
+    classify's result as tag.
     """
-    from .bipartite import color_double_bipartite
-
     if g.n <= 2 or g.m == 0:
         return None
     if tag is None:
         tag = classify(g)
-    closed_form = (
-        ClassKind.PATH,
-        ClassKind.CYCLE,
-        ClassKind.COMPLETE,
-        ClassKind.WHEEL,
-        ClassKind.COMPLETE_MULTIPARTITE,
-    )
-    if tag.kind not in closed_form:
-        sides = bipartition_sides(g)
-        if sides is None:
-            return None
-        return color_double_bipartite(g, sides)
+    if tag.sides is not None:  # a bipartite graph of class OTHER
+        from .bipartite import color_double_bipartite
+
+        return color_double_bipartite(g, tag.sides)
     if tag.kind is ClassKind.PATH:
         assign = path_assign(tag.order)
-    elif tag.kind in (ClassKind.CYCLE, ClassKind.WHEEL):
+    elif tag.kind is ClassKind.CYCLE or tag.kind is ClassKind.WHEEL:
         assign = ring_assign(tag.order, tag.hub)
     elif tag.kind is ClassKind.COMPLETE:
         assign = multipartite_states([[v] for v in range(g.n)])
-    else:
+    elif tag.kind is ClassKind.COMPLETE_MULTIPARTITE:
         assign = multipartite_states(tag.parts)
+    else:
+        return None  # an odd cycle outside the closed-form classes
     return Decomposition(double(g), 2, assign)

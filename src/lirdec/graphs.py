@@ -79,21 +79,39 @@ class SimpleGraph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adj[v]
 
-    def is_connected(self) -> bool:
+    def is_connected(self, coloring: list[int] | None = None) -> bool:
+        """One walk from vertex 0 that also 2-colors what it reaches. When
+        the graph is connected and has no odd cycle, the given list is
+        extended by each vertex's side: 1 on vertex 0's side, else -1."""
         if self.n == 0:
             return True
-        seen = [False] * self.n
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            u = stack.pop()
-            for w in self.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        return count == self.n
+        adj = self.adj
+        side = [0] * self.n  # 0 until reached
+        side[0] = 1
+        reached = [0]
+        walk = iter(reached)  # sees the vertices appended while it runs
+        bipartite = True
+        for u in walk:
+            other = -side[u]
+            for w in adj[u]:
+                s = side[w]
+                if not s:
+                    side[w] = other
+                    reached.append(w)
+                elif s != other:
+                    bipartite = False
+            if not bipartite:
+                break
+        for u in walk:  # after an odd cycle, only reach the rest
+            for w in adj[u]:
+                if not side[w]:
+                    side[w] = 1
+                    reached.append(w)
+        if len(reached) != self.n:
+            return False
+        if bipartite and coloring is not None:
+            coloring += side
+        return True
 
     def connected_components(self) -> list[list[int]]:
         seen = [False] * self.n

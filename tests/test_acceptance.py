@@ -17,7 +17,6 @@ from lirdec.colorers import (
     color_double_multipartite,
     color_double_path,
     color_double_wheel,
-    color_t_family_3,
     cycle_states,
 )
 from lirdec.decomposition import BB, RB, RR, Decomposition, verify
@@ -37,6 +36,7 @@ from lirdec.solver import (
 )
 
 from oracle import (
+    color_t_family_3,
     colors_used,
     degree_parity,
     parity_profile,

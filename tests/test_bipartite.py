@@ -388,6 +388,28 @@ def test_bipartition_is_computed_once_per_coloring(monkeypatch):
         find_twin_split(g)
         assert calls[0] == 1, g.edges
     calls[0] = 0
-    # a generic bipartite graph through the dispatcher: one test, reused
+    # a generic bipartite graph through the dispatcher: classify's walk
+    # found the sides, so nothing computes them again
     assert verify(color_double_auto(CASE2B)).valid
-    assert calls[0] == 1
+    assert calls[0] == 0
+
+
+def test_check_graph_walks_a_bipartite_other_graph_once(monkeypatch):
+    from lirdec.harness import check_graph
+
+    walks = [0]
+    is_connected = SimpleGraph.is_connected
+
+    def counted(self, *args):
+        walks[0] += 1
+        return is_connected(self, *args)
+
+    monkeypatch.setattr(SimpleGraph, "is_connected", counted)
+    rng = random.Random(12)
+    graphs = [CASE2A, CASE2B, CASE2B_REPAIR]
+    graphs += [random_connected_bipartite(rng.randrange(6, 30), rng) for _ in range(20)]
+    for g in graphs:
+        walks[0] = 0
+        record = check_graph(g)
+        assert (record.class_tag, record.method) == ("other", "constructive"), g.edges
+        assert walks[0] == 1, g.edges

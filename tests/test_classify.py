@@ -2,6 +2,8 @@
 
 import itertools
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -16,8 +18,11 @@ from lirdec.classify import (
     t_family_witness,
     wheel_order,
 )
+from lirdec.enumeration import enumerate_connected, random_connected_bipartite
+from lirdec.graph_io import read_graph6_lines
 from lirdec.graphs import (
     SimpleGraph,
+    bipartition_sides,
     bowtie_graph,
     complete_graph,
     complete_multipartite_graph,
@@ -273,9 +278,9 @@ def test_classify_tests_connectivity_once(monkeypatch):
     calls = [0]
     is_connected = SimpleGraph.is_connected
 
-    def counted(self):
+    def counted(self, *args):
         calls[0] += 1
-        return is_connected(self)
+        return is_connected(self, *args)
 
     monkeypatch.setattr(SimpleGraph, "is_connected", counted)
     rng = random.Random(5)
@@ -290,6 +295,48 @@ def test_classify_tests_connectivity_once(monkeypatch):
         calls[0] = 0
         classify(g)
         assert calls[0] == 1, g.edges
+
+
+def test_classify_carries_the_sides_of_bipartite_other_graphs():
+    # the connectivity walk's 2-coloring: bipartition_sides for a bipartite
+    # OTHER graph, None after an odd cycle and for every other class
+    rng = random.Random(16)
+    graphs = [g for n in range(2, 8) for g in enumerate_connected(n)]
+    graphs += [random_connected_bipartite(rng.randrange(2, 40), rng) for _ in range(100)]
+    carried = 0
+    for g in graphs:
+        tag = classify(g)
+        expected = bipartition_sides(g) if tag.kind is ClassKind.OTHER else None
+        assert tag.sides == expected, g.edges
+        carried += expected is not None
+    assert carried > 100
+
+
+def test_triangle_pretest_keeps_every_member():
+    members = t_family_members(9)
+    assert len(members) > 10
+    for g, _ in members:
+        assert t_family_witness(g) is not None, g.edges
+        tag = classify(g)
+        if g.n == 3:
+            assert tag.kind is ClassKind.CYCLE  # the triangle itself
+        else:
+            assert tag.kind is ClassKind.T_FAMILY, g.edges
+            assert tag.sides is None
+
+
+def test_class_counts_over_every_connected_graph_on_eight_vertices():
+    data = Path(__file__).resolve().parent.parent / "bench" / "data" / "connected8.g6"
+    counts = Counter(classify(g).kind.value for g in read_graph6_lines(data.read_text()))
+    assert counts == {
+        "other": 11091,
+        "complete-multipartite": 20,
+        "t-family": 2,
+        "cycle": 1,
+        "path": 1,
+        "complete": 1,
+        "wheel": 1,
+    }
 
 
 def _wheel_reference(g):

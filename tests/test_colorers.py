@@ -23,7 +23,6 @@ from lirdec.colorers import (
     color_double_multipartite,
     color_double_path,
     color_double_wheel,
-    color_t_family_3,
     cycle_states,
     multipartite_states,
     path_states,
@@ -45,6 +44,7 @@ from lirdec.solver import SearchLimits, exact_lir_multigraph
 from oracle import (
     color_double_multipartite_reference,
     color_multipartite_graph_reference,
+    color_t_family_3,
     colors_used,
     cycle_states_brute,
     part_matrices,

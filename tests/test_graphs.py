@@ -1,10 +1,13 @@
 """Core graph model: construction, doubling, local irregularity."""
 
+import itertools
+
 import pytest
 
 from lirdec.graphs import (
     Multigraph,
     SimpleGraph,
+    bipartition_sides,
     bowtie_graph,
     canon_edge,
     complete_graph,
@@ -107,6 +110,24 @@ def test_connectivity_helpers():
     assert not g.is_connected()
     assert g.connected_components() == [[0, 1], [2, 3], [4]]
     assert cycle_graph(5).is_connected()
+
+
+def test_connectivity_walk_colors_every_labelled_graph_up_to_five_vertices():
+    # the coloring is filled only for a connected graph with no odd cycle,
+    # and then gives bipartition_sides, vertex 0's side as 1
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = SimpleGraph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            side = []
+            connected = g.is_connected(side)
+            assert connected == (len(g.connected_components()) == 1), g.edges
+            sides = bipartition_sides(g) if connected else None
+            if sides is None:
+                assert side == [], g.edges
+            else:
+                assert [v for v in range(n) if side[v] == 1] == sides[0], g.edges
+                assert [v for v in range(n) if side[v] == -1] == sides[1], g.edges
 
 
 def test_induced_subgraph():

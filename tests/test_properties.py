@@ -15,7 +15,6 @@ from lirdec.colorers import (
     color_double_multipartite,
     color_double_path,
     color_double_wheel,
-    color_t_family_3,
     multipartite_states,
 )
 from lirdec.decomposition import Decomposition, verify
@@ -29,7 +28,7 @@ from lirdec.graphs import (
     wheel_graph,
 )
 
-from oracle import t_family_members
+from oracle import color_t_family_3, t_family_members
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
