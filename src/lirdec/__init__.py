@@ -7,14 +7,7 @@ the two-color conjecture over graph catalogs.
 
 from .bipartite import color_double_bipartite, find_twin_split, path_system
 from .classify import ClassKind, classify, recognize_t_prime
-from .colorers import (
-    color_double_auto,
-    color_double_complete,
-    color_double_cycle,
-    color_double_multipartite,
-    color_double_path,
-    color_double_wheel,
-)
+from .colorers import color_double_auto
 from .decomposition import BB, RB, RR, Decomposition, VerifyReport, verify
 from .enumeration import enumerate_connected, enumerate_connected_bipartite
 from .graphs import Multigraph, SimpleGraph, double, is_locally_irregular
@@ -43,11 +36,6 @@ __all__ = [
     "classify",
     "color_double_auto",
     "color_double_bipartite",
-    "color_double_complete",
-    "color_double_cycle",
-    "color_double_multipartite",
-    "color_double_path",
-    "color_double_wheel",
     "double",
     "enumerate_connected",
     "enumerate_connected_bipartite",

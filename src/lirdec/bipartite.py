@@ -148,12 +148,12 @@ def color_double_bipartite(
     if len(x) % 2 == 0 or len(y) % 2 == 0:
         # a side of even size: make it odd/odd via the path system
         join = path_system(g, x if len(x) % 2 == 0 else y)
-        return Decomposition(host, 2, {e: RB if e in join else BB for e in g.edges})
+        return Decomposition(host, 2, [RB if e in join else BB for e in g.edges])
 
     s_list, t_list, xp, yp = find_twin_split(g, sides)
     if not xp and not yp:
         # complete bipartite: the two-part colorer on the actual labels
-        return Decomposition(host, 2, multipartite_states([s_list, t_list]))
+        return Decomposition(host, 2, multipartite_states(g, [s_list, t_list]))
 
     xp_set = set(xp)
     region = xp_set.union(yp)
@@ -212,7 +212,8 @@ def color_double_bipartite(
             if not rich:
                 paint(others_t[:1], s_list, RR)
 
-    missing = [e for e in g.edges if e not in assign]
-    if missing:
+    states = list(map(assign.get, g.edges))
+    if None in states:
+        missing = [e for e, state in zip(g.edges, states) if state is None]
         raise AssertionError(f"edges left uncolored: {missing}")
-    return Decomposition(host, 2, assign)
+    return Decomposition(host, 2, states)

@@ -151,42 +151,20 @@ def wheel_order(g: SimpleGraph) -> tuple[int, list[int]] | None:
 def multipartite_parts(g: SimpleGraph) -> list[list[int]] | None:
     """Parts of g when complete multipartite (>= 2 parts), else None.
 
-    A graph is complete multipartite iff its complement is a disjoint union
-    of cliques; the complement components are the parts. A vertex in a part
-    of size s has degree n - s, so the count of vertices of each degree d
-    must be a multiple of n - d: an O(n) pretest that turns most other
-    graphs away before the O(n^2) complement sets are built.
+    Vertices are grouped by neighbourhood. Members of a group are pairwise
+    non-adjacent, as none is its own neighbour, so a group whose size plus
+    its members' degree is n has everything outside it as neighbourhood.
+    g is complete multipartite iff every group is such a part and there are
+    at least two: the parts of a complete multipartite graph are exactly its
+    neighbourhood groups. Parts come by smallest vertex, each sorted.
     """
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for v, ns in enumerate(g.adj):
+        groups.setdefault(ns, []).append(v)
     n = g.n
-    count = [0] * n
-    for ns in g.adj:
-        count[len(ns)] += 1
-    if any(c % (n - d) for d, c in enumerate(count)):
+    if len(groups) < 2 or any(len(p) + len(ns) != n for ns, p in groups.items()):
         return None
-    everyone = set(range(n))
-    comp_adj = [everyone.difference(g.adj[u], (u,)) for u in range(n)]
-    seen = [False] * n
-    parts = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        stack, comp = [s], [s]
-        seen[s] = True
-        while stack:
-            u = stack.pop()
-            for w in comp_adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        comp_set = set(comp)
-        for u in comp:
-            if comp_adj[u] != comp_set - {u}:
-                return None  # complement component is not a clique
-        parts.append(sorted(comp))
-    if len(parts) < 2:
-        return None
-    return parts
+    return list(groups.values())
 
 
 def triangles_of(g: SimpleGraph) -> list[tuple[int, int, int]]:

@@ -130,7 +130,7 @@ def _emit(decomposition: Decomposition, fmt: str, out) -> None:
         out.write(decomposition_to_dot(decomposition))
     else:
         out.write(f"n={decomposition.host.n} k={decomposition.k}\n")
-        for (u, v), counts in sorted(decomposition.assign.items()):
+        for (u, v), counts in zip(decomposition.host.edges, decomposition.vectors):
             out.write(f"{u} {v} {' '.join(map(str, counts))}\n")
 
 

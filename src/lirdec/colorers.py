@@ -5,8 +5,8 @@ class has one construction, a function from a vertex order or parts to
 multiedge states: path_assign for paths, ring_assign for cycles and wheels,
 multipartite_states for complete multipartite and complete graphs.
 color_double_auto runs it on the order or parts classify found (a complete
-graph's parts are its single vertices), and the color_double_<class>
-functions on canonical labels. The even-length path pattern is
+graph's parts are its single vertices) and hands the Decomposition the
+states in the host's edge order. The even-length path pattern is
 BB,BB,RR,RR repeating; odd paths prepend BB,RB,RR. Cycles of length 3..7
 take the literal CYCLE_BASE table; longer cycles splice BB,BB,RR,RR blocks
 in right after the base's two adjacent all-red multiedges. A wheel is its
@@ -25,15 +25,7 @@ from collections.abc import Sequence
 
 from .classify import Classification, ClassKind, classify
 from .decomposition import BB, RB, RR, Decomposition
-from .graphs import (
-    Edge,
-    SimpleGraph,
-    complete_multipartite_graph,
-    cycle_graph,
-    double,
-    path_graph,
-    wheel_graph,
-)
+from .graphs import Edge, SimpleGraph, double
 
 State = tuple[int, int]
 
@@ -93,28 +85,6 @@ def ring_assign(order: Sequence[int], hub: int | None = None) -> dict[Edge, Stat
     return assign
 
 
-def color_double_path(n: int) -> Decomposition:
-    """Two-coloring of the doubled path on n >= 3 vertices."""
-    assign = path_assign(range(n))
-    return Decomposition(double(path_graph(n)), 2, assign)
-
-
-def color_double_cycle(length: int) -> Decomposition:
-    """Two-coloring of the doubled cycle with the given edge count."""
-    return Decomposition(double(cycle_graph(length)), 2, ring_assign(range(length)))
-
-
-def color_double_wheel(n: int) -> Decomposition:
-    """Two-coloring of the doubled wheel of order n >= 4: rim 0..n-2, hub n-1."""
-    return Decomposition(double(wheel_graph(n)), 2, ring_assign(range(n - 1), n - 1))
-
-
-def color_double_complete(n: int) -> Decomposition:
-    """Two-coloring of the doubled complete graph on n >= 3 vertices: the
-    multipartite construction on singleton parts 0..n-1."""
-    return color_double_multipartite([1] * n)
-
-
 def _part_rows(sizes: list[int]) -> tuple[dict[tuple[int, int], State], list[State]]:
     """Part matrix of the doubled complete multipartite graph on k >= 3
     parts with these sizes, largest first: the seed, keyed by part-index
@@ -162,16 +132,16 @@ def _part_rows(sizes: list[int]) -> tuple[dict[tuple[int, int], State], list[Sta
     return seed, rows
 
 
-def multipartite_states(parts: list[list[int]]) -> dict[Edge, State]:
-    """States of every multiedge of the doubled complete multipartite graph
-    with these parts, on the parts' own vertex labels.
+def multipartite_states(g: SimpleGraph, parts: list[list[int]]) -> list[State]:
+    """States of the multiedges of the doubled complete multipartite graph
+    g with these parts, in g's edge order.
 
     Parts are taken largest first (ties keep input order). Two parts: all
     red when unbalanced, else the multiedges at the first part's first
     vertex red and the rest blue. Three or more: _part_rows, every multiedge
     among the three largest parts in their pair's seed state, and every
     multiedge from a later part to an earlier one in the later part's row
-    state.
+    state; each edge reads its state from the table of part pairs.
     """
     k = len(parts)
     if k < 2 or any(not p for p in parts):
@@ -182,32 +152,23 @@ def multipartite_states(parts: list[list[int]]) -> dict[Edge, State]:
     if k == 2:
         a, b = parts
         if len(a) != len(b):
-            return {(u, v) if u < v else (v, u): RR for u in a for v in b}
+            return [RR] * g.m
         chosen = a[0]
-        return {(u, v) if u < v else (v, u): RR if u == chosen else BB for u in a for v in b}
+        return [RR if u == chosen or v == chosen else BB for u, v in g.edges]
     seed, rows = _part_rows([len(p) for p in parts])
-    assign = {}
+    table = [[None] * k for _ in range(k)]  # table[i][j]: the state between parts i and j
     for (i, j), state in seed.items():
-        for u in parts[i]:
-            for v in parts[j]:
-                assign[(u, v) if u < v else (v, u)] = state
-    earlier = parts[0] + parts[1] + parts[2]
-    for part, state in zip(parts[3:], rows):
+        table[i][j] = table[j][i] = state
+    for t, state in enumerate(rows, 3):
+        for i in range(t):
+            table[i][t] = table[t][i] = state
+    row_of: list = [None] * g.n  # each vertex's part's row of the table
+    part_of = [0] * g.n
+    for i, part in enumerate(parts):
         for v in part:
-            for u in earlier:
-                assign[(u, v) if u < v else (v, u)] = state
-        earlier += part
-    return assign
-
-
-def color_double_multipartite(sizes: list[int]) -> Decomposition:
-    """Two-coloring of the doubled complete multipartite graph with the given
-    part sizes; part i holds the next sizes[i] vertices. See
-    multipartite_states for the construction."""
-    bounds = list(itertools.accumulate(sizes, initial=0))
-    parts = [list(range(bounds[i], bounds[i + 1])) for i in range(len(sizes))]
-    assign = multipartite_states(parts)
-    return Decomposition(double(complete_multipartite_graph(list(sizes))), 2, assign)
+            row_of[v] = table[i]
+            part_of[v] = i
+    return [row_of[u][part_of[v]] for u, v in g.edges]
 
 
 # --- dispatch --------------------------------------------------------------
@@ -233,13 +194,13 @@ def color_double_auto(
 
         return color_double_bipartite(g, tag.sides)
     if tag.kind is ClassKind.PATH:
-        assign = path_assign(tag.order)
+        states = list(map(path_assign(tag.order).__getitem__, g.edges))
     elif tag.kind is ClassKind.CYCLE or tag.kind is ClassKind.WHEEL:
-        assign = ring_assign(tag.order, tag.hub)
+        states = list(map(ring_assign(tag.order, tag.hub).__getitem__, g.edges))
     elif tag.kind is ClassKind.COMPLETE:
-        assign = multipartite_states([[v] for v in range(g.n)])
+        states = multipartite_states(g, [[v] for v in range(g.n)])
     elif tag.kind is ClassKind.COMPLETE_MULTIPARTITE:
-        assign = multipartite_states(tag.parts)
+        states = multipartite_states(g, tag.parts)
     else:
         return None  # an odd cycle outside the closed-form classes
-    return Decomposition(double(g), 2, assign)
+    return Decomposition(double(g), 2, states)

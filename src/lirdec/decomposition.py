@@ -4,20 +4,23 @@ A decomposition splits each edge's multiplicity among k colors. Color 0 is
 red and color 1 is blue by convention; a doubled edge therefore has three
 states: RR (2,0), RB (1,1), BB (0,2).
 
-Each witness is validated once, by the Decomposition constructor, and
-verified once, by verify; each is a single pass over the edges. On a host
-of more than _PER_EDGE_MAX edges the constructor checks length, sign and sum
-once per distinct count vector, and per edge only coverage and the
-multiplicity; a smaller host is checked edge by edge. verify makes one
-degree pass, which re-checks every sum, and one conflict pass over all
-colors. Nothing is trusted or cached between the two, and verify is the only
-judge.
+A witness is a tuple of count vectors in the host's edge order, validated
+once by the Decomposition constructor and verified once by verify. A mapping
+from edges, as public callers give, is checked edge by edge. A list or tuple
+in edge order, as the colorers and the solver hand over, is checked once per
+distinct vector plus one comparison of its sums with the multiplicities, and
+edge by edge when that fails, so both routes name the same first bad edge.
+verify zips the edges with the vectors in one degree pass, which re-checks
+every sum, and one conflict pass. Nothing is trusted or cached between the
+two, and verify is the only judge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .graphs import Edge, Multigraph
 
@@ -30,39 +33,44 @@ RED = 0
 BLUE = 1
 
 
-# Up to this many edges the per-edge checks are the faster route: the bulk
-# pass's set-up costs more than it saves on small witnesses, such as the
-# exact search's (measured on the benchmark's decide7 workload).
-_PER_EDGE_MAX = 32
-
-
 class Decomposition:
     """Per-edge color-count vectors summing to the edge multiplicity, kept
-    in the host's edge order. A malformed assignment raises ValueError
-    naming its first bad edge in that order."""
+    in the host's edge order as `vectors`. `counts` maps edges to vectors,
+    or is a list or tuple of vectors in edge order. A malformed one raises
+    ValueError naming its first bad edge in that order."""
 
-    __slots__ = ("host", "k", "assign")
+    __slots__ = ("host", "k", "vectors")
 
-    def __init__(self, host: Multigraph, k: int, assign: dict[Edge, tuple[int, ...]]):
+    def __init__(self, host: Multigraph, k: int, counts: Mapping[Edge, Sequence[int]] | Sequence):
         if k < 1:
             raise ValueError("need at least one color")
         edges = host.edges
-        cleaned = None
-        if len(edges) > _PER_EDGE_MAX and len(assign) == len(edges):
-            try:
-                cleaned = _checked_in_bulk(host, k, list(map(assign.get, edges)))
-            except (KeyError, TypeError):  # left to the per-edge checks
-                pass
+        if isinstance(counts, (list, tuple)):
+            vectors = tuple(counts)
+            if len(vectors) != len(edges):
+                raise ValueError(f"expected {len(edges)} count vectors, got {len(vectors)}")
+            if not _valid_in_bulk(host, k, vectors):
+                vectors = _checked_by_edge(host, k, vectors)
+        else:
+            vectors = _checked_by_edge(host, k, map(counts.get, edges))
+            if len(counts) != len(edges):
+                extra = set(counts) - set(edges)
+                raise ValueError(f"assignment for non-edges: {sorted(extra)}")
         self.host = host
         self.k = k
-        self.assign = _checked_by_edge(host, k, assign) if cleaned is None else cleaned
+        self.vectors: tuple[tuple[int, ...], ...] = vectors
+
+    @property
+    def assign(self) -> Mapping[Edge, tuple[int, ...]]:
+        """Read-only view of each edge's count vector, in edge order."""
+        return MappingProxyType(dict(zip(self.host.edges, self.vectors)))
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Decomposition)
             and self.host == other.host
             and self.k == other.k
-            and self.assign == other.assign
+            and self.vectors == other.vectors
         )
 
     def __repr__(self) -> str:
@@ -80,17 +88,6 @@ class VerifyReport:
         return not self.conflicts
 
 
-def color_degree_table(d: Decomposition) -> list[list[int]]:
-    """All color degrees at once: table[v][c]."""
-    table = [[0] * d.k for _ in range(d.host.n)]
-    for (u, v), counts in d.assign.items():
-        for c, cnt in enumerate(counts):
-            if cnt:
-                table[u][c] += cnt
-                table[v][c] += cnt
-    return table
-
-
 def verify(d: Decomposition) -> VerifyReport:
     """Check that every color induces a locally irregular submultigraph.
 
@@ -99,39 +96,38 @@ def verify(d: Decomposition) -> VerifyReport:
     by color, then in edge order. Raises ValueError on a malformed
     decomposition (count sums not matching multiplicities).
 
-    One degree pass over the assignment re-checks every sum (each distinct
-    count vector is summed once); one conflict pass over the edges tests
-    every color an edge carries.
+    One degree pass zips the edges with the vectors and re-checks every sum,
+    reading each distinct vector's sum and colors once; one conflict pass
+    tests every color an edge carries.
     """
-    k, assign, mult = d.k, d.assign, d.host.mult
-    degrees = [[0] * d.host.n for _ in range(k)]  # degrees[c][v]
-    seen: dict = {}  # count vector -> (its sum, its non-zero (color, count) pairs)
-    for e, counts in assign.items():
+    edges, vectors, mult = d.host.edges, d.vectors, d.host.mult
+    if len(vectors) != len(edges):
+        raise ValueError(f"malformed decomposition: {len(vectors)} count vectors for {len(edges)} edges")
+    degrees = [[0] * d.host.n for _ in range(d.k)]  # degrees[c][v]
+    seen: dict = {}  # count vector -> _vector_info
+    carried = []  # per edge, the colors it carries
+    for e, counts in zip(edges, vectors):
         try:
-            info = seen.get(counts)
-        except TypeError:  # an unhashable count list
-            info = None
-        if info is None:
-            info = sum(counts), tuple(filter(_count, enumerate(counts)))
-            if type(counts) is tuple:
-                seen[counts] = info
+            info = seen[counts]
+        except KeyError:
+            info = seen[counts] = _vector_info(counts)
+        except TypeError:  # a count list
+            info = _vector_info(counts)
         if info[0] != mult[e]:
             raise ValueError(f"malformed decomposition at edge {e}")
+        carried.append(info[2])
         u, v = e
         for c, x in info[1]:
             dc = degrees[c]
             dc[u] += x
             dc[v] += x
     conflicts = []
-    colors = range(k)
-    for e in d.host.edges:
-        counts = assign[e]
+    for e, colors in zip(edges, carried):
         u, v = e
         for c in colors:
-            if counts[c] >= 1:
-                dc = degrees[c]
-                if dc[u] == dc[v]:
-                    conflicts.append((c, e, dc[u]))
+            dc = degrees[c]
+            if dc[u] == dc[v]:
+                conflicts.append((c, e, dc[u]))
     conflicts.sort(key=_color)  # stable: edge order within each color
     return VerifyReport(conflicts)
 
@@ -140,32 +136,39 @@ _color = itemgetter(0)
 _count = itemgetter(1)
 
 
-def _checked_in_bulk(host: Multigraph, k: int, vectors: list) -> dict | None:
-    """The assignment in edge order when every edge's entry in `vectors`
-    (one per edge, from an assignment with no other entries) is a valid
-    count vector; None when any check fails, for _checked_by_edge to name
+def _vector_info(counts) -> tuple:
+    """A count vector's sum, its non-zero (color, count) pairs, and the
+    colors it carries (count >= 1)."""
+    pairs = tuple(filter(_count, enumerate(counts)))
+    return sum(counts), pairs, [c for c, x in pairs if x >= 1]
+
+
+def _valid_in_bulk(host: Multigraph, k: int, vectors: tuple) -> bool:
+    """Whether vectors, one per edge in edge order, are plain tuples of k
+    non-negative counts summing to each edge's multiplicity: each distinct
+    vector is checked once. False on any fault, for _checked_by_edge to name
     the first bad edge."""
-    edges = host.edges
-    if set(map(type, vectors)) != {tuple}:
-        return None  # a missing entry, or counts to be turned into tuples
+    if set(map(type, vectors)) - {tuple}:
+        return False  # a missing entry, or counts to be turned into tuples
     sums = {}
-    for counts in set(vectors):
-        if len(counts) != k or min(counts) < 0:
-            return None
-        sums[counts] = sum(counts)
-    mult = host.mult
-    mults = list(mult.values()) if tuple(mult) == edges else list(map(mult.__getitem__, edges))
-    if list(map(sums.__getitem__, vectors)) != mults:
-        return None
-    return dict(zip(edges, vectors))
+    try:
+        for counts in set(vectors):
+            if len(counts) != k or min(counts) < 0:
+                return False
+            sums[counts] = sum(counts)
+    except TypeError:  # counts that do not compare with 0
+        return False
+    mult, edges = host.mult, host.edges
+    mults = mult.values() if tuple(mult) == edges else map(mult.__getitem__, edges)
+    return list(map(sums.__getitem__, vectors)) == list(mults)
 
 
-def _checked_by_edge(host: Multigraph, k: int, assign) -> dict[Edge, tuple[int, ...]]:
-    """The per-edge checks, in edge order: they name the first bad edge, and
-    turn count lists into tuples."""
-    cleaned: dict[Edge, tuple[int, ...]] = {}
-    for e in host.edges:
-        counts = assign.get(e)
+def _checked_by_edge(host: Multigraph, k: int, entries) -> tuple[tuple[int, ...], ...]:
+    """The per-edge checks on entries, one per edge in edge order (None for
+    a missing one): they name the first bad edge, and turn count lists into
+    tuples."""
+    vectors = []
+    for e, counts in zip(host.edges, entries):
         if counts is None:
             raise ValueError(f"edge {e} has no color assignment")
         counts = tuple(counts)
@@ -177,8 +180,5 @@ def _checked_by_edge(host: Multigraph, k: int, assign) -> dict[Edge, tuple[int, 
             raise ValueError(
                 f"edge {e}: counts sum {sum(counts)} != multiplicity {host.mult[e]}"
             )
-        cleaned[e] = counts
-    if len(assign) != len(host.edges):
-        extra = set(assign) - set(host.edges)
-        raise ValueError(f"assignment for non-edges: {sorted(extra)}")
-    return cleaned
+        vectors.append(counts)
+    return tuple(vectors)

@@ -134,15 +134,14 @@ def decomposition_to_json(d: Decomposition) -> str:
     """Serialize a decomposition; byte-stable across runs.
 
     Writes the text directly: it equals json.dumps of the payload with
-    sorted keys and compact separators, without building the payload. Each
-    edge's text is its state's text, then its two vertex names.
+    sorted keys and compact separators, without building the payload. The
+    edges are zipped with their count vectors; each edge's text is its
+    vector's text, then its two vertex names.
     """
-    assign = d.assign
-    edges = d.host.edges
-    heads = {c: '{"counts":[%s],"u":' % ",".join(map(str, c)) for c in set(assign.values())}
+    edges, vectors = d.host.edges, d.vectors
+    heads = {c: '{"counts":[%s],"u":' % ",".join(map(str, c)) for c in set(vectors)}
     names = list(map(str, range(d.host.n)))
-    states = assign.values() if tuple(assign) == edges else map(assign.__getitem__, edges)
-    body = ",".join([f'{heads[s]}{names[u]},"v":{names[v]}}}' for (u, v), s in zip(edges, states)])
+    body = ",".join([f'{heads[s]}{names[u]},"v":{names[v]}}}' for (u, v), s in zip(edges, vectors)])
     return f'{{"edges":[{body}],"k":{d.k},"n":{d.host.n}}}'
 
 
@@ -195,8 +194,8 @@ def decomposition_to_dot(d: Decomposition, name: str = "decomposition") -> str:
     lines = [f"graph {name} {{"]
     for v in range(d.host.n):
         lines.append(f"  {v};")
-    for u, v in d.host.edges:
-        for c, cnt in enumerate(d.assign[(u, v)]):
+    for (u, v), counts in zip(d.host.edges, d.vectors):
+        for c, cnt in enumerate(counts):
             color = DOT_COLORS[c] if c < len(DOT_COLORS) else f"gray{30 + c * 10}"
             for _ in range(cnt):
                 lines.append(f'  {u} -- {v} [color="{color}"];')

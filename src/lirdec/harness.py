@@ -16,6 +16,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Iterator
 
 from .classify import classify
@@ -45,22 +46,18 @@ class SweepRecord:
     detail: str = ""
 
     def to_json(self) -> str:
-        payload = {
-            "graph": self.graph_id,
-            "n": self.n,
-            "m": self.m,
-            "class": self.class_tag,
-            "method": self.method,
-            "result": self.result,
-            "runtime": round(self.runtime, 6),
-            "detail": self.detail,
-        }
-        head = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        # "witness" sorts after every other key, so its text goes last
+        """The record as json.dumps writes it with sorted keys and compact
+        separators, written directly: strings escaped to ASCII as json does,
+        runtime rounded to microseconds."""
         witness = (
             decomposition_to_json(self.witness) if self.witness is not None else "null"
         )
-        return f'{head[:-1]},"witness":{witness}}}'
+        return (
+            f'{{"class":{_quote(self.class_tag)},"detail":{_quote(self.detail)},'
+            f'"graph":{_quote(self.graph_id)},"m":{self.m},"method":{_quote(self.method)},'
+            f'"n":{self.n},"result":{_quote(self.result)},'
+            f'"runtime":{round(self.runtime, 6)!r},"witness":{witness}}}'
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "SweepRecord":

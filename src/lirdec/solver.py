@@ -53,7 +53,7 @@ a blown node budget yields "inconclusive", never "none".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -247,8 +247,9 @@ def _search_multigraph_k(
     lex: list[tuple[tuple[tuple[int, int], ...], ...]],
     k: int,
     budget: list[int],
-) -> dict[Edge, tuple[int, ...]] | None:
-    """Find a valid k-coloring of m, or None after exhausting the space.
+) -> list[tuple[int, ...]] | None:
+    """Find a valid k-coloring of m, as count vectors in the order of
+    edges, or None after exhausting the space.
 
     edges is _edge_order(m.base), checks is _schedule and lex is _lex_checks
     over it. A state's value is its rank in compositions(mult, k), the order
@@ -346,7 +347,7 @@ def _search_multigraph_k(
                 i += 1
                 if i == n_edges:
                     break
-    return {e: states[q - 1] for e, states, q in zip(edges, state_lists, pick)}
+    return [states[q - 1] for states, q in zip(state_lists, pick)]
 
 
 def _search_graph_k(
@@ -413,14 +414,16 @@ def _search_graph_k(
     return color
 
 
-def _one_per_edge_witness(g: SimpleGraph, edges: list[Edge], colors: list[int], k: int) -> Decomposition:
-    host = Multigraph(g)
-    assign = {}
-    for e, c in zip(edges, colors):
-        counts = [0] * k
-        counts[c] = 1
-        assign[e] = tuple(counts)
-    return Decomposition(host, k, assign)
+def _in_host_order(edges: list[Edge], picks: list) -> list:
+    """Picks made in the order of edges (an _edge_order), put in the host's
+    edge order, which is edges sorted."""
+    return [picks[i] for i in sorted(range(len(edges)), key=edges.__getitem__)]
+
+
+def _one_per_edge_witness(g: SimpleGraph, colors: list[int], k: int) -> Decomposition:
+    """The decomposition of g giving each edge, in edge order, its color."""
+    units = [(0,) * c + (1,) + (0,) * (k - 1 - c) for c in range(k)]
+    return Decomposition(Multigraph(g), k, [units[c] for c in colors])
 
 
 def _checked(d: Decomposition) -> Decomposition:
@@ -437,7 +440,7 @@ def exact_lir_multigraph(m: Multigraph, lim: SearchLimits | None = None) -> Solv
         raise ValueError(f"too many edges: {len(m.edges)} > limit {lim.max_edges}")
     if is_locally_irregular(m):
         # the only 1-coloring gives every edge its whole multiplicity
-        witness = _checked(Decomposition(m, 1, {e: (mu,) for e, mu in m.mult.items()}))
+        witness = _checked(Decomposition(m, 1, [(m.mult[e],) for e in m.edges]))
         return SolveResult(SearchStatus.FOUND, 1, witness, 0)
     budget = [lim.node_budget]
     edges = _edge_order(m.base)
@@ -449,7 +452,7 @@ def exact_lir_multigraph(m: Multigraph, lim: SearchLimits | None = None) -> Solv
         except _BudgetExhausted:
             return SolveResult(SearchStatus.INCONCLUSIVE, nodes=lim.node_budget)
         if found is not None:
-            witness = _checked(Decomposition(m, k, found))
+            witness = _checked(Decomposition(m, k, _in_host_order(edges, found)))
             return SolveResult(
                 SearchStatus.FOUND, k, witness, lim.node_budget - budget[0]
             )
@@ -464,7 +467,7 @@ def exact_lir_graph(g: SimpleGraph, lim: SearchLimits | None = None) -> SolveRes
     adj = g.adj
     if all(len(adj[u]) != len(adj[v]) for u, v in g.edges):
         # locally irregular: one class holds every edge
-        witness = _checked(_one_per_edge_witness(g, list(g.edges), [0] * g.m, 1))
+        witness = _checked(_one_per_edge_witness(g, [0] * g.m, 1))
         return SolveResult(SearchStatus.FOUND, 1, witness, 0)
     budget = [lim.node_budget]
     edges = _edge_order(g)
@@ -476,7 +479,7 @@ def exact_lir_graph(g: SimpleGraph, lim: SearchLimits | None = None) -> SolveRes
         except _BudgetExhausted:
             return SolveResult(SearchStatus.INCONCLUSIVE, nodes=lim.node_budget)
         if found is not None:
-            witness = _checked(_one_per_edge_witness(g, edges, found, k))
+            witness = _checked(_one_per_edge_witness(g, _in_host_order(edges, found), k))
             return SolveResult(
                 SearchStatus.FOUND, k, witness, lim.node_budget - budget[0]
             )
@@ -497,4 +500,5 @@ def is_decomposable(g: SimpleGraph, lim: SearchLimits | None = None) -> SolveRes
         return SolveResult(SearchStatus.FOUND, 0, None, 0)
     if g.m == 1:
         return SolveResult(SearchStatus.NONE, nodes=0)
-    return exact_lir_graph(g, replace(lim or SearchLimits(), max_colors=g.m // 2))
+    lim = lim or SearchLimits()
+    return exact_lir_graph(g, SearchLimits(g.m // 2, lim.max_edges, lim.node_budget))

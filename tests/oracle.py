@@ -11,17 +11,20 @@ import itertools
 import random
 
 from lirdec.classify import TWitness, t_family_witness, triangles_of
-from lirdec.colorers import _part_rows
-from lirdec.decomposition import BB, RB, RR, Decomposition, color_degree_table, verify
+from lirdec.colorers import _part_rows, multipartite_states, path_assign, ring_assign
+from lirdec.decomposition import BB, RB, RR, Decomposition, verify
 from lirdec.enumeration import canonical_key
 from lirdec.graphs import (
     Edge,
     Multigraph,
     SimpleGraph,
     canon_edge,
+    complete_multipartite_graph,
     cycle_graph,
     double,
     is_locally_irregular,
+    path_graph,
+    wheel_graph,
 )
 
 
@@ -373,6 +376,17 @@ def relabeled(d: Decomposition, mapping: list[int], new_host: Multigraph) -> Dec
         canon_edge(mapping[u], mapping[v]): counts for (u, v), counts in d.assign.items()
     }
     return Decomposition(new_host, d.k, assign)
+
+
+def color_degree_table(d: Decomposition) -> list[list[int]]:
+    """All color degrees at once: table[v][c]."""
+    table = [[0] * d.k for _ in range(d.host.n)]
+    for (u, v), counts in d.assign.items():
+        for c, cnt in enumerate(counts):
+            if cnt:
+                table[u][c] += cnt
+                table[v][c] += cnt
+    return table
 
 
 def color_degree(d: Decomposition, v: int, c: int) -> int:
@@ -796,3 +810,37 @@ def verify_reference(d: Decomposition) -> list[tuple[int, Edge, int]]:
                 if table[u][c] == table[v][c]:
                     conflicts.append((c, e, table[u][c]))
     return conflicts
+
+
+# The class constructions on canonical labels 0..n-1, as the program's
+# color_double_auto runs them on the labels classify finds.
+
+
+def color_double_path(n: int) -> Decomposition:
+    """Two-coloring of the doubled path on n >= 3 vertices."""
+    return Decomposition(double(path_graph(n)), 2, path_assign(range(n)))
+
+
+def color_double_cycle(length: int) -> Decomposition:
+    """Two-coloring of the doubled cycle with the given edge count."""
+    return Decomposition(double(cycle_graph(length)), 2, ring_assign(range(length)))
+
+
+def color_double_wheel(n: int) -> Decomposition:
+    """Two-coloring of the doubled wheel of order n >= 4: rim 0..n-2, hub n-1."""
+    return Decomposition(double(wheel_graph(n)), 2, ring_assign(range(n - 1), n - 1))
+
+
+def color_double_complete(n: int) -> Decomposition:
+    """Two-coloring of the doubled complete graph on n >= 3 vertices: the
+    multipartite construction on singleton parts 0..n-1."""
+    return color_double_multipartite([1] * n)
+
+
+def color_double_multipartite(sizes: list[int]) -> Decomposition:
+    """Two-coloring of the doubled complete multipartite graph with the given
+    part sizes; part i holds the next sizes[i] vertices."""
+    g = complete_multipartite_graph(list(sizes))
+    bounds = list(itertools.accumulate(sizes, initial=0))
+    parts = [list(range(bounds[i], bounds[i + 1])) for i in range(len(sizes))]
+    return Decomposition(double(g), 2, multipartite_states(g, parts))

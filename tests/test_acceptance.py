@@ -11,14 +11,7 @@ import time
 
 from lirdec.bipartite import color_double_bipartite, path_system
 from lirdec.classify import recognize_t_prime
-from lirdec.colorers import (
-    color_double_complete,
-    color_double_cycle,
-    color_double_multipartite,
-    color_double_path,
-    color_double_wheel,
-    cycle_states,
-)
+from lirdec.colorers import cycle_states
 from lirdec.decomposition import BB, RB, RR, Decomposition, verify
 from lirdec.enumeration import (
     enumerate_connected,
@@ -36,6 +29,11 @@ from lirdec.solver import (
 )
 
 from oracle import (
+    color_double_complete,
+    color_double_cycle,
+    color_double_multipartite,
+    color_double_path,
+    color_double_wheel,
     color_t_family_3,
     colors_used,
     degree_parity,

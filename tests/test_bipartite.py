@@ -5,7 +5,7 @@ import random
 import pytest
 
 from lirdec.bipartite import color_double_bipartite, find_twin_split, path_system
-from lirdec.decomposition import BB, RB, Decomposition, color_degree_table, verify
+from lirdec.decomposition import BB, RB, Decomposition, verify
 from lirdec.enumeration import (
     enumerate_connected_bipartite,
     random_connected_bipartite,
@@ -22,6 +22,7 @@ from lirdec.graphs import (
 from lirdec.solver import SearchLimits, SearchStatus, exact_lir_multigraph
 
 from oracle import (
+    color_degree_table,
     degree_parity,
     find_twin_split_reference,
     parity_profile,

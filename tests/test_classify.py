@@ -183,8 +183,8 @@ def test_multipartite_parts_on_every_small_size_vector():
 
 
 def test_multipartite_parts_on_every_connected_graph_through_seven_vertices():
-    # the degree-count pretest turns most of these away; it must never turn
-    # away a complete multipartite graph
+    # one graph per isomorphism class; grouping by neighbourhood must find
+    # every complete multipartite one and no other
     from lirdec.enumeration import enumerate_connected
 
     members = 0
@@ -194,6 +194,21 @@ def test_multipartite_parts_on_every_connected_graph_through_seven_vertices():
             assert multipartite_parts(g) == expected, g.edges
             members += expected is not None
     assert members == len(size_vectors(7, 7))  # one per partition of 2..7
+
+
+def test_multipartite_parts_on_every_labelled_graph_through_five_vertices():
+    # every edge set on 0..n-1: connected, disconnected or edgeless
+    members = 0
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = SimpleGraph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            expected = multipartite_parts_reference(g)
+            assert multipartite_parts(g) == expected, (n, g.edges)
+            members += expected is not None
+    # labelled complete multipartite graphs on n vertices: the set partitions
+    # of n into at least two blocks, 0 + 1 + 4 + 14 + 51 for n = 1..5
+    assert members == 70
 
 
 def test_multipartite_parts_on_random_non_members():

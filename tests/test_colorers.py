@@ -18,16 +18,11 @@ from lirdec.colorers import (
     CYCLE_BASE,
     RR,
     color_double_auto,
-    color_double_complete,
-    color_double_cycle,
-    color_double_multipartite,
-    color_double_path,
-    color_double_wheel,
     cycle_states,
     multipartite_states,
     path_states,
 )
-from lirdec.decomposition import Decomposition, color_degree_table, verify
+from lirdec.decomposition import Decomposition, verify
 from lirdec.graphs import (
     SimpleGraph,
     bowtie_graph,
@@ -42,7 +37,13 @@ from lirdec.graphs import (
 from lirdec.solver import SearchLimits, exact_lir_multigraph
 
 from oracle import (
+    color_degree_table,
+    color_double_complete,
+    color_double_cycle,
+    color_double_multipartite,
     color_double_multipartite_reference,
+    color_double_path,
+    color_double_wheel,
     color_multipartite_graph_reference,
     color_t_family_3,
     colors_used,
@@ -286,7 +287,7 @@ def test_multipartite_matches_the_canonical_then_relabeled_reference():
             continue  # K2: test_multipartite_rejects_k2
         d = color_double_multipartite(sizes)
         h = _relabel(complete_multipartite_graph(sizes), rng)
-        states = multipartite_states(multipartite_parts(h))
+        states = multipartite_states(h, multipartite_parts(h))
         tag = classify(h)
         auto = color_double_auto(h, tag)
         assert d == color_double_multipartite_reference(sizes)
@@ -388,7 +389,8 @@ def test_complete_graph_is_the_multipartite_construction_on_singletons():
         for v in range(3, n):
             expected.update(dict.fromkeys(((u, v) for u in range(v)), (BB, RR)[(v - 3) % 2]))
         assert color_double_complete(n).assign == expected, n
-        assert multipartite_states([[v] for v in range(n)]) == expected, n
+        g = complete_graph(n)
+        assert dict(zip(g.edges, multipartite_states(g, [[v] for v in range(n)]))) == expected, n
 
 
 def test_auto_colors_a_relabelled_complete_graph():
@@ -404,11 +406,11 @@ def test_auto_colors_a_relabelled_complete_graph():
 
 def test_multipartite_states_rejects_bad_parts():
     with pytest.raises(ValueError, match="need >= 2 parts"):
-        multipartite_states([[0, 1, 2]])
+        multipartite_states(SimpleGraph(3, []), [[0, 1, 2]])
     with pytest.raises(ValueError, match="need >= 2 parts"):
-        multipartite_states([[0], []])
+        multipartite_states(SimpleGraph(1, []), [[0], []])
     with pytest.raises(ValueError, match="no locally irregular"):
-        multipartite_states([[5], [9]])
+        multipartite_states(SimpleGraph(10, [(5, 9)]), [[5], [9]])
 
 
 def test_auto_reuses_what_classify_found(monkeypatch):

@@ -13,13 +13,13 @@ from lirdec.decomposition import (
     RED,
     RR,
     Decomposition,
-    color_degree_table,
     verify,
 )
 from lirdec.graphs import Multigraph, SimpleGraph, cycle_graph, double, is_locally_irregular, path_graph
 
 from oracle import (
     color_class,
+    color_degree_table,
     color_degree,
     colors_used,
     conflicts_by_definition,
@@ -171,7 +171,7 @@ def test_relabeled():
 def test_verify_rejects_malformed():
     host = double(path_graph(3))
     d = Decomposition(host, 2, {(0, 1): RR, (1, 2): BB})
-    d.assign[(0, 1)] = (1, 0)  # simulate corruption behind the constructor
+    d.vectors = ((1, 0),) + d.vectors[1:]  # simulate corruption behind the constructor
     with pytest.raises(ValueError, match="malformed"):
         verify(d)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from lirdec.decomposition import verify
+from lirdec.graph_io import decomposition_to_json
 from lirdec.enumeration import enumerate_connected, random_connected_bipartite
 from lirdec.graphs import (
     SimpleGraph,
@@ -18,6 +19,8 @@ from lirdec.graphs import (
     wheel_graph,
 )
 from lirdec.harness import (
+    RESULT_CANDIDATE,
+    RESULT_ERROR,
     RESULT_EXCLUDED,
     RESULT_INCONCLUSIVE,
     RESULT_TWO_COLORS,
@@ -318,3 +321,38 @@ def test_cli_import_leaves_multiprocessing_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def record_json_reference(r: SweepRecord) -> str:
+    """The record through json.dumps, with sorted keys and compact separators."""
+    payload = {
+        "graph": r.graph_id,
+        "n": r.n,
+        "m": r.m,
+        "class": r.class_tag,
+        "method": r.method,
+        "result": r.result,
+        "runtime": round(r.runtime, 6),
+        "detail": r.detail,
+        "witness": None if r.witness is None else json.loads(decomposition_to_json(r.witness)),
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def test_record_json_matches_json_dumps():
+    # a graph6 id may hold a backslash (as 210 of the connected graphs on
+    # eight vertices do), and a detail quotes and non-ASCII text
+    colored = check_graph(path_graph(5))
+    assert colored.result == RESULT_TWO_COLORS and colored.witness is not None
+    records = [
+        SweepRecord("Gw\\xe[", 8, 13, "other", "exact", RESULT_TWO_COLORS, colored.witness),
+        SweepRecord("A_", 2, 1, "path", "none", RESULT_EXCLUDED, detail="excluded by conjecture statement"),
+        SweepRecord("B\\", 3, 2, "?", "none", RESULT_ERROR, detail='bad "input" \u00e9 \u2013 \\ done'),
+        SweepRecord("Gw\\xe[", 8, 13, "other", "exact", RESULT_INCONCLUSIVE, detail="node budget exhausted"),
+        SweepRecord("Gw\\xe[", 8, 13, "t-family", "exact", RESULT_CANDIDATE, detail="completed exact search found no two-coloring"),
+        colored,
+    ]
+    for record in records:
+        for runtime in (0.0, 1e-06, 12.5, 0.123456789):
+            record.runtime = runtime
+            assert record.to_json() == record_json_reference(record)

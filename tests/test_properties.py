@@ -8,15 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lirdec.bipartite import color_double_bipartite
-from lirdec.colorers import (
-    color_double_auto,
-    color_double_complete,
-    color_double_cycle,
-    color_double_multipartite,
-    color_double_path,
-    color_double_wheel,
-    multipartite_states,
-)
+from lirdec.colorers import color_double_auto, multipartite_states
 from lirdec.decomposition import Decomposition, verify
 from lirdec.graphs import (
     SimpleGraph,
@@ -28,7 +20,15 @@ from lirdec.graphs import (
     wheel_graph,
 )
 
-from oracle import color_t_family_3, t_family_members
+from oracle import (
+    color_double_complete,
+    color_double_cycle,
+    color_double_multipartite,
+    color_double_path,
+    color_double_wheel,
+    color_t_family_3,
+    t_family_members,
+)
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
@@ -110,7 +110,7 @@ def test_multipartite_states_on_any_labels(sizes, data):
     g = SimpleGraph(
         at, [(u, v) for i, p in enumerate(parts) for q in parts[i + 1 :] for u in p for v in q]
     )
-    assert_witness(g, Decomposition(double(g), 2, multipartite_states(parts)))
+    assert_witness(g, Decomposition(double(g), 2, multipartite_states(g, parts)))
 
 
 @PROPERTY

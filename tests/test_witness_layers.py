@@ -9,7 +9,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lirdec.decomposition import _PER_EDGE_MAX, Decomposition, verify
+from lirdec.decomposition import Decomposition, verify
 from lirdec.enumeration import random_connected_bipartite
 from lirdec.graph_io import decomposition_to_json
 from lirdec.graphs import (
@@ -138,12 +138,16 @@ def _spoil(draw, host, k, assign, case):
         assign[e] = (assign[e][0] + draw(st.sampled_from([-1, 1])),) + assign[e][1:]
 
 
+# hosts of more edges than the exact search's witnesses have
+LARGE = 33
+
+
 @st.composite
 def larger_multigraphs(draw) -> Multigraph:
-    """Hosts past _PER_EDGE_MAX edges, which the constructor checks in bulk."""
+    """Hosts of LARGE to LARGE + 8 edges."""
     n = draw(st.integers(9, 11))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    size = _PER_EDGE_MAX + 1
+    size = LARGE
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=size, max_size=size + 8))
     g = SimpleGraph(n, edges)
     return Multigraph(g, {e: draw(st.integers(1, 3)) for e in g.edges})
@@ -180,54 +184,69 @@ def test_decomposition_matches_the_reference(case):
     assert got == want
     if got[0] == "ok":
         assert all(type(counts) is tuple for _, counts in got[1])
+        assert Decomposition(host, k, assign).vectors == tuple(counts for _, counts in got[1])
+
+
+@SETTINGS
+@given(assignments(), st.sampled_from([list, tuple]))
+def test_a_sequence_in_edge_order_matches_the_mapping(case, kind):
+    # the producers' route: the same vectors, or the same first bad edge
+    host, k, assign = case
+    if assign.keys() - set(host.edges):
+        return  # a non-edge key has no place in a sequence
+    sequence = kind(map(assign.get, host.edges))
+    want = outcome(lambda: Decomposition(host, k, assign))
+    assert outcome(lambda: Decomposition(host, k, sequence)) == want
 
 
 def test_each_sum_is_checked_against_its_own_edge():
     # a multiplicity map out of edge order, and sums that follow the map's
     # order: every edge's sum is wrong for that edge
     g = complete_graph(9)
-    assert g.m > _PER_EDGE_MAX
+    assert g.m >= LARGE
     host = Multigraph(g, {e: 1 + i % 2 for i, e in enumerate(g.edges)})
     host.mult[g.edges[0]] = host.mult.pop(g.edges[0])
     assign = {e: (mu, 0) for e, mu in zip(g.edges, host.mult.values())}
     want = outcome(lambda: assignment_reference(host, 2, assign))
     assert want == ("ValueError", "edge (0, 1): counts sum 2 != multiplicity 1")
     assert outcome(lambda: Decomposition(host, 2, assign).assign) == want
+    assert outcome(lambda: Decomposition(host, 2, list(assign.values())).assign) == want
 
 
 @SETTINGS
 @given(small_decompositions(), st.data())
 def test_verify_matches_the_reference_after_mutation(d, data):
-    # corrupt up to two entries past the first one behind the constructor
-    edges = list(d.host.edges)
-    if len(edges) >= 2:
-        for i in data.draw(st.lists(st.integers(1, len(edges) - 1), max_size=2)):
-            e = edges[i]
-            counts = tuple(d.assign[e])
-            kind = data.draw(st.sampled_from(["wrong sum", "list", "moved", "other valid"]))
+    # corrupt up to two vectors past the first one behind the constructor
+    vectors = list(d.vectors)
+    if len(vectors) >= 2:
+        for i in data.draw(st.lists(st.integers(1, len(vectors) - 1), max_size=2)):
+            counts = tuple(vectors[i])
+            kind = data.draw(st.sampled_from(["wrong sum", "list", "other valid"]))
             if kind == "wrong sum":
-                d.assign[e] = (counts[0] + 1,) + counts[1:]
+                vectors[i] = (counts[0] + 1,) + counts[1:]
             elif kind == "list":
-                d.assign[e] = list(counts)
-            elif kind == "moved":  # the entry goes last: out of edge order
-                d.assign[e] = d.assign.pop(e)
+                vectors[i] = list(counts)
             else:
-                d.assign[e] = data.draw(st.sampled_from(vectors_summing_to(d.host.mult[e], d.k)))
+                mu = d.host.mult[d.host.edges[i]]
+                vectors[i] = data.draw(st.sampled_from(vectors_summing_to(mu, d.k)))
+    d.vectors = tuple(vectors)
     assert outcome(lambda: verify(d).conflicts) == outcome(lambda: verify_reference(d))
 
 
 @SETTINGS
 @given(small_decompositions(), st.data())
 def test_json_keeps_edge_order_when_entries_move(d, data):
+    # a mapping in any insertion order gives the same vectors and bytes
     payload = {
         "n": d.host.n,
         "k": d.k,
-        "edges": [{"u": u, "v": v, "counts": list(d.assign[(u, v)])} for u, v in d.host.edges],
+        "edges": [{"u": u, "v": v, "counts": list(c)} for (u, v), c in zip(d.host.edges, d.vectors)],
     }
-    if d.host.edges:
-        for e in data.draw(st.lists(st.sampled_from(d.host.edges), unique=True)):
-            d.assign[e] = d.assign.pop(e)
-    assert decomposition_to_json(d) == json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    order = data.draw(st.permutations(d.host.edges))
+    moved = Decomposition(d.host, d.k, {e: d.assign[e] for e in order})
+    assert moved.vectors == d.vectors
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert decomposition_to_json(moved) == decomposition_to_json(d) == text
 
 
 # --- byte-identical large records ---------------------------------------------
