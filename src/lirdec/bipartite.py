@@ -10,8 +10,10 @@ parities of |S| and the relation between |S| and |T|.
 "Exchange colors along a path" is realized as the mod-2 symmetric difference
 of spanning-tree paths (a T-join): its edges become red-blue multiedges, so
 each endpoint's red degree moves by exactly one per incident join edge.
-Sides are the sorted vertex lists that `graphs.bipartition_sides` returns;
-`classify` finds them in its connectivity walk and carries them to here.
+Sides are sorted vertex lists, vertex 0's side first, split from the
+2-coloring of the connectivity walk `SimpleGraph.is_connected`: `classify`
+carries them here from its walk, and without them the colorer and the twin
+split each take that one walk themselves (`_walk_sides`).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Iterable
 
 from .colorers import multipartite_states
 from .decomposition import BB, RB, RR, Decomposition
-from .graphs import Edge, SimpleGraph, bipartition_sides, canon_edge, double
+from .graphs import Edge, SimpleGraph, canon_edge, double, sides_of
 
 
 def _spanning_tree(g: SimpleGraph, keep: list[bool], root: int) -> tuple[list[int], int]:
@@ -36,6 +38,17 @@ def _spanning_tree(g: SimpleGraph, keep: list[bool], root: int) -> tuple[list[in
                 parent[w] = u
                 queue.append(w)
     return parent, len(queue)
+
+
+def _walk_sides(g: SimpleGraph, disconnected: str, odd: str) -> tuple[list[int], list[int]]:
+    """bipartition_sides(g) from one connectivity walk, raising ValueError
+    with the message disconnected or odd when there are none."""
+    coloring: list[int] = []
+    if not g.is_connected(coloring):
+        raise ValueError(disconnected)
+    if not coloring:
+        raise ValueError(odd)
+    return sides_of(coloring)
 
 
 def path_system(
@@ -81,15 +94,11 @@ def find_twin_split(
     sit isolated in the residue). Each pool is tried in ascending order of
     (|S| + |N(S)|, sorted S), and the first valid split is returned; keys
     within a pool are unique, so this is the pool's minimum. sides, when
-    given, must be bipartition_sides(g) of a connected g, and is used as
-    is; otherwise connectivity is tested and the sides computed here.
+    given, must be bipartition_sides(g), and is used as is; otherwise one
+    walk tests connectivity and finds them.
     """
     if sides is None:
-        if not g.is_connected():
-            raise ValueError("twin split requires a connected graph")
-        sides = bipartition_sides(g)
-        if sides is None:
-            raise ValueError("twin split not found")
+        sides = _walk_sides(g, "twin split requires a connected graph", "twin split not found")
     side_x, side_y = sides
     on_x = [False] * g.n
     for v in side_x:
@@ -132,17 +141,15 @@ def color_double_bipartite(
 
     sides, when given, must be bipartition_sides(g), as classify carries
     it for a bipartite OTHER graph; then neither this colorer nor the twin
-    split walks g again. Otherwise connectivity is tested and the sides
-    computed here.
+    split walks g again. Otherwise one walk tests connectivity and finds
+    them.
     """
     if g.n <= 2:
         raise ValueError("no locally irregular coloring exists for a doubled K2")
     if sides is None:
-        if not g.is_connected():
-            raise ValueError("bipartition requires a connected graph")
-        sides = bipartition_sides(g)
-        if sides is None:
-            raise ValueError("not bipartite: odd cycle found")
+        sides = _walk_sides(
+            g, "bipartition requires a connected graph", "not bipartite: odd cycle found"
+        )
     host = double(g)
     x, y = sides
     if len(x) % 2 == 0 or len(y) % 2 == 0:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .graphs import SimpleGraph, canon_edge
+from .graphs import SimpleGraph, canon_edge, sides_of
 
 
 class ClassKind(Enum):
@@ -72,79 +72,65 @@ class TPrimeResult:
     witness: TWitness | None = None
 
 
+def _walk(adj, start: int, skip: int = -1) -> list[int]:
+    """Vertices from start, each step to the first neighbour that is neither
+    the previous vertex nor skip, until there is none or the walk is back at
+    start: along degree-2 vertices, the chain, smallest neighbour first."""
+    order = [start]
+    prev = -1
+    cur = start
+    while True:
+        for nxt in adj[cur]:
+            if nxt != prev and nxt != skip:
+                break
+        else:
+            return order
+        if nxt == start:
+            return order
+        prev = cur
+        cur = nxt
+        order.append(cur)
+
+
 def path_order(g: SimpleGraph) -> list[int] | None:
-    """Vertex order along g when g is a path, else None."""
+    """Vertex order along g when g is a path, else None: the walk from its
+    first end, which misses vertices when cycles sit elsewhere."""
     if g.n == 1:
         return [0] if g.m == 0 else None
     if g.m != g.n - 1:
         return None
-    adj = g.adj
-    degrees = list(map(len, adj))
+    degrees = list(map(len, g.adj))
     if degrees.count(1) != 2 or max(degrees) > 2:
         return None
-    prev = -1
-    cur = degrees.index(1)
-    order = [cur]
-    for _ in range(g.n - 1):
-        ns = adj[cur]
-        nxt = ns[-1] if ns[0] == prev else ns[0]
-        if nxt == prev:
-            return None  # the other end before n vertices: cycles elsewhere
-        prev = cur
-        cur = nxt
-        order.append(cur)
-    return order
+    order = _walk(g.adj, degrees.index(1))
+    return order if len(order) == g.n else None
 
 
 def cycle_order(g: SimpleGraph) -> list[int] | None:
-    """Vertex order around g when g is a single cycle, else None."""
+    """Vertex order around g when g is a single cycle, else None: the walk
+    from vertex 0, which misses vertices when there are several cycles."""
     if g.n < 3 or g.m != g.n:
         return None
-    adj = g.adj
-    if any(len(ns) != 2 for ns in adj):
+    if any(len(ns) != 2 for ns in g.adj):
         return None
-    prev = -1
-    cur = 0
-    order = [0]
-    while True:
-        a, b = adj[cur]
-        nxt = b if a == prev else a
-        if nxt == 0:
-            break
-        prev = cur
-        cur = nxt
-        order.append(cur)
-    return order if len(order) == g.n else None  # closed early: several cycles
+    order = _walk(g.adj, 0)
+    return order if len(order) == g.n else None
 
 
 def wheel_order(g: SimpleGraph) -> tuple[int, list[int]] | None:
     """(hub, rim vertex order) when g is a wheel of order >= 5, else None.
 
-    The rim walk starts at the smallest rim vertex and steps to the smaller
-    rim neighbor first, as cycle_order does on the rim alone.
+    The rim order is the walk that skips the hub from the smallest rim
+    vertex, smaller rim neighbor first, as cycle_order does on the rim alone.
     Order-4 wheels coincide with the complete graph and are classified there.
     """
     if g.n < 5 or g.m != 2 * (g.n - 1):
         return None
-    adj = g.adj
-    degrees = list(map(len, adj))
+    degrees = list(map(len, g.adj))
     if degrees.count(g.n - 1) != 1 or degrees.count(3) != g.n - 1:
         return None
     hub = degrees.index(g.n - 1)
-    # every rim vertex has the hub and exactly two rim neighbors
-    start = 1 if hub == 0 else 0
-    prev = -1
-    cur = start
-    order = [start]
-    while True:
-        for nxt in adj[cur]:
-            if nxt != prev and nxt != hub:
-                break
-        if nxt == start:
-            break
-        prev = cur
-        cur = nxt
-        order.append(cur)
+    order = _walk(g.adj, 1 if hub == 0 else 0, hub)
     return (hub, order) if len(order) == g.n - 1 else None
 
 
@@ -212,16 +198,6 @@ def t_family_witness(g: SimpleGraph) -> TWitness | None:
             bridge_adj[u].append(v)
             bridge_adj[v].append(u)
 
-    def follow(start: int, first: int) -> list[int]:
-        """Walk the bridge path from a triangle vertex until it ends."""
-        path = [start, first]
-        while True:
-            tail = path[-1]
-            if tail in tri_vertices or len(bridge_adj[tail]) == 1:
-                return path
-            nxt = [w for w in bridge_adj[tail] if w != path[-2]]
-            path.append(nxt[0])
-
     tri_of_vertex = {v: tri for tri in tris for v in tri}
     witness = TWitness(root=tris[0])
     placed = set(tris[0])
@@ -233,7 +209,9 @@ def t_family_witness(g: SimpleGraph) -> TWitness | None:
             for first in bridge_adj[v]:
                 if first in placed:
                     continue
-                path = follow(v, first)
+                # triangle vertices have at most one bridge, the others at
+                # most two: the walk is v's bridge path to its end
+                path = _walk(bridge_adj, v)
                 end = path[-1]
                 if end in tri_vertices:
                     if len(path) % 2 != 0:
@@ -310,6 +288,4 @@ def classify(g: SimpleGraph) -> Classification:
         if t_family_witness(g) is not None:
             return Classification(ClassKind.T_FAMILY)
         return Classification(ClassKind.OTHER)
-    x = [v for v in range(g.n) if side[v] > 0]
-    y = [v for v in range(g.n) if side[v] < 0]
-    return Classification(ClassKind.OTHER, sides=(x, y))
+    return Classification(ClassKind.OTHER, sides=sides_of(side))

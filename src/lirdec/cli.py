@@ -110,17 +110,16 @@ def _load_graphs(spec: str, seed: int) -> list[SimpleGraph]:
 
 
 def _limits(args) -> SearchLimits:
-    """Flags over environment over defaults; SearchLimits rejects values < 1."""
-    env = os.environ
+    """Flags over environment (LIRDEC_<NAME>) over the SearchLimits
+    defaults; SearchLimits rejects values < 1."""
 
-    def pick(flag, var, default):
-        return flag if flag is not None else int(env.get(var, default))
+    def pick(name):
+        flag = getattr(args, name)
+        if flag is not None:
+            return flag
+        return int(os.environ.get(f"LIRDEC_{name.upper()}", getattr(SearchLimits, name)))
 
-    return SearchLimits(
-        pick(args.max_colors, "LIRDEC_MAX_COLORS", 4),
-        pick(args.max_edges, "LIRDEC_MAX_EDGES", 24),
-        pick(args.node_budget, "LIRDEC_NODE_BUDGET", 10**9),
-    )
+    return SearchLimits(*map(pick, ("max_colors", "max_edges", "node_budget")))
 
 
 def _emit(decomposition: Decomposition, fmt: str, out) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import Callable, Iterable
 
 from .graphs import SimpleGraph, bipartition_sides
 
@@ -62,16 +63,19 @@ def canonical_key(g: SimpleGraph) -> tuple[int, int]:
     return (n, best)
 
 
-def _augmentations(g: SimpleGraph, side: list[int] | None = None):
-    """Graphs obtained by joining one new vertex to a nonempty subset.
-
-    When `side` is given, subsets are drawn from it only (bipartite use).
-    """
-    pool = side if side is not None else list(range(g.n))
-    base = list(g.edges)
-    for r in range(1, len(pool) + 1):
-        for subset in itertools.combinations(pool, r):
-            yield SimpleGraph(g.n + 1, base + [(u, g.n) for u in subset])
+def _one_more_vertex(reps: Iterable[SimpleGraph], pools: Callable) -> list[SimpleGraph]:
+    """The next order's catalog: each graph of reps joined to one new vertex
+    by every nonempty subset of each of its pools(g), the first graph of
+    each canonical key kept, in key order."""
+    seen: dict[tuple[int, int], SimpleGraph] = {}
+    for g in reps:
+        base = list(g.edges)
+        for pool in pools(g):
+            for r in range(1, len(pool) + 1):
+                for subset in itertools.combinations(pool, r):
+                    h = SimpleGraph(g.n + 1, base + [(u, g.n) for u in subset])
+                    seen.setdefault(canonical_key(h), h)
+    return [seen[k] for k in sorted(seen)]
 
 
 _catalog_memo: dict[int, tuple[SimpleGraph, ...]] = {}
@@ -86,22 +90,11 @@ def enumerate_connected(n: int) -> list[SimpleGraph]:
             f"built-in enumeration supports n <= {ENUMERATION_LIMIT}; "
             "ingest a graph6 file for larger orders"
         )
-    if n in _catalog_memo:
-        return list(_catalog_memo[n])
-    reps = [SimpleGraph(1, [])]
+    reps = _catalog_memo.setdefault(1, (SimpleGraph(1, []),))
     for size in range(2, n + 1):
-        if size in _catalog_memo:
-            reps = list(_catalog_memo[size])
-            continue
-        seen: dict[tuple[int, int], SimpleGraph] = {}
-        for g in reps:
-            for h in _augmentations(g):
-                key = canonical_key(h)
-                if key not in seen:
-                    seen[key] = h
-        reps = [seen[k] for k in sorted(seen)]
-        _catalog_memo[size] = tuple(reps)
-    _catalog_memo.setdefault(n, tuple(reps))
+        if size not in _catalog_memo:
+            _catalog_memo[size] = tuple(_one_more_vertex(reps, lambda g: [range(g.n)]))
+        reps = _catalog_memo[size]
     return list(reps)
 
 
@@ -115,17 +108,8 @@ def enumerate_connected_bipartite(n: int) -> list[SimpleGraph]:
         )
     reps = [SimpleGraph(1, [])]
     for _ in range(n - 1):
-        seen: dict[tuple[int, int], SimpleGraph] = {}
-        for g in reps:
-            sides = bipartition_sides(g)
-            for side in sides:
-                if not side:
-                    continue
-                for h in _augmentations(g, side):
-                    key = canonical_key(h)
-                    if key not in seen:
-                        seen[key] = h
-        reps = [seen[k] for k in sorted(seen)]
+        # every catalog graph is connected and bipartite: its sides are pools
+        reps = _one_more_vertex(reps, bipartition_sides)
     return reps
 
 

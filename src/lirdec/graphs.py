@@ -76,9 +76,6 @@ class SimpleGraph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def is_connected(self, coloring: list[int] | None = None) -> bool:
         """One walk from vertex 0 that also 2-colors what it reaches. When
         the graph is connected and has no odd cycle, the given list is
@@ -112,38 +109,6 @@ class SimpleGraph:
         if bipartite and coloring is not None:
             coloring += side
         return True
-
-    def connected_components(self) -> list[list[int]]:
-        seen = [False] * self.n
-        comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            seen[s] = True
-            comp = [s]
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                for w in self.adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        stack.append(w)
-            comps.append(sorted(comp))
-        return comps
-
-    def induced_subgraph(self, vertices: Iterable[int]) -> tuple["SimpleGraph", list[int]]:
-        """Induced subgraph on the given vertices.
-
-        Returns (subgraph, index_map) where index_map[i] is the original id
-        of subgraph vertex i.
-        """
-        keep = sorted(set(vertices))
-        pos = {v: i for i, v in enumerate(keep)}
-        sub_edges = [
-            (pos[u], pos[v]) for u, v in self.edges if u in pos and v in pos
-        ]
-        return SimpleGraph(len(keep), sub_edges), keep
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -183,7 +148,9 @@ class Multigraph:
         self.base = base
         # in edge order; edges without an explicit multiplicity default to 1
         self.mult: dict[Edge, int] = (
-            mult if keys == edges else {e: mult.get(e, 1) for e in edges}
+            mult if keys == edges
+            else {e: mult.get(e, 1) for e in edges} if mult
+            else dict.fromkeys(edges, 1)
         )
 
     @property
@@ -234,6 +201,9 @@ def _check_each_multiplicity(base: SimpleGraph, mult: dict[Edge, int]) -> None:
 
 def is_locally_irregular(m: Multigraph) -> bool:
     """True iff adjacent vertices always have distinct degrees."""
+    if len(set(m.mult.values())) == 1:  # one multiplicity scales all degrees alike
+        adj = m.base.adj
+        return all(len(adj[u]) != len(adj[v]) for u, v in m.edges)
     deg = [0] * m.n
     for (u, v), mu in m.mult.items():
         deg[u] += mu
@@ -241,26 +211,20 @@ def is_locally_irregular(m: Multigraph) -> bool:
     return all(deg[u] != deg[v] for u, v in m.edges)
 
 
-def bipartition_sides(g: SimpleGraph) -> tuple[list[int], list[int]] | None:
-    """BFS 2-coloring; None when an odd cycle shows up."""
-    side = [-1] * g.n
-    for s in range(g.n):
-        if side[s] != -1:
-            continue
-        side[s] = 0
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
-                if side[w] == -1:
-                    side[w] = 1 - side[u]
-                    stack.append(w)
-                elif side[w] == side[u]:
-                    return None
+def sides_of(coloring: list[int]) -> tuple[list[int], list[int]]:
+    """The sides of a coloring from SimpleGraph.is_connected: vertex 0's
+    side, then the other, each sorted."""
     return (
-        [v for v in range(g.n) if side[v] == 0],
-        [v for v in range(g.n) if side[v] == 1],
+        [v for v, s in enumerate(coloring) if s > 0],
+        [v for v, s in enumerate(coloring) if s < 0],
     )
+
+
+def bipartition_sides(g: SimpleGraph) -> tuple[list[int], list[int]] | None:
+    """sides_of the connectivity walk's 2-coloring; None when g is
+    disconnected, has an odd cycle or no vertex."""
+    coloring: list[int] = []
+    return sides_of(coloring) if g.is_connected(coloring) and coloring else None
 
 
 # --- small graph builders -------------------------------------------------
@@ -311,28 +275,3 @@ def complete_multipartite_graph(sizes: list[int]) -> SimpleGraph:
                 for v in range(bounds[b], bounds[b + 1]):
                     edges.append((u, v))
     return SimpleGraph(n, edges)
-
-
-def two_triangles_graph() -> SimpleGraph:
-    """Two triangles sharing one vertex (vertex 0); decomposes into three
-    locally irregular paths."""
-    return SimpleGraph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
-
-
-def bowtie_graph() -> SimpleGraph:
-    """The bow-tie graph B: two pairs of triangles, each pair sharing a
-    center vertex, with the two centers joined by a bridge.
-
-    The one known connected graph outside the non-decomposable families that
-    needs four colors.
-    """
-    return SimpleGraph(
-        10,
-        [
-            (0, 1), (0, 2), (1, 2),
-            (0, 4), (0, 5), (4, 5),
-            (0, 3),
-            (3, 6), (3, 7), (6, 7),
-            (3, 8), (3, 9), (8, 9),
-        ],
-    )

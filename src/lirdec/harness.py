@@ -15,14 +15,16 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Iterator
 
 from .classify import classify
 from .colorers import color_double_auto
 from .decomposition import Decomposition, verify
-from .graph_io import decomposition_from_json, decomposition_to_json, to_graph6
+from .graph_io import decomposition_to_json, to_graph6
 from .graphs import SimpleGraph, double
 from .solver import SearchLimits, SearchStatus, exact_lir_multigraph
 
@@ -57,24 +59,6 @@ class SweepRecord:
             f'"graph":{_quote(self.graph_id)},"m":{self.m},"method":{_quote(self.method)},'
             f'"n":{self.n},"result":{_quote(self.result)},'
             f'"runtime":{round(self.runtime, 6)!r},"witness":{witness}}}'
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepRecord":
-        payload = json.loads(text)
-        witness = None
-        if payload.get("witness") is not None:
-            witness = decomposition_from_json(json.dumps(payload["witness"]))
-        return cls(
-            graph_id=payload["graph"],
-            n=payload["n"],
-            m=payload["m"],
-            class_tag=payload["class"],
-            method=payload["method"],
-            result=payload["result"],
-            witness=witness,
-            runtime=payload.get("runtime", 0.0),
-            detail=payload.get("detail", ""),
         )
 
 
@@ -147,8 +131,8 @@ def _check_graph(g: SimpleGraph, gid: str, lim: SearchLimits, cross_check: bool)
     )
 
 
-def _check_star(args) -> SweepRecord:
-    return _check_graph(*args)
+def _check_chunk(tasks) -> list[SweepRecord]:
+    return [_check_graph(*task) for task in tasks]
 
 
 def sweep(
@@ -162,6 +146,8 @@ def sweep(
 
     skip_ids supports resuming: graphs whose graph6 id is present are not
     re-checked. Workers share nothing; report order equals input order.
+    With jobs > 1 the source is read in chunks of 8, and only 2 * jobs
+    chunks are in flight: one more is submitted as each comes back.
     """
     lim = lim or SearchLimits()
     # each graph's id is computed once, for the skip test and the record
@@ -174,9 +160,13 @@ def sweep(
         return
     from multiprocessing import Pool  # its import costs about 1 MB, so serial runs skip it
 
+    chunks = iter(lambda: list(islice(tasks, 8)), [])
     with Pool(processes=jobs) as pool:
-        for record in pool.imap(_check_star, tasks, chunksize=8):
-            yield record
+        pending = deque(pool.apply_async(_check_chunk, (c,)) for c in islice(chunks, 2 * jobs))
+        while pending:
+            records = pending.popleft().get()
+            pending.extend(pool.apply_async(_check_chunk, (c,)) for c in islice(chunks, 1))
+            yield from records
 
 
 @dataclass

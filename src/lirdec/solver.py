@@ -43,9 +43,10 @@ backjumping cut nodes by only 15 % (49,322 to 41,710) while the 11th-slowest
 graph took about 30 % longer and the whole pass about 9 % (best of five
 in-process passes, 2 vCPU, CPython 3.11).
 
-k = 1 needs no search: the only 1-coloring gives every edge its whole
-multiplicity, so it is valid iff the host is locally irregular, an O(m)
-degree check. `SolveResult.nodes` therefore counts the states tried at
+Both modes run one ladder, `_ladder`; graph mode runs it on the multigraph
+with every multiplicity 1. k = 1 needs no search: the only 1-coloring gives
+every edge its whole multiplicity, so it is valid iff the host is locally
+irregular, an O(m) degree check. `SolveResult.nodes` therefore counts the states tried at
 k >= 2 only. `is_decomposable` is `exact_lir_graph` at the cap floor(m/2)
 and ignores `lim.max_colors`. "none" means the search space was exhausted;
 a blown node budget yields "inconclusive", never "none".
@@ -255,9 +256,7 @@ def _search_multigraph_k(
     over it. A state's value is its rank in compositions(mult, k), the order
     the search tries states in. budget[0] is decremented per search node;
     raises _BudgetExhausted when it runs out. conf[i] collects the steps that
-    the failures at and below step i depend on. The steps at each vertex
-    (_touch_masks) are found at the first failed backcheck, so a search that
-    never fails one does not pay for them.
+    the failures at and below step i depend on.
     """
     n_edges = len(edges)
     deg = [[0] * k for _ in range(m.n)]
@@ -271,17 +270,21 @@ def _search_multigraph_k(
     if n_edges:
         state_lists[0] = _edge_states(mult[edges[0]], k, True)
         unit_lists[0] = _units(mult[edges[0]], k, True)
+    touch = _touch_masks(m.n, edges)
     # per step: both endpoints' color degrees, each state's (color, count)
-    # units, the backchecks against the endpoints' color degrees, and the
-    # lex-leader checks
+    # units, the backchecks against the endpoints' color degrees with the
+    # steps at either endpoint, and the lex-leader checks
     steps = [
-        (deg[u], deg[v], options, step and [(j, deg[a], deg[b]) for j, a, b in step], twins)
+        (
+            deg[u], deg[v], options,
+            step and [(j, deg[a], deg[b], touch[a] | touch[b]) for j, a, b in step],
+            twins,
+        )
         for (u, v), options, step, twins in zip(edges, unit_lists, checks, lex)
     ]
     pick = [0] * n_edges  # states tried so far at each step
     units: list[tuple[tuple[int, int], ...]] = [()] * n_edges
     conf = [0] * n_edges  # conflict set of each step, bit h for step h
-    touch: list[int] | None = None  # per vertex, the steps whose edge touches it
     i = 0
     while n_edges:  # an edgeless host has just the empty coloring
         du, dv, options, tests, twins = steps[i]
@@ -315,17 +318,13 @@ def _search_multigraph_k(
         for c, x in placed:
             du[c] += x
             dv[c] += x
-        for j, da, db in tests:
+        for j, da, db, near in tests:
             for c, _ in units[j]:
                 if da[c] == db[c]:
                     break
             else:
                 continue
-            # the tie depends on every edge at either endpoint of j
-            if touch is None:
-                touch = _touch_masks(m.n, edges)
-            a, b = edges[j]
-            conf[i] |= touch[a] | touch[b]
+            conf[i] |= near  # the tie depends on every edge at either endpoint of j
             break
         else:
             for pairs in twins:
@@ -351,20 +350,21 @@ def _search_multigraph_k(
 
 
 def _search_graph_k(
-    g: SimpleGraph,
+    m: Multigraph,
     edges: list[Edge],
     checks: list[list[tuple[int, int, int]]],
     lex: list[tuple[tuple[tuple[int, int], ...], ...]],
     k: int,
     budget: list[int],
-) -> list[int] | None:
-    """One color per edge, colors introduced in index order (restricted growth).
+) -> list[tuple[int, ...]] | None:
+    """One color per edge of m (multiplicities all 1), colors introduced in
+    index order (restricted growth), as unit count vectors in edges' order.
 
-    edges is _edge_order(g), checks is _schedule and lex is _lex_checks
+    edges is _edge_order(m.base), checks is _schedule and lex is _lex_checks
     over it; a state's value is its color.
     """
     n_edges = len(edges)
-    deg = [[0] * k for _ in range(g.n)]
+    deg = [[0] * k for _ in range(m.n)]
     steps = [
         (deg[u], deg[v], step and [(j, deg[a], deg[b]) for j, a, b in step], twins)
         for (u, v), step, twins in zip(edges, checks, lex)
@@ -411,19 +411,8 @@ def _search_graph_k(
                 i += 1
                 if i == n_edges:
                     break
-    return color
-
-
-def _in_host_order(edges: list[Edge], picks: list) -> list:
-    """Picks made in the order of edges (an _edge_order), put in the host's
-    edge order, which is edges sorted."""
-    return [picks[i] for i in sorted(range(len(edges)), key=edges.__getitem__)]
-
-
-def _one_per_edge_witness(g: SimpleGraph, colors: list[int], k: int) -> Decomposition:
-    """The decomposition of g giving each edge, in edge order, its color."""
     units = [(0,) * c + (1,) + (0,) * (k - 1 - c) for c in range(k)]
-    return Decomposition(Multigraph(g), k, [units[c] for c in colors])
+    return [units[c] for c in color]
 
 
 def _checked(d: Decomposition) -> Decomposition:
@@ -433,14 +422,16 @@ def _checked(d: Decomposition) -> Decomposition:
     return d
 
 
-def exact_lir_multigraph(m: Multigraph, lim: SearchLimits | None = None) -> SolveResult:
-    """Smallest k <= lim.max_colors admitting a valid coloring of m, with witness."""
+def _ladder(m: Multigraph, lim: SearchLimits | None, search) -> SolveResult:
+    """Smallest k <= lim.max_colors admitting a valid coloring of m, with
+    witness: k = 1 by the degree check, then search(m, edges, checks, lex,
+    k, budget) for k = 2, 3, .. over one shared node budget."""
     lim = lim or SearchLimits()
     if len(m.edges) > lim.max_edges:
         raise ValueError(f"too many edges: {len(m.edges)} > limit {lim.max_edges}")
     if is_locally_irregular(m):
         # the only 1-coloring gives every edge its whole multiplicity
-        witness = _checked(Decomposition(m, 1, [(m.mult[e],) for e in m.edges]))
+        witness = _checked(Decomposition(m, 1, [(mu,) for mu in m.mult.values()]))
         return SolveResult(SearchStatus.FOUND, 1, witness, 0)
     budget = [lim.node_budget]
     edges = _edge_order(m.base)
@@ -448,42 +439,27 @@ def exact_lir_multigraph(m: Multigraph, lim: SearchLimits | None = None) -> Solv
     lex = _lex_checks(m.base, edges, m.mult)
     for k in range(2, lim.max_colors + 1):
         try:
-            found = _search_multigraph_k(m, edges, checks, lex, k, budget)
+            found = search(m, edges, checks, lex, k, budget)
         except _BudgetExhausted:
             return SolveResult(SearchStatus.INCONCLUSIVE, nodes=lim.node_budget)
         if found is not None:
-            witness = _checked(Decomposition(m, k, _in_host_order(edges, found)))
+            # the host's edge order is edges sorted
+            host_order = sorted(range(len(edges)), key=edges.__getitem__)
+            witness = _checked(Decomposition(m, k, [found[i] for i in host_order]))
             return SolveResult(
                 SearchStatus.FOUND, k, witness, lim.node_budget - budget[0]
             )
     return SolveResult(SearchStatus.NONE, nodes=lim.node_budget - budget[0])
+
+
+def exact_lir_multigraph(m: Multigraph, lim: SearchLimits | None = None) -> SolveResult:
+    """Smallest k <= lim.max_colors admitting a valid coloring of m, with witness."""
+    return _ladder(m, lim, _search_multigraph_k)
 
 
 def exact_lir_graph(g: SimpleGraph, lim: SearchLimits | None = None) -> SolveResult:
     """Smallest k <= lim.max_colors decomposing g into locally irregular graphs."""
-    lim = lim or SearchLimits()
-    if g.m > lim.max_edges:
-        raise ValueError(f"too many edges: {g.m} > limit {lim.max_edges}")
-    adj = g.adj
-    if all(len(adj[u]) != len(adj[v]) for u, v in g.edges):
-        # locally irregular: one class holds every edge
-        witness = _checked(_one_per_edge_witness(g, [0] * g.m, 1))
-        return SolveResult(SearchStatus.FOUND, 1, witness, 0)
-    budget = [lim.node_budget]
-    edges = _edge_order(g)
-    checks = _schedule(g.n, edges)
-    lex = _lex_checks(g, edges)
-    for k in range(2, lim.max_colors + 1):
-        try:
-            found = _search_graph_k(g, edges, checks, lex, k, budget)
-        except _BudgetExhausted:
-            return SolveResult(SearchStatus.INCONCLUSIVE, nodes=lim.node_budget)
-        if found is not None:
-            witness = _checked(_one_per_edge_witness(g, _in_host_order(edges, found), k))
-            return SolveResult(
-                SearchStatus.FOUND, k, witness, lim.node_budget - budget[0]
-            )
-    return SolveResult(SearchStatus.NONE, nodes=lim.node_budget - budget[0])
+    return _ladder(Multigraph(g), lim, _search_graph_k)
 
 
 def is_decomposable(g: SimpleGraph, lim: SearchLimits | None = None) -> SolveResult:

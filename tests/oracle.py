@@ -8,12 +8,14 @@ are checking.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 from lirdec.classify import TWitness, t_family_witness, triangles_of
 from lirdec.colorers import _part_rows, multipartite_states, path_assign, ring_assign
 from lirdec.decomposition import BB, RB, RR, Decomposition, verify
 from lirdec.enumeration import canonical_key
+from lirdec.graph_io import decomposition_from_json
 from lirdec.graphs import (
     Edge,
     Multigraph,
@@ -26,6 +28,7 @@ from lirdec.graphs import (
     path_graph,
     wheel_graph,
 )
+from lirdec.harness import SweepRecord
 
 
 def vectors_summing_to(total: int, k: int) -> list[tuple[int, ...]]:
@@ -138,6 +141,108 @@ def graph6_reference(n: int, edge_set) -> str:
     return size + "".join(chars)
 
 
+# --- graph helpers and fixtures that only the tests use ----------------------
+
+
+def connected_components(g: SimpleGraph) -> list[list[int]]:
+    seen = [False] * g.n
+    comps = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        comp = [s]
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for w in g.adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+                    stack.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+def induced_subgraph(g: SimpleGraph, vertices) -> tuple[SimpleGraph, list[int]]:
+    """Induced subgraph on the given vertices.
+
+    Returns (subgraph, index_map) where index_map[i] is the original id
+    of subgraph vertex i.
+    """
+    keep = sorted(set(vertices))
+    pos = {v: i for i, v in enumerate(keep)}
+    sub_edges = [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos]
+    return SimpleGraph(len(keep), sub_edges), keep
+
+
+def bipartition_reference(g: SimpleGraph) -> tuple[list[int], list[int]] | None:
+    """DFS 2-coloring of every component, each started on side 0; None when
+    an odd cycle shows up."""
+    side = [-1] * g.n
+    for s in range(g.n):
+        if side[s] != -1:
+            continue
+        side[s] = 0
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for w in g.adj[u]:
+                if side[w] == -1:
+                    side[w] = 1 - side[u]
+                    stack.append(w)
+                elif side[w] == side[u]:
+                    return None
+    return (
+        [v for v in range(g.n) if side[v] == 0],
+        [v for v in range(g.n) if side[v] == 1],
+    )
+
+
+def two_triangles_graph() -> SimpleGraph:
+    """Two triangles sharing one vertex (vertex 0); decomposes into three
+    locally irregular paths."""
+    return SimpleGraph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
+
+
+def bowtie_graph() -> SimpleGraph:
+    """The bow-tie graph B: two pairs of triangles, each pair sharing a
+    center vertex, with the two centers joined by a bridge.
+
+    The one known connected graph outside the non-decomposable families that
+    needs four colors.
+    """
+    return SimpleGraph(
+        10,
+        [
+            (0, 1), (0, 2), (1, 2),
+            (0, 4), (0, 5), (4, 5),
+            (0, 3),
+            (3, 6), (3, 7), (6, 7),
+            (3, 8), (3, 9), (8, 9),
+        ],
+    )
+
+
+def record_from_json(text: str) -> SweepRecord:
+    """A SweepRecord back from its JSON line."""
+    payload = json.loads(text)
+    witness = None
+    if payload.get("witness") is not None:
+        witness = decomposition_from_json(json.dumps(payload["witness"]))
+    return SweepRecord(
+        graph_id=payload["graph"],
+        n=payload["n"],
+        m=payload["m"],
+        class_tag=payload["class"],
+        method=payload["method"],
+        result=payload["result"],
+        witness=witness,
+        runtime=payload.get("runtime", 0.0),
+        detail=payload.get("detail", ""),
+    )
+
+
 def size_vectors(max_parts: int, max_total: int) -> list[list[int]]:
     """Every non-increasing vector of >= 2 positive part sizes within the caps."""
 
@@ -186,8 +291,6 @@ def find_twin_split_reference(g: SimpleGraph):
     candidate is checked on its own: a fresh bipartition and an induced
     residue subgraph. Returns (S, T, X', Y') as sorted lists; raises
     ValueError when no candidate is valid."""
-    from lirdec.graphs import bipartition_sides
-
     def split_ok(s):
         s_set = set(s)
         t_set = set()
@@ -195,10 +298,10 @@ def find_twin_split_reference(g: SimpleGraph):
             t_set.update(g.adj[v])
         rest = [v for v in range(g.n) if v not in s_set and v not in t_set]
         if rest:
-            sub, _ = g.induced_subgraph(rest)
+            sub, _ = induced_subgraph(g, rest)
             if not sub.is_connected():
                 return None
-        sides = bipartition_sides(g)
+        sides = bipartition_reference(g)
         if sides is None:
             return None
         x, y = sides

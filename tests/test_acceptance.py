@@ -18,7 +18,7 @@ from lirdec.enumeration import (
     enumerate_connected_bipartite,
     random_connected_bipartite,
 )
-from lirdec.graphs import bowtie_graph, cycle_graph, double, path_graph
+from lirdec.graphs import cycle_graph, double, path_graph
 from lirdec.harness import RESULT_TWO_COLORS, sweep
 from lirdec.solver import (
     SearchLimits,
@@ -29,6 +29,7 @@ from lirdec.solver import (
 )
 
 from oracle import (
+    bowtie_graph,
     color_double_complete,
     color_double_cycle,
     color_double_multipartite,

@@ -25,6 +25,7 @@ from oracle import (
     color_degree_table,
     degree_parity,
     find_twin_split_reference,
+    induced_subgraph,
     parity_profile,
     random_connected_graph,
 )
@@ -108,7 +109,7 @@ def test_parity_after_coloring():
 def _path_system_on_induced_subgraph(g, terminals, region):
     """path_system run on the relabelled induced subgraph, mapped back to
     g's labels."""
-    sub, ids = g.induced_subgraph(region)
+    sub, ids = induced_subgraph(g, region)
     pos = {v: i for i, v in enumerate(ids)}
     join = path_system(sub, {pos[v] for v in terminals})
     return frozenset(canon_edge(ids[a], ids[b]) for a, b in join)
@@ -351,53 +352,8 @@ def test_twin_split_rejects_odd_cycles_and_disconnected_graphs():
         find_twin_split(SimpleGraph(4, [(0, 1), (2, 3)]))
 
 
-def _count_bipartition_sides(monkeypatch):
-    """Count bipartition_sides calls through every lirdec binding of it."""
-    import sys
-
-    from lirdec import graphs
-
-    original = graphs.bipartition_sides
-    calls = [0]
-
-    def counted(g):
-        calls[0] += 1
-        return original(g)
-
-    for key, mod in list(sys.modules.items()):
-        if key.startswith("lirdec") and getattr(mod, "bipartition_sides", None) is original:
-            monkeypatch.setattr(mod, "bipartition_sides", counted)
-    return calls
-
-
-def test_bipartition_is_computed_once_per_coloring(monkeypatch):
-    from lirdec.colorers import color_double_auto
-
-    graphs = [CASE2A, CASE2B, CASE2B_REPAIR, cycle_graph(6), path_graph(4)]
-    rng = random.Random(11)
-    graphs += [random_connected_bipartite(rng.randrange(3, 30), rng) for _ in range(40)]
-    calls = _count_bipartition_sides(monkeypatch)
-    for g in graphs:
-        calls[0] = 0
-        assert verify(color_double_bipartite(g)).valid
-        assert calls[0] == 1, g.edges
-        sides = bipartition_sides(g)
-        calls[0] = 0
-        find_twin_split(g, sides)
-        assert calls[0] == 0, g.edges  # a given bipartition is used as is
-        calls[0] = 0
-        find_twin_split(g)
-        assert calls[0] == 1, g.edges
-    calls[0] = 0
-    # a generic bipartite graph through the dispatcher: classify's walk
-    # found the sides, so nothing computes them again
-    assert verify(color_double_auto(CASE2B)).valid
-    assert calls[0] == 0
-
-
-def test_check_graph_walks_a_bipartite_other_graph_once(monkeypatch):
-    from lirdec.harness import check_graph
-
+def _count_walks(monkeypatch):
+    """Count SimpleGraph.is_connected walks, the one walk that 2-colors."""
     walks = [0]
     is_connected = SimpleGraph.is_connected
 
@@ -406,6 +362,38 @@ def test_check_graph_walks_a_bipartite_other_graph_once(monkeypatch):
         return is_connected(self, *args)
 
     monkeypatch.setattr(SimpleGraph, "is_connected", counted)
+    return walks
+
+
+def test_bipartition_is_computed_once_per_coloring(monkeypatch):
+    from lirdec.colorers import color_double_auto
+
+    graphs = [CASE2A, CASE2B, CASE2B_REPAIR, cycle_graph(6), path_graph(4)]
+    rng = random.Random(11)
+    graphs += [random_connected_bipartite(rng.randrange(3, 30), rng) for _ in range(40)]
+    walks = _count_walks(monkeypatch)
+    for g in graphs:
+        walks[0] = 0
+        assert verify(color_double_bipartite(g)).valid
+        assert walks[0] == 1, g.edges
+        sides = bipartition_sides(g)
+        walks[0] = 0
+        find_twin_split(g, sides)
+        assert walks[0] == 0, g.edges  # a given bipartition is used as is
+        walks[0] = 0
+        find_twin_split(g)
+        assert walks[0] == 1, g.edges
+    walks[0] = 0
+    # a generic bipartite graph through the dispatcher: classify's walk
+    # found the sides, so nothing walks the graph again
+    assert verify(color_double_auto(CASE2B)).valid
+    assert walks[0] == 1
+
+
+def test_check_graph_walks_a_bipartite_other_graph_once(monkeypatch):
+    from lirdec.harness import check_graph
+
+    walks = _count_walks(monkeypatch)
     rng = random.Random(12)
     graphs = [CASE2A, CASE2B, CASE2B_REPAIR]
     graphs += [random_connected_bipartite(rng.randrange(6, 30), rng) for _ in range(20)]

@@ -23,20 +23,21 @@ from lirdec.graph_io import read_graph6_lines
 from lirdec.graphs import (
     SimpleGraph,
     bipartition_sides,
-    bowtie_graph,
     complete_graph,
     complete_multipartite_graph,
     cycle_graph,
     path_graph,
-    two_triangles_graph,
     wheel_graph,
 )
 
 from oracle import (
+    bowtie_graph,
+    induced_subgraph,
     multipartite_parts_reference,
     random_connected_graph,
     size_vectors,
     t_family_members,
+    two_triangles_graph,
 )
 
 
@@ -362,7 +363,7 @@ def _wheel_reference(g):
     hubs = [v for v in range(g.n) if g.degree(v) == g.n - 1]
     if len(hubs) != 1 or any(g.degree(v) != 3 for v in range(g.n) if v != hubs[0]):
         return None
-    rim, ids = g.induced_subgraph([v for v in range(g.n) if v != hubs[0]])
+    rim, ids = induced_subgraph(g, [v for v in range(g.n) if v != hubs[0]])
     order = cycle_order(rim)
     return None if order is None else (hubs[0], [ids[i] for i in order])
 

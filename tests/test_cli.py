@@ -7,7 +7,9 @@ import pytest
 from lirdec.cli import EXIT_INCONCLUSIVE, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
 from lirdec.graph_io import decomposition_from_json, to_graph6
 from lirdec.decomposition import verify
-from lirdec.graphs import bowtie_graph, cycle_graph
+from lirdec.graphs import cycle_graph
+
+from oracle import bowtie_graph
 
 
 def run(capsys, *argv):
@@ -239,6 +241,27 @@ def test_sweep_enumerate_streams_one_order_at_a_time(capsys, tmp_path, monkeypat
     assert code == EXIT_OK
     # K2 is on disk before order 3 is built, and orders 2 and 3 before order 4
     assert on_disk == {2: 0, 3: 1, 4: 3}
+
+
+def test_sweep_enumerate_with_jobs_writes_before_the_last_order(capsys, tmp_path, monkeypatch):
+    import lirdec.cli as cli
+
+    report = tmp_path / "report.jsonl"
+    real_enumerate = cli.enumerate_connected
+    on_disk = {}
+
+    def logged(n):
+        on_disk[n] = len(report.read_text().splitlines()) if report.exists() else 0
+        return real_enumerate(n)
+
+    monkeypatch.setattr(cli, "enumerate_connected", logged)
+    code, _, _ = run(capsys, "sweep", "--enumerate", "7", "--jobs", "2", "-o", str(report))
+    assert code == EXIT_OK
+    # at most 2 * jobs chunks of 8 graphs are in flight while one more is
+    # read, so at most 40 of the 142 graphs on 2..6 vertices are not yet on
+    # disk when order 7 is built
+    assert on_disk[7] >= 142 - 5 * 8
+    assert len(report.read_text().splitlines()) == 142 + 853
 
 
 @pytest.mark.parametrize("limit", ["9", "-1", "0"])

@@ -25,7 +25,6 @@ from lirdec.colorers import (
 from lirdec.decomposition import Decomposition, verify
 from lirdec.graphs import (
     SimpleGraph,
-    bowtie_graph,
     canon_edge,
     complete_graph,
     complete_multipartite_graph,
@@ -37,6 +36,7 @@ from lirdec.graphs import (
 from lirdec.solver import SearchLimits, exact_lir_multigraph
 
 from oracle import (
+    bowtie_graph,
     color_degree_table,
     color_double_complete,
     color_double_cycle,

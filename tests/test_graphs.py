@@ -8,7 +8,6 @@ from lirdec.graphs import (
     Multigraph,
     SimpleGraph,
     bipartition_sides,
-    bowtie_graph,
     canon_edge,
     complete_graph,
     complete_multipartite_graph,
@@ -16,8 +15,16 @@ from lirdec.graphs import (
     double,
     is_locally_irregular,
     path_graph,
-    two_triangles_graph,
+    sides_of,
     wheel_graph,
+)
+
+from oracle import (
+    bipartition_reference,
+    bowtie_graph,
+    connected_components,
+    induced_subgraph,
+    two_triangles_graph,
 )
 
 
@@ -108,31 +115,36 @@ def test_balanced_complete_bipartite_doubled_is_not():
 def test_connectivity_helpers():
     g = SimpleGraph(5, [(0, 1), (2, 3)])
     assert not g.is_connected()
-    assert g.connected_components() == [[0, 1], [2, 3], [4]]
+    assert connected_components(g) == [[0, 1], [2, 3], [4]]
     assert cycle_graph(5).is_connected()
 
 
 def test_connectivity_walk_colors_every_labelled_graph_up_to_five_vertices():
     # the coloring is filled only for a connected graph with no odd cycle,
-    # and then gives bipartition_sides, vertex 0's side as 1
+    # and then gives the reference 2-coloring, vertex 0's side as 1;
+    # bipartition_sides is None for any other graph, else the walk's sides
     for n in range(1, 6):
         pairs = list(itertools.combinations(range(n), 2))
         for mask in range(1 << len(pairs)):
             g = SimpleGraph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
             side = []
             connected = g.is_connected(side)
-            assert connected == (len(g.connected_components()) == 1), g.edges
-            sides = bipartition_sides(g) if connected else None
-            if sides is None:
+            assert connected == (len(connected_components(g)) == 1), g.edges
+            reference = bipartition_reference(g) if connected else None
+            if reference is None:
                 assert side == [], g.edges
+                assert bipartition_sides(g) is None, g.edges
             else:
-                assert [v for v in range(n) if side[v] == 1] == sides[0], g.edges
-                assert [v for v in range(n) if side[v] == -1] == sides[1], g.edges
+                walked = sides_of(side)
+                assert walked[0] == [v for v in range(n) if side[v] == 1], g.edges
+                assert walked[1] == [v for v in range(n) if side[v] == -1], g.edges
+                assert walked == reference, g.edges
+                assert bipartition_sides(g) == walked, g.edges
 
 
 def test_induced_subgraph():
     g = cycle_graph(5)
-    sub, back = g.induced_subgraph([0, 1, 2])
+    sub, back = induced_subgraph(g, [0, 1, 2])
     assert back == [0, 1, 2]
     assert sub.edges == ((0, 1), (1, 2))
 

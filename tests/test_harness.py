@@ -11,7 +11,6 @@ from lirdec.graph_io import decomposition_to_json
 from lirdec.enumeration import enumerate_connected, random_connected_bipartite
 from lirdec.graphs import (
     SimpleGraph,
-    bowtie_graph,
     complete_graph,
     complete_multipartite_graph,
     cycle_graph,
@@ -32,6 +31,8 @@ from lirdec.harness import (
     sweep,
 )
 from lirdec.solver import SearchLimits
+
+from oracle import bowtie_graph, record_from_json
 
 
 def test_sweep_small_catalog_has_no_candidates():
@@ -77,7 +78,7 @@ def test_budget_exhaustion_yields_inconclusive():
 
 def test_record_json_round_trip():
     rec = check_graph(path_graph(5))
-    back = SweepRecord.from_json(rec.to_json())
+    back = record_from_json(rec.to_json())
     assert back.graph_id == rec.graph_id
     assert back.result == rec.result
     assert back.witness == rec.witness

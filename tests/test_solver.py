@@ -12,7 +12,6 @@ from lirdec.graph_io import parse_graph6, read_graph6_lines
 from lirdec.graphs import (
     Multigraph,
     SimpleGraph,
-    bowtie_graph,
     complete_graph,
     cycle_graph,
     double,
@@ -27,6 +26,7 @@ from lirdec.solver import (
 )
 
 from oracle import (
+    bowtie_graph,
     brute_graph_decomposable,
     brute_min_colors,
     color_class,

@@ -21,7 +21,6 @@ from lirdec.graph_io import parse_graph6, read_graph6_lines
 from lirdec.graphs import (
     Multigraph,
     SimpleGraph,
-    bowtie_graph,
     complete_graph,
     cycle_graph,
     double,
@@ -37,7 +36,7 @@ from lirdec.solver import (
     is_decomposable,
 )
 
-from oracle import reference_exact_search
+from oracle import bowtie_graph, reference_exact_search
 
 DATA = Path(__file__).resolve().parent.parent / "bench" / "data"
 
