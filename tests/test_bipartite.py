@@ -1,5 +1,7 @@
 """Bipartite two-coloring: path systems, twin splits, the full construction."""
 
+import collections
+import hashlib
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from lirdec.enumeration import (
     enumerate_connected_bipartite,
     random_connected_bipartite,
 )
+from lirdec.graph_io import parse_graph6
 from lirdec.graphs import (
     SimpleGraph,
     bipartition_sides,
@@ -283,6 +286,35 @@ CASE2B = SimpleGraph(
 def test_every_construction_branch(g, branch):
     assert _branch_of(g) == branch
     assert verify(color_double_bipartite(g)).valid
+
+
+# sha256 over the witness vectors of every twin-split graph below, as the
+# corner painting wrote them with one hand-written copy per case
+TWIN_SPLIT_SHA256 = "88b8d638b7319bc94e9d089c9aff973a34c108c986d06a95d8f111b91e68d938"
+
+
+def test_twin_split_witnesses_are_byte_identical():
+    # every seeded random graph with both sides odd, plus GrdAA?, the only
+    # Case 2b repair graph among connected bipartite graphs on <= 9 vertices
+    graphs = []
+    for n in range(5, 40):
+        for seed in range(100):
+            g = random_connected_bipartite(n, random.Random(seed))
+            x, y = bipartition_sides(g)
+            if len(x) % 2 == 1 and len(y) % 2 == 1:
+                graphs.append(g)
+    graphs.append(parse_graph6("GrdAA?"))
+    digest = hashlib.sha256()
+    for g in graphs:
+        digest.update(repr(color_double_bipartite(g).vectors).encode())
+    assert collections.Counter(map(_branch_of, graphs)) == {
+        "case1": 843,
+        "case2a": 18,
+        "case2b": 2,
+        "case2b-repair": 1,
+        "complete-bipartite": 14,
+    }
+    assert digest.hexdigest() == TWIN_SPLIT_SHA256
 
 
 def test_agrees_with_exact_solver_on_small_graphs():
