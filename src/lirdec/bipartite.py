@@ -114,9 +114,7 @@ def find_twin_split(
         # twins share N(S), so |N(S)| is the degree of any member
         pool.sort(key=lambda s: (len(s) + len(g.adj[s[0]]), s))
         for s in pool:
-            s_on_x = on_x[s[0]]
-            if any(on_x[v] != s_on_x for v in s):
-                continue  # twins straddling sides cannot happen in bipartite graphs
+            s_on_x = on_x[s[0]]  # twins share a neighbour, hence a side
             t = g.adj[s[0]]
             keep = [True] * g.n
             for v in s:
@@ -183,13 +181,10 @@ def color_double_bipartite(
                     assign[e] = state
 
     if s % 2 == 1:
-        # Case 1: residue path-system over all of X', corner mostly blue
+        # Case 1: residue path-system over all of X'
         paint_region(xp)
-        paint(s_list, t_list, BB)
-        paint(t_list, xp, RR if s != t else BB)
     else:
         # Case 2: one red-blue hook x0-y0-z0 moves a unit of parity across
-        x0 = s_list[0]
         hooks = [
             (y0, min(w for w in g.adj[y0] if w in xp_set))
             for y0 in t_list
@@ -199,25 +194,17 @@ def color_double_bipartite(
         rich = [h for h in hooks if sum(1 for w in g.adj[h[0]] if w in xp_set) >= 2]
         y0, z0 = rich[0] if rich else hooks[0]
         paint_region(v for v in xp if v != z0)
-        paint(s_list, t_list, BB)
-        assign[canon_edge(x0, y0)] = RB
+    # the corner: S-T blue, T-X' red when |S| != |T| (Cases 1 and 2a), else
+    # blue; it shares no edge with the residue
+    paint(s_list, t_list, BB)
+    paint(t_list, xp, RR if s != t else BB)
+    if s % 2 == 0:  # Case 2: the hook overrides the corner
+        assign[canon_edge(s_list[0], y0)] = RB
         assign[canon_edge(y0, z0)] = RB
-        others_t = [w for w in t_list if w != y0]
-        if s != t:
-            # Subcase 2a: corner-to-residue all red (except the hook edge)
-            paint(others_t, xp, RR)
-            for w in g.adj[y0]:
-                if w in xp_set and w != z0:
-                    assign[canon_edge(y0, w)] = RR
-        else:
-            # Subcase 2b: everything else blue; when every T vertex holds
-            # exactly one residue multiedge, repaint one T vertex's S edges red
-            paint(others_t, xp, BB)
-            for w in g.adj[y0]:
-                if w in xp_set and w != z0:
-                    assign[canon_edge(y0, w)] = BB
-            if not rich:
-                paint(others_t[:1], s_list, RR)
+        if s == t and not rich:
+            # Subcase 2b: every T vertex holds exactly one residue multiedge;
+            # repaint the S edges of one T vertex other than y0 red
+            paint([w for w in t_list if w != y0][:1], s_list, RR)
 
     states = list(map(assign.get, g.edges))
     if None in states:

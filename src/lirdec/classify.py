@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .graphs import SimpleGraph, canon_edge, sides_of
+from .graphs import SimpleGraph, sides_of
 
 
 class ClassKind(Enum):
@@ -174,31 +174,24 @@ def t_family_witness(g: SimpleGraph) -> TWitness | None:
     tris = triangles_of(g)
     if not tris:
         return None
-    tri_vertices: set[int] = set()
+    tri_of_vertex: dict[int, tuple[int, int, int]] = {}
     for tri in tris:
-        if tri_vertices & set(tri):
-            return None  # triangles must be vertex-disjoint
-        tri_vertices.update(tri)
+        for v in tri:
+            if v in tri_of_vertex:
+                return None  # triangles must be vertex-disjoint
+            tri_of_vertex[v] = tri
     # cyclomatic count: each triangle is the only cycle it contributes
     if g.m != g.n - 1 + len(tris):
         return None
-    for v in range(g.n):
-        d = g.degree(v)
-        if v in tri_vertices:
-            if d not in (2, 3):
-                return None
-        elif d not in (1, 2):
-            return None
-
-    tri_edges = {canon_edge(a, b) for tri in tris for a, b in
-                 ((tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2]))}
-    bridge_adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        if (u, v) not in tri_edges:
-            bridge_adj[u].append(v)
-            bridge_adj[v].append(u)
-
-    tri_of_vertex = {v: tri for tri in tris for v in tri}
+    # degrees are 1..3, and a triangle vertex has two triangle edges
+    if any(len(ns) == 3 and v not in tri_of_vertex for v, ns in enumerate(g.adj)):
+        return None
+    # bridges: the edges off the triangles, in adj order (a vertex off every
+    # triangle stands for itself)
+    bridge_adj = [
+        [w for w in ns if tri_of_vertex.get(w, w) != tri_of_vertex.get(v, v)]
+        for v, ns in enumerate(g.adj)
+    ]
     witness = TWitness(root=tris[0])
     placed = set(tris[0])
     queue = [tris[0]]
@@ -213,7 +206,7 @@ def t_family_witness(g: SimpleGraph) -> TWitness | None:
                 # most two: the walk is v's bridge path to its end
                 path = _walk(bridge_adj, v)
                 end = path[-1]
-                if end in tri_vertices:
+                if end in tri_of_vertex:
                     if len(path) % 2 != 0:
                         return None  # triangle-to-triangle path must be odd
                     new_tri = tri_of_vertex[end]
@@ -230,10 +223,10 @@ def t_family_witness(g: SimpleGraph) -> TWitness | None:
                         return None  # pendant path must have even length
                     witness.steps.append(Attachment(v, path))
                     placed.update(path)
-    if len(seen_tris) != len(tris):
-        return None
     if len(placed) != g.n:
-        return None  # placed covers only the root's component: g is disconnected
+        # a triangle never reached leaves its vertices unplaced, and placed
+        # covers only the root's component when g is disconnected
+        return None
     return witness
 
 

@@ -113,11 +113,11 @@ def enumerate_connected_bipartite(n: int) -> list[SimpleGraph]:
     return reps
 
 
-def random_connected_bipartite(n: int, rng: random.Random, extra_edge_rate: float = 0.3) -> SimpleGraph:
+def random_connected_bipartite(n: int, rng: random.Random) -> SimpleGraph:
     """Seeded random connected bipartite graph on n vertices.
 
     Builds a spanning tree alternating across a random bipartition, then
-    sprinkles extra cross edges.
+    adds each other cross edge with probability 0.3.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -127,18 +127,13 @@ def random_connected_bipartite(n: int, rng: random.Random, extra_edge_rate: floa
     edges = set()
     placed_by_side: dict[int, list[int]] = {0: [], 1: []}
     for v, s in enumerate(sides):
-        other = placed_by_side[1 - s]
+        other = placed_by_side[1 - s]  # empty only for vertex 0: vertex 1 is opposite
         if other:
             edges.add(tuple(sorted((v, rng.choice(other)))))
-        elif v > 0:
-            # no opposite-side vertex yet: flip this vertex's side
-            s = 1 - s
-            sides[v] = s
-            edges.add(tuple(sorted((v, rng.choice(placed_by_side[1 - s])))))
         placed_by_side[s].append(v)
     for u in placed_by_side[0]:
         for v in placed_by_side[1]:
             e = tuple(sorted((u, v)))
-            if e not in edges and rng.random() < extra_edge_rate:
+            if e not in edges and rng.random() < 0.3:
                 edges.add(e)
     return SimpleGraph(n, edges)

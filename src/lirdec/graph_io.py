@@ -185,13 +185,13 @@ def decomposition_from_json(text: str) -> Decomposition:
     return Decomposition(host, k, assign)
 
 
-def decomposition_to_dot(d: Decomposition, name: str = "decomposition") -> str:
+def decomposition_to_dot(d: Decomposition) -> str:
     """Emit DOT with one parallel edge statement per color unit.
 
     A doubled edge shows as two red lines (RR), two blue (BB), or one of
     each (RB); a third color renders purple.
     """
-    lines = [f"graph {name} {{"]
+    lines = ["graph decomposition {"]
     for v in range(d.host.n):
         lines.append(f"  {v};")
     for (u, v), counts in zip(d.host.edges, d.vectors):

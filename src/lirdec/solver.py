@@ -150,20 +150,25 @@ def _edge_order(g: SimpleGraph) -> list[Edge]:
     return [e for v in seq for e in back[v]]
 
 
-def _schedule(n: int, edges: list[Edge]) -> list[list[tuple[int, int, int]]]:
-    """Backchecks per step: checks[i] lists the (j, v, o) of every edge
-    j = {v, o} whose two endpoints are both final once edges[i] is placed.
+def _schedule(n: int, edges: list[Edge]) -> list[list[tuple[int, int, int, int]]]:
+    """Backchecks per step: checks[i] lists the (j, v, o, near) of every
+    edge j = {v, o} whose two endpoints are both final once edges[i] is
+    placed, near being the bit mask of the steps whose edge touches v or o.
 
-    A vertex is final after its last incident edge in the order, so each
-    edge is checked exactly once, at the later of its endpoints' last edges.
+    A vertex is final after its last incident edge in the order, the highest
+    bit of its mask, so each edge is checked exactly once, at the highest
+    bit of near.
     """
-    last = [-1] * n
-    for i, (u, v) in enumerate(edges):
-        last[u] = i
-        last[v] = i
-    checks: list[list[tuple[int, int, int]]] = [[] for _ in edges]
+    touch = [0] * n
+    bit = 1
+    for u, v in edges:
+        touch[u] |= bit
+        touch[v] |= bit
+        bit <<= 1
+    checks: list[list[tuple[int, int, int, int]]] = [[] for _ in edges]
     for j, (v, o) in enumerate(edges):
-        checks[max(last[v], last[o])].append((j, v, o))
+        near = touch[v] | touch[o]
+        checks[near.bit_length() - 1].append((j, v, o, near))
     return checks
 
 
@@ -230,21 +235,10 @@ def _lex_checks(
     return lex
 
 
-def _touch_masks(n: int, edges: list[Edge]) -> list[int]:
-    """Per vertex, the bit mask of the steps whose edge touches it."""
-    touch = [0] * n
-    bit = 1
-    for u, v in edges:
-        touch[u] |= bit
-        touch[v] |= bit
-        bit <<= 1
-    return touch
-
-
 def _search_multigraph_k(
     m: Multigraph,
     edges: list[Edge],
-    checks: list[list[tuple[int, int, int]]],
+    checks: list[list[tuple[int, int, int, int]]],
     lex: list[tuple[tuple[tuple[int, int], ...], ...]],
     k: int,
     budget: list[int],
@@ -270,16 +264,11 @@ def _search_multigraph_k(
     if n_edges:
         state_lists[0] = _edge_states(mult[edges[0]], k, True)
         unit_lists[0] = _units(mult[edges[0]], k, True)
-    touch = _touch_masks(m.n, edges)
     # per step: both endpoints' color degrees, each state's (color, count)
     # units, the backchecks against the endpoints' color degrees with the
     # steps at either endpoint, and the lex-leader checks
     steps = [
-        (
-            deg[u], deg[v], options,
-            step and [(j, deg[a], deg[b], touch[a] | touch[b]) for j, a, b in step],
-            twins,
-        )
+        (deg[u], deg[v], options, step and [(j, deg[a], deg[b], near) for j, a, b, near in step], twins)
         for (u, v), options, step, twins in zip(edges, unit_lists, checks, lex)
     ]
     pick = [0] * n_edges  # states tried so far at each step
@@ -352,7 +341,7 @@ def _search_multigraph_k(
 def _search_graph_k(
     m: Multigraph,
     edges: list[Edge],
-    checks: list[list[tuple[int, int, int]]],
+    checks: list[list[tuple[int, int, int, int]]],
     lex: list[tuple[tuple[tuple[int, int], ...], ...]],
     k: int,
     budget: list[int],
@@ -366,7 +355,7 @@ def _search_graph_k(
     n_edges = len(edges)
     deg = [[0] * k for _ in range(m.n)]
     steps = [
-        (deg[u], deg[v], step and [(j, deg[a], deg[b]) for j, a, b in step], twins)
+        (deg[u], deg[v], step and [(j, deg[a], deg[b]) for j, a, b, _ in step], twins)
         for (u, v), step, twins in zip(edges, checks, lex)
     ]
     color = [-1] * n_edges

@@ -719,7 +719,7 @@ def _chronological_multigraph_k(m: Multigraph, edges, checks, lex, k: int, budge
     mult = m.mult
     state_lists = [_edge_states(mult[e], k, i == 0) for i, e in enumerate(edges)]
     steps = [
-        (deg[u], deg[v], _units(mult[(u, v)], k, i == 0), [(j, deg[a], deg[b]) for j, a, b in step], twins)
+        (deg[u], deg[v], _units(mult[(u, v)], k, i == 0), [(j, deg[a], deg[b]) for j, a, b, _ in step], twins)
         for i, ((u, v), step, twins) in enumerate(zip(edges, checks, lex))
     ]
     pick = [0] * n_edges
@@ -772,7 +772,7 @@ def _reference_graph_k(g: SimpleGraph, edges, checks, k: int, budget: list[int])
     n_edges = len(edges)
     deg = [[0] * k for _ in range(g.n)]
     steps = [
-        (deg[u], deg[v], [(j, deg[a], deg[b]) for j, a, b in step])
+        (deg[u], deg[v], [(j, deg[a], deg[b]) for j, a, b, _ in step])
         for (u, v), step in zip(edges, checks)
     ]
     color = [-1] * n_edges

@@ -101,6 +101,31 @@ def test_color_bipartite_flag(capsys):
     assert verify(decomposition_from_json(out)).valid
 
 
+def test_color_falls_back_to_the_exact_search(capsys):
+    # the paw (class other) is covered by no colorer
+    code, out, _ = run(capsys, "color", "Cx")
+    assert code == EXIT_OK
+    assert verify(decomposition_from_json(out)).valid
+
+
+def test_color_fallback_inconclusive_exit_code(capsys):
+    code, out, err = run(capsys, "color", "Cx", "--node-budget", "1")
+    assert code == EXIT_INCONCLUSIVE
+    assert out == "" and "search inconclusive: node budget exhausted" in err
+
+
+def test_color_fallback_none_exit_code(capsys):
+    code, out, err = run(capsys, "color", "Cx", "--max-colors", "1")
+    assert code == EXIT_INVALID
+    assert out == "" and "no coloring within the color limit" in err
+
+
+def test_color_exact_flag(capsys):
+    code, out, _ = run(capsys, "color", "cycle:5", "--exact", "--format", "summary")
+    assert code == EXIT_OK
+    assert out.splitlines()[0] == "n=5 k=2"
+
+
 def test_exact_bowtie_graph_mode(capsys, tmp_path):
     g6 = tmp_path / "bowtie.g6"
     g6.write_text(to_graph6(bowtie_graph()) + "\n")

@@ -63,6 +63,13 @@ def test_cross_check_mode_runs_both():
     assert rec.result == RESULT_TWO_COLORS
 
 
+def test_cross_check_keeps_the_constructive_witness_when_the_search_is_cut():
+    rec = check_graph(cycle_graph(5), SearchLimits(node_budget=1), cross_check=True)
+    assert (rec.result, rec.method) == (RESULT_TWO_COLORS, "both")
+    assert rec.detail == "exact cross-check inconclusive"
+    assert verify(rec.witness).valid
+
+
 def test_cross_check_catalog_invariant():
     # wherever both routes ran, they agreed; a disagreement would raise
     for rec in sweep(enumerate_connected(5), cross_check=True):

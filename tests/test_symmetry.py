@@ -30,7 +30,7 @@ from lirdec.solver import (
     SearchStatus,
     _edge_order,
     _lex_checks,
-    _touch_masks,
+    _schedule,
     exact_lir_graph,
     exact_lir_multigraph,
     is_decomposable,
@@ -133,10 +133,28 @@ def test_chronological_reference_keeps_the_node_counts_with_twin_constraints(g6,
     assert reference_exact_search(m, SearchLimits(2, 28), twins=True).nodes == nodes
 
 
-def test_touch_masks_mark_the_steps_at_each_vertex():
-    # path 0-1-2-3 plus an isolated vertex 4: bit t for edge t
-    edges = [(0, 1), (1, 2), (2, 3)]
-    assert _touch_masks(5, edges) == [0b001, 0b011, 0b110, 0b100, 0]
+def test_schedule_checks_each_edge_once_its_endpoints_are_final():
+    # a vertex is final after its last incident edge: each backcheck sits at
+    # the later of its endpoints' last edges, near holds the steps at either
+    # endpoint, and each step's checks come in edge order
+    for name in ("atlas7.g6", "connected8.g6"):
+        for g in data_graphs(name):
+            edges = _edge_order(g)
+            last = [-1] * g.n
+            at = [0] * g.n
+            for i, (u, v) in enumerate(edges):
+                last[u] = last[v] = i
+                at[u] |= 1 << i
+                at[v] |= 1 << i
+            checks = _schedule(g.n, edges)
+            assert len(checks) == len(edges)
+            assert sorted(j for step in checks for j, *_ in step) == list(range(len(edges)))
+            for i, step in enumerate(checks):
+                for j, v, o, near in step:
+                    assert (v, o) == edges[j]
+                    assert i == max(last[v], last[o])
+                    assert near == at[v] | at[o]
+                assert [j for j, *_ in step] == sorted(j for j, *_ in step)
 
 
 def test_atlas7_graph_mode_matches_the_reference():
