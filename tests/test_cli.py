@@ -316,6 +316,19 @@ def test_sweep_stdout_records(capsys, tmp_path):
     assert "graphs checked: 1" in err
 
 
+def test_sweep_goes_on_past_k1(capsys, tmp_path):
+    # K2, K1, then the path on 3 vertices
+    g6 = tmp_path / "small.g6"
+    g6.write_text("A_\n@\nBw\n")
+    code, out, err = run(capsys, "sweep", str(g6))
+    assert code == EXIT_OK
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["graph"] for r in records] == ["A_", "@", "Bw"]
+    assert [r["result"] for r in records] == ["excluded", "excluded", "lir<=2"]
+    assert "no edges" in records[1]["detail"]
+    assert "graphs checked: 3" in err
+
+
 def test_sweep_jobs_flag(capsys, tmp_path):
     code, out, err = run(capsys, "sweep", "--enumerate", "4", "--jobs", "2")
     assert code == EXIT_OK

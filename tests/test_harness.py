@@ -50,6 +50,15 @@ def test_sweep_excludes_k2():
     assert "conjecture" in records[0].detail
 
 
+@pytest.mark.parametrize("g", [SimpleGraph(0, []), SimpleGraph(1, [])], ids=["K0", "K1"])
+def test_sweep_records_an_edgeless_graph_and_goes_on(g):
+    # there is nothing to double: the record says so and the sweep goes on
+    records = list(sweep([g, path_graph(3)]))
+    assert [r.result for r in records] == [RESULT_EXCLUDED, RESULT_TWO_COLORS]
+    assert "no edges" in records[0].detail
+    assert records[0].witness is None
+
+
 def test_bowtie_two_colorable_via_exact():
     rec = check_graph(bowtie_graph())
     assert rec.result == RESULT_TWO_COLORS
