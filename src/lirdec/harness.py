@@ -1,13 +1,13 @@
 """Batch verification of the two-color conjecture over graph corpora.
 
 Each input graph gets a SweepRecord: K2 is excluded by the conjecture
-statement; otherwise a matching constructive colorer runs, falling back to
-the exact solver at two colors. A counterexample candidate is recorded only
-when a COMPLETED exact search finds nothing; blown budgets stay
-inconclusive, and so do graphs over the exact search's edge cap. Each
-witness is verified exactly once: inside the solver for exact witnesses, at
-the record for constructive ones. The benchmark's independent witness check
-(bench/checks.py) is the second look.
+statement, K0 and K1 for having no edges to double; otherwise a matching
+constructive colorer runs, falling back to the exact solver at two colors.
+A counterexample candidate is recorded only when a COMPLETED exact search
+finds nothing; blown budgets stay inconclusive, and so do graphs over the
+exact search's edge cap. Each witness is verified exactly once: inside the
+solver for exact witnesses, at the record for constructive ones. The
+benchmark's independent witness check (bench/checks.py) is the second look.
 """
 
 from __future__ import annotations
@@ -76,11 +76,11 @@ def _graph_id(g: SimpleGraph) -> str:
 def _check_graph(g: SimpleGraph, gid: str, lim: SearchLimits, cross_check: bool) -> SweepRecord:
     """check_graph with the graph's id already computed."""
     start = time.perf_counter()
-    if g.n == 2 and g.m == 1:
+    if g.n <= 2 and g.m == g.n // 2:  # K0, K1 or K2
         return SweepRecord(
             gid, g.n, g.m, "path", "none", RESULT_EXCLUDED,
             runtime=time.perf_counter() - start,
-            detail="excluded by conjecture statement",
+            detail="excluded by conjecture statement" if g.m else "excluded: graph has no edges",
         )
     try:
         tag = classify(g)
