@@ -4,8 +4,8 @@ decomposability for small instances.
 The search assigns edges in BFS order from a max-degree vertex. A vertex's
 color degrees are final once its last incident edge in that order is
 assigned, and an edge can only be checked once both its endpoints are
-final. Since the order is fixed before the search starts, `_schedule`
-precomputes, for each step, the edges whose endpoints become final there
+final. Since the order is fixed before the search starts, `_plan` lists,
+once per ladder, for each step the edges whose endpoints become final there
 (backchecking, Haralick & Elliott, Artificial Intelligence 14, 1980); after
 placing a state the search tests only those. Both engines are explicit-stack
 loops, so the instance size is not bounded by the recursion limit.
@@ -14,7 +14,7 @@ Symmetry is broken twice, by lex-leader constraints over the edge order
 (Crawford, Ginsberg, Luks & Roy, KR 1996). Colors: restricted growth in
 graph mode, a non-increasing first edge in multigraph mode. Vertices:
 twins a, b (same open or same closed neighbourhood) make the transposition
-(a b) an automorphism, and `_lex_checks` turns each consecutive pair of a
+(a b) an automorphism, and `_plan` turns each consecutive pair of a
 twin class into checks that backtrack once the assignment is lex-larger
 than its image. Values are compared in the order the search tries them:
 the color, or the rank in `compositions(mult, k)`. The search visits
@@ -46,8 +46,8 @@ in-process passes, 2 vCPU, CPython 3.11).
 Both modes run one ladder, `_ladder`; graph mode runs it on the multigraph
 with every multiplicity 1. k = 1 needs no search: the only 1-coloring gives
 every edge its whole multiplicity, so it is valid iff the host is locally
-irregular, an O(m) degree check. `SolveResult.nodes` therefore counts the states tried at
-k >= 2 only. `is_decomposable` is `exact_lir_graph` at the cap floor(m/2)
+irregular, an O(m) degree check. `SolveResult.nodes` therefore counts the
+states tried at k >= 2 only. `is_decomposable` is `exact_lir_graph` at the cap floor(m/2)
 and ignores `lim.max_colors`. "none" means the search space was exhausted;
 a blown node budget yields "inconclusive", never "none".
 """
@@ -124,99 +124,80 @@ def _units(total: int, k: int, first: bool) -> tuple[tuple[tuple[int, int], ...]
     return tuple(tuple((c, x) for c, x in enumerate(s) if x) for s in _edge_states(total, k, first))
 
 
-def _edge_order(g: SimpleGraph) -> list[Edge]:
-    """Edges sorted so vertices finish early: BFS from a max-degree vertex,
-    each edge at its later endpoint's BFS position, then by the earlier one's.
+def _plan(m: Multigraph) -> tuple[list, dict[Edge, int], set[int]]:
+    """The ladder's set-up, built once: the steps, the step of each edge and
+    the set of multiplicities.
+
+    Edges go in BFS order from a max-degree vertex, each at its later
+    endpoint's BFS position, then by the earlier one's, so vertices finish
+    early. steps[i] is (edge, checks, twins) for the i-th edge:
+
+    - checks lists the (j, v, o, near) of every edge j = {v, o} whose two
+      endpoints are both final once step i is placed, near being the bit
+      mask of the steps whose edge touches v or o. A vertex is final after
+      its last incident edge, the highest bit of its mask, so each edge is
+      checked exactly once, at the highest bit of near.
+    - twins holds the lex-leader checks from twin transpositions. Twins
+      a, b (same open or same closed neighbourhood) make (a b) an
+      automorphism; on a multigraph it counts only when mult(aw) = mult(bw)
+      for every w. It swaps the edges at steps f < s in the pairs
+      (step(aw), step(bw)), w in N(a) - {b}, so the lex-least valid
+      assignment x has x[f] < x[s] at the first pair, by f, where the two
+      differ. Both steps grow with w's BFS position, so the pairs sorted by
+      f are sorted by s too. twins holds, for each pair with s = i, the
+      pairs up to it; after step i the search compares them in order and
+      backtracks when the first differing pair has x[f] > x[s].
     """
-    adj = g.adj
-    n = g.n
+    adj = m.base.adj
+    n = m.n
+    degree = [len(nb) for nb in adj]
     pos = [-1] * n
     seq: list[int] = []  # vertices by BFS position; the BFS queue too
-    back: list[list[Edge]] = [[] for _ in range(n)]  # edges to earlier vertices
-    for root in sorted(range(n), key=[len(nb) for nb in adj].__getitem__, reverse=True):
+    back: list[list[Edge]] = []  # per BFS position: edges to earlier vertices
+    # roots by degree, isolated vertices left out: they have no edges to order
+    for root in sorted(filter(degree.__getitem__, range(n)), key=degree.__getitem__, reverse=True):
         if pos[root] != -1:
             continue
         head = pos[root] = len(seq)
         seq.append(root)
+        back.append([])
         while head < len(seq):
             u = seq[head]
             for w in adj[u]:
                 if pos[w] == -1:
                     pos[w] = len(seq)
                     seq.append(w)
-                if pos[w] > head:  # u is taken in BFS order, so back[w] stays sorted
-                    back[w].append((u, w) if u < w else (w, u))
+                    back.append([])
+                if pos[w] > head:  # u is taken in BFS order, so back stays sorted
+                    back[pos[w]].append((u, w) if u < w else (w, u))
             head += 1
-    return [e for v in seq for e in back[v]]
-
-
-def _schedule(n: int, edges: list[Edge]) -> list[list[tuple[int, int, int, int]]]:
-    """Backchecks per step: checks[i] lists the (j, v, o, near) of every
-    edge j = {v, o} whose two endpoints are both final once edges[i] is
-    placed, near being the bit mask of the steps whose edge touches v or o.
-
-    A vertex is final after its last incident edge in the order, the highest
-    bit of its mask, so each edge is checked exactly once, at the highest
-    bit of near.
-    """
-    touch = [0] * n
-    bit = 1
-    for u, v in edges:
-        touch[u] |= bit
-        touch[v] |= bit
-        bit <<= 1
-    checks: list[list[tuple[int, int, int, int]]] = [[] for _ in edges]
-    for j, (v, o) in enumerate(edges):
-        near = touch[v] | touch[o]
-        checks[near.bit_length() - 1].append((j, v, o, near))
-    return checks
-
-
-def _lex_checks(
-    g: SimpleGraph, edges: list[Edge], mult: dict[Edge, int] | None = None
-) -> list[tuple[tuple[tuple[int, int], ...], ...]]:
-    """Lex-leader checks per step from twin transpositions.
-
-    Twins a, b (same open or same closed neighbourhood) make (a b) an
-    automorphism; on a multigraph it counts only when mult(aw) = mult(bw)
-    for every w. It swaps the edges at positions f < s in the pairs
-    (pos(aw), pos(bw)), w in N(a) - {b}, so the lex-least valid assignment
-    x has x[f] < x[s] at the first pair, by f, where the two differ.
-
-    `_edge_order` ranks an edge by its endpoints' BFS positions, later one
-    first, so pos(aw) and pos(bw) both grow with w's BFS position: sorted
-    by f, the pairs are sorted by s too. lex[i] holds, for each pair with
-    s = i, the pairs up to it; after step i the search compares them in
-    order and backtracks when the first differing pair has x[f] > x[s].
-    """
-    lex: list = [()] * len(edges)
-    # open neighbourhoods as bit masks, kept for vertices with edges only so
-    # that isolated vertices cost nothing; an open neighbourhood never
-    # equals another vertex's closed one, so both kinds share one table
-    opened = [0] * g.n
-    for u, v in edges:
+    order = [e for edges in back for e in edges]
+    at: dict[Edge, int] = {}
+    touch = [0] * n  # per vertex: the steps at its edges
+    opened = [0] * n  # per vertex: its open neighbourhood
+    for i, (u, v) in enumerate(order):
+        at[u, v] = i
+        touch[u] |= 1 << i
+        touch[v] |= 1 << i
         opened[u] |= 1 << v
         opened[v] |= 1 << u
-    last: dict[int, int] = {}  # the latest vertex with each neighbourhood
+    checks: list[list[tuple[int, int, int, int]]] = [[] for _ in order]
+    for j, (v, o) in enumerate(order):
+        near = touch[v] | touch[o]
+        checks[near.bit_length() - 1].append((j, v, o, near))
+    twins: list = [()] * len(order)
+    # an open neighbourhood never equals another vertex's closed one, so
+    # both kinds share one table of the latest vertex with each
+    last: dict[int, int] = {}
     swaps = []
     for v, bits in enumerate(opened):
-        if not bits:
-            continue
-        a = last.get(bits)
-        if a is not None:
-            swaps.append((a, v))
-        last[bits] = v
-        bits |= 1 << v
-        a = last.get(bits)
-        if a is not None:
-            swaps.append((a, v))
-        last[bits] = v
-    if not swaps:
-        return lex
-    adj = g.adj
-    pos = {e: i for i, e in enumerate(edges)}
-    if mult is not None and len(set(mult.values())) == 1:
-        mult = None  # every transposition qualifies
+        if bits:
+            for key in (bits, bits | 1 << v):
+                if key in last:
+                    swaps.append((last[key], v))
+                last[key] = v
+    kinds = set(m.mult.values())
+    mult = m.mult if len(kinds) > 1 else None  # else every transposition counts
     for a, b in swaps:
         pairs = []
         for w in adj[a]:
@@ -225,57 +206,50 @@ def _lex_checks(
                 eb = (b, w) if b < w else (w, b)
                 if mult is not None and mult[ea] != mult[eb]:
                     break
-                p = pos[ea]
-                q = pos[eb]
+                p = at[ea]
+                q = at[eb]
                 pairs.append((p, q) if p < q else (q, p))
         else:
             pairs.sort()
             for t, (_, s) in enumerate(pairs):
-                lex[s] += (tuple(pairs[: t + 1]),)
-    return lex
+                twins[s] += (tuple(pairs[: t + 1]),)
+    return list(zip(order, checks, twins)), at, kinds
 
 
 def _search_multigraph_k(
-    m: Multigraph,
-    edges: list[Edge],
-    checks: list[list[tuple[int, int, int, int]]],
-    lex: list[tuple[tuple[tuple[int, int], ...], ...]],
-    k: int,
-    budget: list[int],
+    m: Multigraph, plan: list, kinds: set[int], k: int, budget: list[int]
 ) -> list[tuple[int, ...]] | None:
-    """Find a valid k-coloring of m, as count vectors in the order of
-    edges, or None after exhausting the space.
+    """Find a valid k-coloring of m, as count vectors in the order of the
+    plan's steps, or None after exhausting the space.
 
-    edges is _edge_order(m.base), checks is _schedule and lex is _lex_checks
-    over it. A state's value is its rank in compositions(mult, k), the order
-    the search tries states in. budget[0] is decremented per search node;
-    raises _BudgetExhausted when it runs out. conf[i] collects the steps that
-    the failures at and below step i depend on.
+    plan and kinds are the steps and multiplicities of _plan(m). A state's
+    value is its rank in compositions(mult, k), the order the search tries
+    states in. budget[0] is decremented per search node; raises
+    _BudgetExhausted when it runs out. conf[i] collects the steps that the
+    failures at and below step i depend on.
     """
-    n_edges = len(edges)
+    n_edges = len(plan)
     deg = [[0] * k for _ in range(m.n)]
-    mult = m.mult
     # an edge's states depend on its multiplicity, and on being the first
-    kinds = set(mult.values())
+    mus = [m.mult[e] for e, _, _ in plan]
     states_of = {mu: _edge_states(mu, k, False) for mu in kinds}
     units_of = {mu: _units(mu, k, False) for mu in kinds}
-    state_lists = [states_of[mult[e]] for e in edges]
-    unit_lists = [units_of[mult[e]] for e in edges]
-    if n_edges:
-        state_lists[0] = _edge_states(mult[edges[0]], k, True)
-        unit_lists[0] = _units(mult[edges[0]], k, True)
+    state_lists = [states_of[mu] for mu in mus]
+    unit_lists = [units_of[mu] for mu in mus]
+    state_lists[0] = _edge_states(mus[0], k, True)
+    unit_lists[0] = _units(mus[0], k, True)
     # per step: both endpoints' color degrees, each state's (color, count)
     # units, the backchecks against the endpoints' color degrees with the
     # steps at either endpoint, and the lex-leader checks
     steps = [
-        (deg[u], deg[v], options, step and [(j, deg[a], deg[b], near) for j, a, b, near in step], twins)
-        for (u, v), options, step, twins in zip(edges, unit_lists, checks, lex)
+        (deg[u], deg[v], options, checks and [(j, deg[a], deg[b], near) for j, a, b, near in checks], twins)
+        for ((u, v), checks, twins), options in zip(plan, unit_lists)
     ]
     pick = [0] * n_edges  # states tried so far at each step
     units: list[tuple[tuple[int, int], ...]] = [()] * n_edges
     conf = [0] * n_edges  # conflict set of each step, bit h for step h
     i = 0
-    while n_edges:  # an edgeless host has just the empty coloring
+    while True:
         du, dv, options, tests, twins = steps[i]
         p = pick[i]
         if p:  # take back the state tried last at this step
@@ -339,29 +313,24 @@ def _search_multigraph_k(
 
 
 def _search_graph_k(
-    m: Multigraph,
-    edges: list[Edge],
-    checks: list[list[tuple[int, int, int, int]]],
-    lex: list[tuple[tuple[tuple[int, int], ...], ...]],
-    k: int,
-    budget: list[int],
+    m: Multigraph, plan: list, kinds: set[int], k: int, budget: list[int]
 ) -> list[tuple[int, ...]] | None:
-    """One color per edge of m (multiplicities all 1), colors introduced in
-    index order (restricted growth), as unit count vectors in edges' order.
+    """One color per edge of m (multiplicities all 1, so kinds is {1}),
+    colors introduced in index order (restricted growth), as unit count
+    vectors in the order of the plan's steps.
 
-    edges is _edge_order(m.base), checks is _schedule and lex is _lex_checks
-    over it; a state's value is its color.
+    plan is the steps of _plan(m); a state's value is its color.
     """
-    n_edges = len(edges)
+    n_edges = len(plan)
     deg = [[0] * k for _ in range(m.n)]
     steps = [
-        (deg[u], deg[v], step and [(j, deg[a], deg[b]) for j, a, b, _ in step], twins)
-        for (u, v), step, twins in zip(edges, checks, lex)
+        (deg[u], deg[v], checks and [(j, deg[a], deg[b]) for j, a, b, _ in checks], twins)
+        for (u, v), checks, twins in plan
     ]
     color = [-1] * n_edges
     used = [0] * (n_edges + 1)  # colors in use before each step
     i = 0
-    while n_edges:  # an edgeless graph has just the empty coloring
+    while True:
         du, dv, tests, twins = steps[i]
         c = color[i]
         if c >= 0:  # take back the color tried last at this step
@@ -413,28 +382,25 @@ def _checked(d: Decomposition) -> Decomposition:
 
 def _ladder(m: Multigraph, lim: SearchLimits | None, search) -> SolveResult:
     """Smallest k <= lim.max_colors admitting a valid coloring of m, with
-    witness: k = 1 by the degree check, then search(m, edges, checks, lex,
-    k, budget) for k = 2, 3, .. over one shared node budget."""
+    witness: k = 1 by the degree check, then search(m, plan, kinds, k,
+    budget) for k = 2, 3, .. over one shared node budget."""
     lim = lim or SearchLimits()
     if len(m.edges) > lim.max_edges:
         raise ValueError(f"too many edges: {len(m.edges)} > limit {lim.max_edges}")
     if is_locally_irregular(m):
-        # the only 1-coloring gives every edge its whole multiplicity
+        # the only 1-coloring gives every edge its whole multiplicity; an
+        # edgeless host ends here, so each search has a first edge
         witness = _checked(Decomposition(m, 1, [(mu,) for mu in m.mult.values()]))
         return SolveResult(SearchStatus.FOUND, 1, witness, 0)
     budget = [lim.node_budget]
-    edges = _edge_order(m.base)
-    checks = _schedule(m.n, edges)
-    lex = _lex_checks(m.base, edges, m.mult)
+    plan, at, kinds = _plan(m)
     for k in range(2, lim.max_colors + 1):
         try:
-            found = search(m, edges, checks, lex, k, budget)
+            found = search(m, plan, kinds, k, budget)
         except _BudgetExhausted:
             return SolveResult(SearchStatus.INCONCLUSIVE, nodes=lim.node_budget)
         if found is not None:
-            # the host's edge order is edges sorted
-            host_order = sorted(range(len(edges)), key=edges.__getitem__)
-            witness = _checked(Decomposition(m, k, [found[i] for i in host_order]))
+            witness = _checked(Decomposition(m, k, [found[at[e]] for e in m.edges]))
             return SolveResult(
                 SearchStatus.FOUND, k, witness, lim.node_budget - budget[0]
             )

@@ -708,19 +708,20 @@ def color_t_family_3(g: SimpleGraph, witness: TWitness | None = None) -> Decompo
     return Decomposition(host, 3, assign)
 
 
-def _chronological_multigraph_k(m: Multigraph, edges, checks, lex, k: int, budget: list[int]):
-    """The doubled-mode loop with chronological backtracking: first-edge
-    color symmetry breaking, plus the twin lex-leader checks in lex (all
-    empty for the search without them)."""
+def _chronological_multigraph_k(m: Multigraph, plan, k: int, budget: list[int]):
+    """The doubled-mode loop with chronological backtracking over the
+    plan's (edge, backchecks, twins) steps: first-edge color symmetry
+    breaking, plus the twin lex-leader checks (all empty for the search
+    without them)."""
     from lirdec.solver import _BudgetExhausted, _edge_states, _units
 
-    n_edges = len(edges)
+    n_edges = len(plan)
     deg = [[0] * k for _ in range(m.n)]
     mult = m.mult
-    state_lists = [_edge_states(mult[e], k, i == 0) for i, e in enumerate(edges)]
+    state_lists = [_edge_states(mult[e], k, i == 0) for i, (e, _, _) in enumerate(plan)]
     steps = [
-        (deg[u], deg[v], _units(mult[(u, v)], k, i == 0), [(j, deg[a], deg[b]) for j, a, b, _ in step], twins)
-        for i, ((u, v), step, twins) in enumerate(zip(edges, checks, lex))
+        (deg[u], deg[v], _units(mult[(u, v)], k, i == 0), [(j, deg[a], deg[b]) for j, a, b, _ in checks], twins)
+        for i, ((u, v), checks, twins) in enumerate(plan)
     ]
     pick = [0] * n_edges
     units = [()] * n_edges
@@ -762,18 +763,19 @@ def _chronological_multigraph_k(m: Multigraph, edges, checks, lex, k: int, budge
             i += 1
             if i == n_edges:
                 break
-    return {e: states[q - 1] for e, states, q in zip(edges, state_lists, pick)}
+    return {e: states[q - 1] for (e, _, _), states, q in zip(plan, state_lists, pick)}
 
 
-def _reference_graph_k(g: SimpleGraph, edges, checks, k: int, budget: list[int]):
-    """The graph-mode loop with restricted growth only."""
+def _reference_graph_k(g: SimpleGraph, plan, k: int, budget: list[int]):
+    """The graph-mode loop over the plan's steps with restricted growth
+    only: the twin checks are ignored."""
     from lirdec.solver import _BudgetExhausted
 
-    n_edges = len(edges)
+    n_edges = len(plan)
     deg = [[0] * k for _ in range(g.n)]
     steps = [
-        (deg[u], deg[v], [(j, deg[a], deg[b]) for j, a, b, _ in step])
-        for (u, v), step in zip(edges, checks)
+        (deg[u], deg[v], [(j, deg[a], deg[b]) for j, a, b, _ in checks])
+        for (u, v), checks, _ in plan
     ]
     color = [-1] * n_edges
     used = [0] * (n_edges + 1)
@@ -802,7 +804,7 @@ def _reference_graph_k(g: SimpleGraph, edges, checks, k: int, budget: list[int])
             i += 1
             if i == n_edges:
                 break
-    return {e: tuple(int(c == x) for x in range(k)) for e, c in zip(edges, color)}
+    return {e: tuple(int(c == x) for x in range(k)) for (e, _, _), c in zip(plan, color)}
 
 
 def reference_exact_search(host, lim, graph_mode: bool = False, twins: bool = False):
@@ -817,9 +819,7 @@ def reference_exact_search(host, lim, graph_mode: bool = False, twins: bool = Fa
         SearchStatus,
         SolveResult,
         _BudgetExhausted,
-        _edge_order,
-        _lex_checks,
-        _schedule,
+        _plan,
     )
 
     if graph_mode and twins:
@@ -830,15 +830,15 @@ def reference_exact_search(host, lim, graph_mode: bool = False, twins: bool = Fa
             SearchStatus.FOUND, 1, Decomposition(m, 1, {e: (mu,) for e, mu in m.mult.items()}), 0
         )
     budget = [lim.node_budget]
-    edges = _edge_order(m.base)
-    checks = _schedule(m.n, edges)
-    lex = _lex_checks(m.base, edges, m.mult) if twins else [()] * len(edges)
+    plan = _plan(m)[0]
+    if not twins:
+        plan = [(e, checks, ()) for e, checks, _ in plan]
     for k in range(2, lim.max_colors + 1):
         try:
             if graph_mode:
-                found = _reference_graph_k(host, edges, checks, k, budget)
+                found = _reference_graph_k(host, plan, k, budget)
             else:
-                found = _chronological_multigraph_k(m, edges, checks, lex, k, budget)
+                found = _chronological_multigraph_k(m, plan, k, budget)
         except _BudgetExhausted:
             return SolveResult(SearchStatus.INCONCLUSIVE, nodes=lim.node_budget)
         if found is not None:

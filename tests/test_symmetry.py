@@ -28,9 +28,7 @@ from lirdec.graphs import (
 from lirdec.solver import (
     SearchLimits,
     SearchStatus,
-    _edge_order,
-    _lex_checks,
-    _schedule,
+    _plan,
     exact_lir_graph,
     exact_lir_multigraph,
     is_decomposable,
@@ -53,40 +51,47 @@ def assert_same_answer(got, want):
     assert got.nodes <= want.nodes
 
 
+def plan_of(host) -> tuple[list, list, list]:
+    """The edges, backchecks and twin checks of _plan's steps, each as a
+    list over the steps; host is a Multigraph or a SimpleGraph."""
+    m = host if isinstance(host, Multigraph) else Multigraph(host)
+    steps = _plan(m)[0]
+    return [e for e, _, _ in steps], [checks for _, checks, _ in steps], [twins for _, _, twins in steps]
+
+
 def test_star_leaves_are_false_twins():
     # edges (0,1), (0,2), (0,3) at positions 0, 1, 2; leaves 1, 2, 3 share
     # N = {0}, so (1 2) swaps positions 0 and 1, and (2 3) swaps 1 and 2
     star = SimpleGraph(4, [(0, 1), (0, 2), (0, 3)])
-    edges = _edge_order(star)
+    edges, _, twins = plan_of(star)
     assert edges == [(0, 1), (0, 2), (0, 3)]
-    assert _lex_checks(star, edges) == [(), (((0, 1),),), (((1, 2),),)]
+    assert twins == [(), (((0, 1),),), (((1, 2),),)]
     # a transposition counts on a multigraph only with equal multiplicities
     mult = {(0, 1): 2, (0, 2): 1, (0, 3): 1}
-    assert _lex_checks(star, edges, mult) == [(), (), (((1, 2),),)]
+    assert plan_of(Multigraph(star, mult))[2] == [(), (), (((1, 2),),)]
 
 
 def test_twin_detection_memory_is_linear_in_the_vertex_count():
     # isolated vertices beside a star: a neighbourhood bit mask for every
-    # vertex would take about n^2 / 2 bits (56 MB here)
+    # vertex would take about n^2 / 2 bits (56 MB here), and so would a list
+    # per vertex for the edge order
     n = 30000
-    g = SimpleGraph(n, [(0, 1), (0, 2), (0, 3)])
-    edges = _edge_order(g)
+    m = Multigraph(SimpleGraph(n, [(0, 1), (0, 2), (0, 3)]))
     tracemalloc.start()
     try:
-        lex = _lex_checks(g, edges)
+        steps = _plan(m)[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert lex == [(), (((0, 1),),), (((1, 2),),)]
+    assert [twins for _, _, twins in steps] == [(), (((0, 1),),), (((1, 2),),)]
     assert peak < 4 * 2**20
 
 
 def test_triangle_vertices_are_true_twins():
     # (0 1) swaps (0,2) and (1,2); (1 2) swaps (0,1) and (0,2)
     k3 = cycle_graph(3)
-    edges = _edge_order(k3)
+    edges, _, lex = plan_of(k3)
     pos = {e: i for i, e in enumerate(edges)}
-    lex = _lex_checks(k3, edges)
     swaps = {pairs for step in lex for pairs in step}
     assert swaps == {
         (tuple(sorted((pos[(0, 2)], pos[(1, 2)]))),),
@@ -98,7 +103,7 @@ def test_each_check_holds_placed_pairs_only():
     # in the BFS edge order a transposition's pairs sorted by f are sorted
     # by s too, so the check at step s never reads an unplaced edge
     for g in data_graphs("atlas7.g6"):
-        for i, step in enumerate(_lex_checks(g, _edge_order(g))):
+        for i, step in enumerate(plan_of(g)[2]):
             for pairs in step:
                 assert pairs[-1][1] == i
                 assert all(f < s <= i for f, s in pairs)
@@ -139,14 +144,13 @@ def test_schedule_checks_each_edge_once_its_endpoints_are_final():
     # endpoint, and each step's checks come in edge order
     for name in ("atlas7.g6", "connected8.g6"):
         for g in data_graphs(name):
-            edges = _edge_order(g)
+            edges, checks, _ = plan_of(g)
             last = [-1] * g.n
             at = [0] * g.n
             for i, (u, v) in enumerate(edges):
                 last[u] = last[v] = i
                 at[u] |= 1 << i
                 at[v] |= 1 << i
-            checks = _schedule(g.n, edges)
             assert len(checks) == len(edges)
             assert sorted(j for step in checks for j, *_ in step) == list(range(len(edges)))
             for i, step in enumerate(checks):
