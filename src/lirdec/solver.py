@@ -47,9 +47,9 @@ Both modes run one ladder, `_ladder`; graph mode runs it on the multigraph
 with every multiplicity 1. k = 1 needs no search: the only 1-coloring gives
 every edge its whole multiplicity, so it is valid iff the host is locally
 irregular, an O(m) degree check. `SolveResult.nodes` therefore counts the
-states tried at k >= 2 only. `is_decomposable` is `exact_lir_graph` at the cap floor(m/2)
-and ignores `lim.max_colors`. "none" means the search space was exhausted;
-a blown node budget yields "inconclusive", never "none".
+states tried at k >= 2 only. `is_decomposable` is `exact_lir_graph` at the
+cap floor(m/2) and ignores `lim.max_colors`. "none" means the search space
+was exhausted; a blown node budget yields "inconclusive", never "none".
 """
 
 from __future__ import annotations
@@ -172,11 +172,10 @@ def _plan(m: Multigraph) -> tuple[list, dict[Edge, int], set[int]]:
                     back[pos[w]].append((u, w) if u < w else (w, u))
             head += 1
     order = [e for edges in back for e in edges]
-    at: dict[Edge, int] = {}
+    at = {e: i for i, e in enumerate(order)}
     touch = [0] * n  # per vertex: the steps at its edges
     opened = [0] * n  # per vertex: its open neighbourhood
     for i, (u, v) in enumerate(order):
-        at[u, v] = i
         touch[u] |= 1 << i
         touch[v] |= 1 << i
         opened[u] |= 1 << v

@@ -73,8 +73,8 @@ def test_star_leaves_are_false_twins():
 
 def test_twin_detection_memory_is_linear_in_the_vertex_count():
     # isolated vertices beside a star: a neighbourhood bit mask for every
-    # vertex would take about n^2 / 2 bits (56 MB here), and so would a list
-    # per vertex for the edge order
+    # vertex would take about n^2 / 2 bits (56 MB here); the edge order keeps
+    # no list per isolated vertex either
     n = 30000
     m = Multigraph(SimpleGraph(n, [(0, 1), (0, 2), (0, 3)]))
     tracemalloc.start()
