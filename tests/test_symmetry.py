@@ -153,6 +153,8 @@ def test_schedule_checks_each_edge_once_its_endpoints_are_final():
                 at[v] |= 1 << i
             assert len(checks) == len(edges)
             assert sorted(j for step in checks for j, *_ in step) == list(range(len(edges)))
+            # the step map, which puts witnesses in host order, inverts the order
+            assert _plan(Multigraph(g))[1] == {e: i for i, e in enumerate(edges)}
             for i, step in enumerate(checks):
                 for j, v, o, near in step:
                     assert (v, o) == edges[j]
