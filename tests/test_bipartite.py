@@ -7,7 +7,7 @@ import random
 import pytest
 
 from lirdec.bipartite import color_double_bipartite, find_twin_split, path_system
-from lirdec.decomposition import BB, RB, Decomposition, verify
+from lirdec.decomposition import BB, RB, RR, Decomposition, verify
 from lirdec.enumeration import (
     enumerate_connected_bipartite,
     random_connected_bipartite,
@@ -271,6 +271,27 @@ CASE2B = SimpleGraph(
     ],
 )
 
+# a Case 2b repair with |T| = 4: the twins S = 0..3 on T = 4..7, whose one
+# residue neighbour each is 8, and the residue 8..12 x 13..17 complete; every
+# other twin class scores more than |S| + |T| = 8
+CASE2B_REPAIR_WIDE = SimpleGraph(
+    18,
+    [(s, t) for s in range(4) for t in range(4, 8)]
+    + [(t, 8) for t in range(4, 8)]
+    + [(x, y) for x in range(8, 13) for y in range(13, 18)],
+)
+
+
+def test_subcase_2b_repaints_the_first_t_vertex_after_y0():
+    g = CASE2B_REPAIR_WIDE
+    assert find_twin_split(g) == ([0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11, 12], [13, 14, 15, 16, 17])
+    assert _branch_of(g) == "case2b-repair"
+    d = color_double_bipartite(g)
+    assert verify(d).valid
+    # the hook 0-4-8 is red-blue, the S edges of 5 (not of 7) are repainted red
+    corner = {e: state for e, state in d.assign.items() if e[0] < 4}
+    assert corner == {(s, t): RB if t == 4 and s == 0 else RR if t == 5 else BB for s in range(4) for t in range(4, 8)}
+
 
 @pytest.mark.parametrize(
     "g,branch",
@@ -375,6 +396,14 @@ def test_twin_split_matches_the_all_candidates_reference_on_random_graphs():
         x, y = bipartition_sides(g)
         both_odd += len(x) % 2 == 1 and len(y) % 2 == 1
     assert both_odd > 500  # the colorer's twin-split branch is well covered
+
+
+@pytest.mark.parametrize(
+    "g", [path_graph(2), SimpleGraph(1, []), SimpleGraph(2, [])], ids=["K2", "K1", "two-vertices"]
+)
+def test_bipartite_colorer_rejects_every_graph_on_at_most_two_vertices(g):
+    with pytest.raises(ValueError, match="no locally irregular coloring exists for a doubled K2"):
+        color_double_bipartite(g)
 
 
 def test_twin_split_rejects_odd_cycles_and_disconnected_graphs():

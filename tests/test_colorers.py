@@ -206,6 +206,14 @@ def test_multipartite_rejects_k2():
         color_double_multipartite([1, 1])
 
 
+@pytest.mark.parametrize(
+    "g", [path_graph(2), SimpleGraph(1, []), SimpleGraph(3, [])], ids=["K2", "K1", "edgeless3"]
+)
+def test_auto_covers_no_graph_below_three_vertices_or_without_edges(g):
+    # no doubled K2 coloring exists, and an edgeless graph has nothing to double
+    assert color_double_auto(g) is None
+
+
 def test_multipartite_all_totals_through_ten():
     for total in range(3, 11):
         for k in range(2, total + 1):

@@ -176,6 +176,17 @@ def test_verify_rejects_malformed():
         verify(d)
 
 
+def test_a_sequence_of_the_wrong_length_is_rejected():
+    host = double(path_graph(3))
+    for counts in ([RR], (RR, BB, RB)):
+        with pytest.raises(ValueError, match=f"expected 2 count vectors, got {len(counts)}"):
+            Decomposition(host, 2, counts)
+    d = Decomposition(host, 2, [RR, BB])
+    d.vectors = d.vectors[:1]  # corruption behind the constructor
+    with pytest.raises(ValueError, match="malformed decomposition: 1 count vectors for 2 edges"):
+        verify(d)
+
+
 def test_isolated_vertices_never_conflict():
     g = SimpleGraph(4, [(0, 1)])  # vertices 2, 3 isolated
     host = Multigraph(g, {(0, 1): 2})

@@ -24,6 +24,7 @@ from oracle import (
     bowtie_graph,
     connected_components,
     induced_subgraph,
+    multiplicities_reference,
     two_triangles_graph,
 )
 
@@ -195,3 +196,55 @@ def test_bowtie_shape():
 def test_each_multigraph_value_error(mult, message):
     with pytest.raises(ValueError, match=message):
         Multigraph(path_graph(3), mult)
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: SimpleGraph(-1, []), "vertex count must be non-negative"),
+        (lambda: path_graph(0), "path needs at least 1 vertex"),
+        (lambda: cycle_graph(2), "cycle needs length >= 3"),
+        (lambda: wheel_graph(3), "wheel needs order >= 4"),
+        (lambda: complete_graph(0), "complete graph needs at least 1 vertex"),
+        (lambda: complete_multipartite_graph([3]), "need >= 2 parts, all non-empty"),
+        (lambda: complete_multipartite_graph([2, 0]), "need >= 2 parts, all non-empty"),
+    ],
+    ids=["negative-order", "path0", "cycle2", "wheel3", "complete0", "one-part", "empty-part"],
+)
+def test_each_builder_value_error(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_the_smallest_instances_of_each_builder():
+    assert path_graph(1) == SimpleGraph(1, [])
+    assert cycle_graph(3) == complete_graph(3)
+    assert wheel_graph(4) == complete_graph(4)
+    assert complete_graph(1) == SimpleGraph(1, [])
+    assert complete_multipartite_graph([1, 1]) == path_graph(2)
+
+
+def test_the_empty_graph_is_connected():
+    coloring = []
+    assert SimpleGraph(0, []).is_connected(coloring)
+    assert coloring == []
+
+
+def test_equal_graphs_hash_alike():
+    edges = [(0, 1), (2, 1), (3, 2)]
+    g, h = SimpleGraph(4, edges), SimpleGraph(4, reversed(edges))
+    assert g == h and hash(g) == hash(h)
+    assert hash(Multigraph(g, {(0, 1): 2})) == hash(Multigraph(h, {(1, 2): 1, (0, 1): 2}))
+    assert len({g, h, path_graph(4)}) == 1
+    assert len({Multigraph(g), Multigraph(h, {(0, 1): 1}), double(g)}) == 2
+
+
+@pytest.mark.parametrize("mult", [{(0, 1): "2"}, {(0, 1): 2, (1, 2): None}], ids=["str", "none-after-int"])
+def test_an_incomparable_multiplicity_fails_as_the_reference_does(mult):
+    # min() over the values raises TypeError, and each entry is then checked
+    # in order, as the reference does
+    with pytest.raises(TypeError) as got:
+        Multigraph(path_graph(3), mult)
+    with pytest.raises(TypeError) as want:
+        multiplicities_reference(path_graph(3), mult)
+    assert str(got.value) == str(want.value)

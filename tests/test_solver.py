@@ -20,6 +20,8 @@ from lirdec.graphs import (
 from lirdec.solver import (
     SearchLimits,
     SearchStatus,
+    _ladder,
+    _search_multigraph_k,
     exact_lir_graph,
     exact_lir_multigraph,
     is_decomposable,
@@ -195,6 +197,8 @@ GOLDEN = [
     pytest.param("double", path_graph(3), SearchLimits(), "found", 1, 0, id="double-P3-k1"),
     pytest.param("graph", path_graph(3), SearchLimits(), "found", 1, 0, id="graph-P3-k1"),
     pytest.param("graph", bowtie_graph(), SearchLimits(node_budget=3), "inconclusive", None, 3, id="graph-bowtie-budget3"),
+    # the only doubled none: two first-edge states at each k = 2, 3, 4, not 3 + 6 + 10
+    pytest.param("double", path_graph(2), SearchLimits(), "none", None, 6, id="double-K2-none"),
 ]
 
 
@@ -226,6 +230,17 @@ def test_first_color_count_needs_no_search():
     # a host that is not irregular gets no 1-coloring, and no node is charged
     res = exact_lir_multigraph(double(cycle_graph(3)), SearchLimits(max_colors=1))
     assert (res.status, res.nodes) == (SearchStatus.NONE, 0)
+
+
+def test_a_witness_that_fails_verification_is_an_internal_error():
+    # every edge all red ties the doubled triangle; the ladder must not
+    # report it as found
+    def search(m, plan, kinds, k, budget):
+        return [(2,) + (0,) * (k - 1) for _ in plan]
+
+    assert _ladder(double(cycle_graph(3)), None, _search_multigraph_k).found
+    with pytest.raises(AssertionError, match="search produced an invalid witness"):
+        _ladder(double(cycle_graph(3)), None, search)
 
 
 @pytest.mark.parametrize("g", [path_graph(1500), cycle_graph(1501)], ids=["path1500", "cycle1501"])

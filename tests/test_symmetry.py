@@ -202,6 +202,30 @@ def test_random_multigraphs_match_the_reference(m, k):
     assert_same_answer(got, reference_exact_search(m, lim))
 
 
+# unit multiplicities, k = 2: searches in which a failed twin check decides
+# a backjump
+TWIN_JUMP_FOUND = SimpleGraph(
+    6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5)]
+)
+TWIN_JUMP_NONE = SimpleGraph(
+    6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (3, 4), (3, 5), (4, 5)]
+)
+
+
+def test_a_failed_twin_check_hands_its_steps_to_the_conflict_set():
+    lim = SearchLimits(max_colors=2)
+    # without them the search jumps past the lex-least valid assignment
+    m = Multigraph(TWIN_JUMP_FOUND)
+    got = exact_lir_multigraph(m, lim)
+    assert_same_answer(got, reference_exact_search(m, lim, twins=True))
+    assert got.nodes == 68
+    # every compared pair's steps count, not only the first pair's (343 nodes)
+    m = Multigraph(TWIN_JUMP_NONE)
+    got = exact_lir_multigraph(m, lim)
+    assert_same_answer(got, reference_exact_search(m, lim, twins=True))
+    assert got.nodes == 351
+
+
 def test_k8_decision_is_found_at_three_classes():
     # the search without twin constraints takes 36M nodes here
     res = is_decomposable(complete_graph(8), SearchLimits(max_edges=28))
