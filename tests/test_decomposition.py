@@ -187,6 +187,25 @@ def test_a_sequence_of_the_wrong_length_is_rejected():
         verify(d)
 
 
+def test_decompositions_are_equal_on_host_colors_and_vectors_only():
+    host = double(path_graph(3))
+    d = Decomposition(host, 2, [RR, BB])
+    assert d == Decomposition(double(path_graph(3)), 2, {(1, 2): BB, (0, 1): RR})
+    assert d != Decomposition(host, 2, [BB, RR])
+    assert d != Decomposition(host, 3, [(2, 0, 0), (0, 2, 0)])
+    assert d != Decomposition(double(SimpleGraph(3, [(0, 1), (0, 2)])), 2, [RR, BB])
+    assert d != "Decomposition"
+    assert repr(d) == "Decomposition(n=3, m=2, k=2)"
+
+
+def test_a_decomposition_has_no_instance_dict():
+    # __slots__: a sweep keeps one witness per record
+    d = Decomposition(double(path_graph(3)), 2, [RR, BB])
+    assert not hasattr(d, "__dict__")
+    with pytest.raises(AttributeError):
+        d.extra = 1
+
+
 def test_isolated_vertices_never_conflict():
     g = SimpleGraph(4, [(0, 1)])  # vertices 2, 3 isolated
     host = Multigraph(g, {(0, 1): 2})

@@ -20,6 +20,7 @@ from lirdec.graphs import (
 from lirdec.solver import (
     SearchLimits,
     SearchStatus,
+    SolveResult,
     _ladder,
     _search_multigraph_k,
     exact_lir_graph,
@@ -230,6 +231,30 @@ def test_first_color_count_needs_no_search():
     # a host that is not irregular gets no 1-coloring, and no node is charged
     res = exact_lir_multigraph(double(cycle_graph(3)), SearchLimits(max_colors=1))
     assert (res.status, res.nodes) == (SearchStatus.NONE, 0)
+
+
+@pytest.mark.parametrize("mode,g,nodes", [("double", complete_graph(5), 39), ("graph", bowtie_graph(), 920)])
+def test_the_node_budget_is_exact(mode, g, nodes):
+    # the GOLDEN counts: a budget of exactly that many nodes suffices, one
+    # fewer does not
+    def run(budget):
+        lim = SearchLimits(node_budget=budget)
+        return exact_lir_multigraph(double(g), lim) if mode == "double" else exact_lir_graph(g, lim)
+
+    assert run(nodes).found and run(nodes).nodes == nodes
+    assert (run(nodes - 1).status, run(nodes - 1).nodes) == (SearchStatus.INCONCLUSIVE, nodes - 1)
+
+
+def test_default_limits_and_result():
+    assert SearchLimits() == SearchLimits(max_colors=4, max_edges=24, node_budget=10**9)
+    assert SolveResult(SearchStatus.NONE) == SolveResult(SearchStatus.NONE, None, None, 0)
+
+
+@pytest.mark.parametrize("field", ["max_colors", "max_edges", "node_budget"])
+def test_each_limit_must_be_positive(field):
+    assert SearchLimits(**{field: 1})
+    with pytest.raises(ValueError, match="search limits must be positive"):
+        SearchLimits(**{field: 0})
 
 
 def test_a_witness_that_fails_verification_is_an_internal_error():
