@@ -67,12 +67,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
-
-
 def _family_graph(spec: str, seed: int) -> SimpleGraph:
     name, _, arg = spec.partition(":")
     try:
@@ -83,8 +77,8 @@ def _family_graph(spec: str, seed: int) -> SimpleGraph:
         if name == "randbip":
             return random_connected_bipartite(int(arg), random.Random(seed))
     except ValueError as exc:
-        raise CliError(f"bad family spec {spec!r}: {exc}") from exc
-    raise CliError(f"unknown family {name!r}")
+        raise ValueError(f"bad family spec {spec!r}: {exc}") from exc
+    raise ValueError(f"unknown family {name!r}")
 
 
 def _load_graphs(spec: str, seed: int) -> list[SimpleGraph]:
@@ -100,11 +94,11 @@ def _load_graphs(spec: str, seed: int) -> list[SimpleGraph]:
         try:
             return list(read_graph6_lines(text))
         except Graph6Error as exc:
-            raise CliError(f"{spec}: {exc}") from exc
+            raise ValueError(f"{spec}: {exc}") from exc
     try:
         return [parse_graph6(spec)]
     except Graph6Error as exc:
-        raise CliError(
+        raise ValueError(
             f"input {spec!r} is not a file, family spec, or graph6 string: {exc}"
         ) from exc
 
@@ -136,7 +130,7 @@ def _emit(decomposition: Decomposition, fmt: str, out) -> None:
 def _cmd_color(args, out) -> int:
     graphs = _load_graphs(args.input, args.seed)
     if len(graphs) != 1:
-        raise CliError("color expects exactly one input graph")
+        raise ValueError("color expects exactly one input graph")
     g = graphs[0]
     lim = _limits(args)
     if g.n == 2 and g.m == 1:
@@ -172,11 +166,11 @@ def _cmd_verify(args, out) -> int:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise CliError(str(exc)) from exc
+            raise ValueError(str(exc)) from exc
     try:
         d = decomposition_from_json(text)
     except ValueError as exc:
-        raise CliError(f"bad decomposition JSON: {exc}") from exc
+        raise ValueError(f"bad decomposition JSON: {exc}") from exc
     report = verify(d)
     if report.valid:
         out.write("valid\n")
@@ -190,7 +184,7 @@ def _cmd_verify(args, out) -> int:
 def _cmd_exact(args, out) -> int:
     graphs = _load_graphs(args.input, args.seed)
     if len(graphs) != 1:
-        raise CliError("exact expects exactly one input graph")
+        raise ValueError("exact expects exactly one input graph")
     g = graphs[0]
     lim = _limits(args)
     if args.graph_mode:
@@ -225,9 +219,9 @@ def _enumerated(limit: int) -> Iterator[SimpleGraph]:
     n is enumerated only once order n - 1 has been consumed. The limit is
     checked here, before anything is swept."""
     if limit < 1:
-        raise CliError("--enumerate needs N >= 1")
+        raise ValueError("--enumerate needs N >= 1")
     if limit > ENUMERATION_LIMIT:
-        raise CliError(
+        raise ValueError(
             f"built-in enumeration supports n <= {ENUMERATION_LIMIT}; "
             "ingest a graph6 file for larger orders"
         )
@@ -239,7 +233,7 @@ def _cmd_sweep(args, out) -> int:
         graphs = _enumerated(args.enumerate)
     else:
         if not args.input:
-            raise CliError("sweep needs an input file or --enumerate N")
+            raise ValueError("sweep needs an input file or --enumerate N")
         graphs = _load_graphs(args.input, args.seed)
     if args.output:
         drop_torn_tail(args.output)
@@ -321,9 +315,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, sys.stdout)
-    except CliError as exc:
-        sys.stderr.write(f"lirdec: {exc}\n")
-        return exc.code
     except ValueError as exc:
         sys.stderr.write(f"lirdec: {exc}\n")
         return EXIT_USAGE
