@@ -108,20 +108,14 @@ def compositions(total: int, k: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _edge_states(total: int, k: int, first: bool) -> tuple[tuple[int, ...], ...]:
-    """Count vectors of one edge; the first edge takes non-increasing ones
-    only (color permutation symmetry)."""
+def _edge_states(total: int, k: int, first: bool) -> tuple[tuple, tuple]:
+    """Count vectors of one edge, and each as its (color, count) pairs with
+    count > 0; the first edge takes non-increasing ones only (color
+    permutation symmetry)."""
     states = compositions(total, k)
     if first:
         states = tuple(s for s in states if all(s[j] >= s[j + 1] for j in range(k - 1)))
-    return states
-
-
-@lru_cache(maxsize=None)
-def _units(total: int, k: int, first: bool) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Each of _edge_states(total, k, first) as its (color, count) pairs
-    with count > 0."""
-    return tuple(tuple((c, x) for c, x in enumerate(s) if x) for s in _edge_states(total, k, first))
+    return states, tuple(tuple((c, x) for c, x in enumerate(s) if x) for s in states)
 
 
 def _plan(m: Multigraph) -> tuple[list, dict[Edge, int], set[int]]:
@@ -232,17 +226,15 @@ def _search_multigraph_k(
     # an edge's states depend on its multiplicity, and on being the first
     mus = [m.mult[e] for e, _, _ in plan]
     states_of = {mu: _edge_states(mu, k, False) for mu in kinds}
-    units_of = {mu: _units(mu, k, False) for mu in kinds}
-    state_lists = [states_of[mu] for mu in mus]
-    unit_lists = [units_of[mu] for mu in mus]
-    state_lists[0] = _edge_states(mus[0], k, True)
-    unit_lists[0] = _units(mus[0], k, True)
+    per_step = [states_of[mu] for mu in mus]
+    per_step[0] = _edge_states(mus[0], k, True)
+    state_lists = [states for states, _ in per_step]
     # per step: both endpoints' color degrees, each state's (color, count)
     # units, the backchecks against the endpoints' color degrees with the
     # steps at either endpoint, and the lex-leader checks
     steps = [
         (deg[u], deg[v], options, checks and [(j, deg[a], deg[b], near) for j, a, b, near in checks], twins)
-        for ((u, v), checks, twins), options in zip(plan, unit_lists)
+        for ((u, v), checks, twins), (_, options) in zip(plan, per_step)
     ]
     pick = [0] * n_edges  # states tried so far at each step
     units: list[tuple[tuple[int, int], ...]] = [()] * n_edges
@@ -295,8 +287,7 @@ def _search_multigraph_k(
                     xs = state_lists[s][pick[s] - 1]
                     if xf != xs:
                         break
-                else:
-                    continue
+                # all pairs equal leave xf == xs, so nothing fails
                 if xf < xs:  # a lex-larger vector has a lower rank
                     # the pairs up to the failing one decide the comparison
                     for g, t in pairs:
@@ -359,8 +350,6 @@ def _search_graph_k(
                     cs = color[s]
                     if cf != cs:
                         break
-                else:
-                    continue
                 if cf > cs:  # the swapped assignment is lex-smaller
                     break
             else:

@@ -713,14 +713,14 @@ def _chronological_multigraph_k(m: Multigraph, plan, k: int, budget: list[int]):
     plan's (edge, backchecks, twins) steps: first-edge color symmetry
     breaking, plus the twin lex-leader checks (all empty for the search
     without them)."""
-    from lirdec.solver import _BudgetExhausted, _edge_states, _units
+    from lirdec.solver import _BudgetExhausted, _edge_states
 
     n_edges = len(plan)
     deg = [[0] * k for _ in range(m.n)]
     mult = m.mult
-    state_lists = [_edge_states(mult[e], k, i == 0) for i, (e, _, _) in enumerate(plan)]
+    state_lists = [_edge_states(mult[e], k, i == 0)[0] for i, (e, _, _) in enumerate(plan)]
     steps = [
-        (deg[u], deg[v], _units(mult[(u, v)], k, i == 0), [(j, deg[a], deg[b]) for j, a, b, _ in checks], twins)
+        (deg[u], deg[v], _edge_states(mult[(u, v)], k, i == 0)[1], [(j, deg[a], deg[b]) for j, a, b, _ in checks], twins)
         for i, ((u, v), checks, twins) in enumerate(plan)
     ]
     pick = [0] * n_edges
