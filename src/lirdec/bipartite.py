@@ -88,14 +88,19 @@ def find_twin_split(
     """Twin set S with connected residue, minimizing |S| + |N(S)|.
 
     Returns (S, T, X', Y') as sorted lists: T = N(S), X' the rest of S's
-    side and Y' the rest of T's. Maximal twin classes (vertices sharing an
-    open neighborhood) are tried first; only when none works do subsets
-    leaving a single leftover twin enter the pool (a bigger leftover would
-    sit isolated in the residue). Each pool is tried in ascending order of
-    (|S| + |N(S)|, sorted S), and the first valid split is returned; keys
-    within a pool are unique, so this is the pool's minimum. sides, when
-    given, must be bipartition_sides(g), and is used as is; otherwise one
-    walk tests connectivity and finds them.
+    side and Y' the rest of T's. The maximal twin classes (vertices sharing
+    an open neighborhood) are tried in ascending order of (|S| + |N(S)|,
+    sorted S), and the first valid split is returned; keys are unique, so
+    this is the minimum. sides, when given, must be bipartition_sides(g),
+    and is used as is; otherwise one walk tests connectivity and finds them.
+
+    Some class is always valid. Take a vertex v at the largest BFS distance
+    d from a root r, with N(v) minimal by inclusion among the vertices at
+    distance d, and S its class. Every vertex at distance d outside S has a
+    neighbour outside N(v), at distance d - 1; a twin of v at distance
+    below d can only be r, when d = 2, and then S and N(v) = N(r) cover
+    everything, as they do when d <= 1. Otherwise the vertices at distance below d - 1 stay, and
+    they carry a BFS path from each vertex of the residue and of N(v).
     """
     if sides is None:
         sides = _walk_sides(g, "twin split requires a connected graph", "twin split not found")
@@ -106,30 +111,23 @@ def find_twin_split(
     groups: dict[tuple[int, ...], list[int]] = {}
     for v in range(g.n):
         groups.setdefault(g.adj[v], []).append(v)
-    classes = list(groups.values())
-    for pool in (
-        classes,
-        [c[:i] + c[i + 1 :] for c in classes if len(c) >= 2 for i in range(len(c))],
-    ):
-        # twins share N(S), so |N(S)| is the degree of any member
-        pool.sort(key=lambda s: (len(s) + len(g.adj[s[0]]), s))
-        for s in pool:
-            s_on_x = on_x[s[0]]  # twins share a neighbour, hence a side
-            t = g.adj[s[0]]
-            keep = [True] * g.n
-            for v in s:
-                keep[v] = False
-            for v in t:
-                keep[v] = False
-            xp = [v for v in (side_x if s_on_x else side_y) if keep[v]]
-            if xp and not all(any(keep[w] for w in g.adj[v]) for v in t):
-                continue  # T member with no neighbor in the residue
-            yp = [v for v in (side_y if s_on_x else side_x) if keep[v]]
-            rest = len(xp) + len(yp)
-            if rest and _spanning_tree(g, keep, (xp or yp)[0])[1] != rest:
-                continue
-            return s, list(t), xp, yp
-    raise ValueError("twin split not found")
+    # twins share N(S), so |N(S)| is the degree of any member
+    for s in sorted(groups.values(), key=lambda s: (len(s) + len(g.adj[s[0]]), s)):
+        s_on_x = on_x[s[0]]  # twins share a neighbour, hence a side
+        t = g.adj[s[0]]
+        keep = [True] * g.n
+        for v in s:
+            keep[v] = False
+        for v in t:
+            keep[v] = False
+        xp = [v for v in (side_x if s_on_x else side_y) if keep[v]]
+        if xp and not all(any(keep[w] for w in g.adj[v]) for v in t):
+            continue  # T member with no neighbor in the residue
+        yp = [v for v in (side_y if s_on_x else side_x) if keep[v]]
+        rest = len(xp) + len(yp)
+        if rest and _spanning_tree(g, keep, (xp or yp)[0])[1] != rest:
+            continue
+        return s, list(t), xp, yp
 
 
 def color_double_bipartite(
