@@ -172,8 +172,6 @@ def t_family_witness(g: SimpleGraph) -> TWitness | None:
     if g.n < 3 or g.m < g.n or max(map(len, g.adj)) > 3 or min(map(len, g.adj)) < 1:
         return None
     tris = triangles_of(g)
-    if not tris:
-        return None
     tri_of_vertex: dict[int, tuple[int, int, int]] = {}
     for tri in tris:
         for v in tri:
@@ -181,6 +179,7 @@ def t_family_witness(g: SimpleGraph) -> TWitness | None:
                 return None  # triangles must be vertex-disjoint
             tri_of_vertex[v] = tri
     # cyclomatic count: each triangle is the only cycle it contributes
+    # (with no triangle, m >= n fails it)
     if g.m != g.n - 1 + len(tris):
         return None
     # degrees are 1..3, and a triangle vertex has two triangle edges
@@ -233,15 +232,11 @@ def t_family_witness(g: SimpleGraph) -> TWitness | None:
 def recognize_t_prime(g: SimpleGraph) -> TPrimeResult:
     """Membership in the family of graphs with no locally irregular
     decomposition: odd paths, odd cycles, and the triangle family."""
-    order = path_order(g)
-    if order is not None and g.m >= 1:
-        if g.m % 2 == 1:
-            return TPrimeResult(True, ClassKind.ODD_PATH)
-        return TPrimeResult(False)
-    if cycle_order(g) is not None:
-        if g.n % 2 == 1:
-            return TPrimeResult(True, ClassKind.ODD_CYCLE)
-        return TPrimeResult(False)
+    # an even path or cycle fails every test: it has m < n or no triangle
+    if g.m % 2 == 1 and path_order(g) is not None:
+        return TPrimeResult(True, ClassKind.ODD_PATH)
+    if g.n % 2 == 1 and cycle_order(g) is not None:
+        return TPrimeResult(True, ClassKind.ODD_CYCLE)
     witness = t_family_witness(g)
     if witness is not None:
         return TPrimeResult(True, ClassKind.T_FAMILY, witness)
