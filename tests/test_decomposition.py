@@ -1,5 +1,6 @@
 """Decomposition invariants, color degrees, and the verifier."""
 
+import collections
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from lirdec.decomposition import (
 from lirdec.graphs import Multigraph, SimpleGraph, cycle_graph, double, is_locally_irregular, path_graph
 
 from oracle import (
+    assignment_reference,
     color_class,
     color_degree_table,
     color_degree,
@@ -26,6 +28,7 @@ from oracle import (
     random_connected_graph,
     relabeled,
     vectors_summing_to,
+    verify_reference,
 )
 from test_symmetry import small_multigraphs
 
@@ -204,6 +207,30 @@ def test_a_decomposition_has_no_instance_dict():
     assert not hasattr(d, "__dict__")
     with pytest.raises(AttributeError):
         d.extra = 1
+
+
+def test_an_edge_carries_a_color_from_one_unit_on():
+    # the constructor takes any counts with the right sums; as the
+    # reference does, verify reads half a unit as not carrying its color
+    d = Decomposition(double(path_graph(2)), 2, [(1.5, 0.5)])
+    assert verify(d).conflicts == verify_reference(d) == [(0, (0, 1), 1.5)]
+
+
+def test_vectors_of_a_tuple_subclass_become_plain_tuples():
+    Pair = collections.namedtuple("Pair", "red blue")
+    d = Decomposition(double(path_graph(3)), 2, [Pair(2, 0), Pair(0, 2)])
+    assert d.vectors == (RR, BB)
+    assert all(type(v) is tuple for v in d.vectors)
+
+
+@pytest.mark.parametrize("counts", [[("2", "0"), BB], [BB, ("1", 1)]], ids=["strings", "mixed"])
+def test_counts_that_do_not_compare_with_zero_fail_as_the_reference_does(counts):
+    host = double(path_graph(3))
+    with pytest.raises(TypeError) as got:
+        Decomposition(host, 2, counts)
+    with pytest.raises(TypeError) as want:
+        assignment_reference(host, 2, dict(zip(host.edges, counts)))
+    assert str(got.value) == str(want.value)
 
 
 def test_isolated_vertices_never_conflict():

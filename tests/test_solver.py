@@ -200,6 +200,8 @@ GOLDEN = [
     pytest.param("graph", bowtie_graph(), SearchLimits(node_budget=3), "inconclusive", None, 3, id="graph-bowtie-budget3"),
     # the only doubled none: two first-edge states at each k = 2, 3, 4, not 3 + 6 + 10
     pytest.param("double", path_graph(2), SearchLimits(), "none", None, 6, id="double-K2-none"),
+    # the lone edge's failures depend on no earlier step: each k ends there
+    pytest.param("double", SimpleGraph(5, [(0, 1), (1, 2), (3, 4)]), SearchLimits(), "none", None, 25, id="double-P3+K2-none"),
 ]
 
 
