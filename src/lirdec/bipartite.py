@@ -203,9 +203,6 @@ def color_double_bipartite(
             # Subcase 2b: every T vertex holds exactly one residue multiedge;
             # repaint the S edges of one T vertex other than y0 red
             paint([w for w in t_list if w != y0][:1], s_list, RR)
-
-    states = list(map(assign.get, g.edges))
-    if None in states:
-        missing = [e for e, state in zip(g.edges, states) if state is None]
-        raise AssertionError(f"edges left uncolored: {missing}")
-    return Decomposition(host, 2, states)
+    # every edge is painted: S meets only T, and every other edge is T-X' or
+    # lies in the residue
+    return Decomposition(host, 2, list(map(assign.get, g.edges)))
