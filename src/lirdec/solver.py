@@ -210,14 +210,15 @@ def _plan(m: Multigraph) -> tuple[list, dict[Edge, int], set[int]]:
 
 
 def _search_multigraph_k(
-    m: Multigraph, plan: list, kinds: set[int], k: int, budget: list[int]
-) -> list[tuple[int, ...]] | None:
+    m: Multigraph, plan: list, kinds: set[int], k: int, budget: int
+) -> tuple[list[tuple[int, ...]] | None, int]:
     """Find a valid k-coloring of m, as count vectors in the order of the
-    plan's steps, or None after exhausting the space.
+    plan's steps, or None after exhausting the space, with the node budget
+    left.
 
     plan and kinds are the steps and multiplicities of _plan(m). A state's
     value is its rank in compositions(mult, k), the order the search tries
-    states in. budget[0] is decremented per search node; raises
+    states in. Each search node takes one from budget; raises
     _BudgetExhausted when it runs out. conf[i] collects the steps that the
     failures at and below step i depend on.
     """
@@ -252,7 +253,7 @@ def _search_multigraph_k(
                 # depend on, handing it the rest of the conflict set
                 cause = conf[i] & ((1 << i) - 1)
                 if not cause:
-                    return None
+                    return None, budget
                 h = cause.bit_length() - 1
                 conf[h] |= cause
                 pick[i] = conf[i] = 0
@@ -264,8 +265,8 @@ def _search_multigraph_k(
                     pick[t] = conf[t] = 0
                 i = h
                 continue
-        budget[0] -= 1
-        if budget[0] < 0:
+        budget -= 1
+        if budget < 0:
             raise _BudgetExhausted
         pick[i] = p + 1
         placed = units[i] = options[p]
@@ -299,12 +300,12 @@ def _search_multigraph_k(
                 i += 1
                 if i == n_edges:
                     break
-    return [states[q - 1] for states, q in zip(state_lists, pick)]
+    return [states[q - 1] for states, q in zip(state_lists, pick)], budget
 
 
 def _search_graph_k(
-    m: Multigraph, plan: list, kinds: set[int], k: int, budget: list[int]
-) -> list[tuple[int, ...]] | None:
+    m: Multigraph, plan: list, kinds: set[int], k: int, budget: int
+) -> tuple[list[tuple[int, ...]] | None, int]:
     """One color per edge of m (multiplicities all 1, so kinds is {1}),
     colors introduced in index order (restricted growth), as unit count
     vectors in the order of the plan's steps.
@@ -329,12 +330,12 @@ def _search_graph_k(
             if c + 1 == (used[i] + 1 if used[i] < k else k):
                 color[i] = -1
                 if i == 0:
-                    return None
+                    return None, budget
                 i -= 1
                 continue
         c += 1
-        budget[0] -= 1
-        if budget[0] < 0:
+        budget -= 1
+        if budget < 0:
             raise _BudgetExhausted
         color[i] = c
         du[c] += 1
@@ -358,7 +359,7 @@ def _search_graph_k(
                 if i == n_edges:
                     break
     units = [(0,) * c + (1,) + (0,) * (k - 1 - c) for c in range(k)]
-    return [units[c] for c in color]
+    return [units[c] for c in color], budget
 
 
 def _checked(d: Decomposition) -> Decomposition:
@@ -371,7 +372,8 @@ def _checked(d: Decomposition) -> Decomposition:
 def _ladder(m: Multigraph, lim: SearchLimits | None, search) -> SolveResult:
     """Smallest k <= lim.max_colors admitting a valid coloring of m, with
     witness: k = 1 by the degree check, then search(m, plan, kinds, k,
-    budget) for k = 2, 3, .. over one shared node budget."""
+    budget) for k = 2, 3, .. over one shared node budget, each search
+    returning its result and the budget it leaves."""
     lim = lim or SearchLimits()
     if len(m.edges) > lim.max_edges:
         raise ValueError(f"too many edges: {len(m.edges)} > limit {lim.max_edges}")
@@ -380,19 +382,19 @@ def _ladder(m: Multigraph, lim: SearchLimits | None, search) -> SolveResult:
         # edgeless host ends here, so each search has a first edge
         witness = _checked(Decomposition(m, 1, [(mu,) for mu in m.mult.values()]))
         return SolveResult(SearchStatus.FOUND, 1, witness, 0)
-    budget = [lim.node_budget]
+    budget = lim.node_budget
     plan, at, kinds = _plan(m)
     for k in range(2, lim.max_colors + 1):
         try:
-            found = search(m, plan, kinds, k, budget)
+            found, budget = search(m, plan, kinds, k, budget)
         except _BudgetExhausted:
             return SolveResult(SearchStatus.INCONCLUSIVE, nodes=lim.node_budget)
         if found is not None:
             witness = _checked(Decomposition(m, k, [found[at[e]] for e in m.edges]))
             return SolveResult(
-                SearchStatus.FOUND, k, witness, lim.node_budget - budget[0]
+                SearchStatus.FOUND, k, witness, lim.node_budget - budget
             )
-    return SolveResult(SearchStatus.NONE, nodes=lim.node_budget - budget[0])
+    return SolveResult(SearchStatus.NONE, nodes=lim.node_budget - budget)
 
 
 def exact_lir_multigraph(m: Multigraph, lim: SearchLimits | None = None) -> SolveResult:

@@ -263,7 +263,7 @@ def test_a_witness_that_fails_verification_is_an_internal_error():
     # every edge all red ties the doubled triangle; the ladder must not
     # report it as found
     def search(m, plan, kinds, k, budget):
-        return [(2,) + (0,) * (k - 1) for _ in plan]
+        return [(2,) + (0,) * (k - 1) for _ in plan], budget
 
     assert _ladder(double(cycle_graph(3)), None, _search_multigraph_k).found
     with pytest.raises(AssertionError, match="search produced an invalid witness"):
