@@ -388,3 +388,17 @@ def test_wheel_order_matches_the_induced_rim_reference():
         assert wheel_order(g) == expected, g.edges
         wheels += expected is not None
     assert wheels == 36  # the order-4 wheels are K4, with no unique hub
+
+
+def test_path_order_turns_a_degree_three_vertex_away_before_walking():
+    # K1 beside a 4-cycle with two pendant edges: m = n - 1 and two leaves,
+    # but the walk from leaf 5 would circle the 4-cycle forever
+    g = SimpleGraph(7, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 5), (3, 6)])
+    assert path_order(g) is None
+    assert not recognize_t_prime(g).member
+
+
+def test_the_empty_graph_is_no_cycle():
+    g = SimpleGraph(0, [])
+    assert path_order(g) is None and cycle_order(g) is None
+    assert not recognize_t_prime(g).member
