@@ -109,7 +109,9 @@ def path_order(g: SimpleGraph) -> list[int] | None:
 def cycle_order(g: SimpleGraph) -> list[int] | None:
     """Vertex order around g when g is a single cycle, else None: the walk
     from vertex 0, which misses vertices when there are several cycles."""
-    if g.n < 3 or g.m != g.n:
+    # a simple graph with m = n >= 1 has n >= 3; at n = 0 the walk would
+    # have no start
+    if g.m != g.n or g.n == 0:
         return None
     if any(len(ns) != 2 for ns in g.adj):
         return None
