@@ -290,11 +290,10 @@ def _search_multigraph_k(
                         break
                 # all pairs equal leave xf == xs, so nothing fails
                 if xf < xs:  # a lex-larger vector has a lower rank
-                    # the pairs up to the failing one decide the comparison
+                    # every pair decides the comparison: the failing pair is
+                    # the last, as each shorter prefix passed at its own s
                     for g, t in pairs:
                         conf[i] |= 1 << g | 1 << t
-                        if g == f:
-                            break
                     break
             else:
                 i += 1
