@@ -402,3 +402,8 @@ def test_the_empty_graph_is_no_cycle():
     g = SimpleGraph(0, [])
     assert path_order(g) is None and cycle_order(g) is None
     assert not recognize_t_prime(g).member
+
+
+def test_a_single_vertex_is_no_wheel():
+    assert wheel_order(SimpleGraph(1, [])) is None
+    assert wheel_order(complete_graph(4)) is None  # classified as complete
