@@ -126,7 +126,9 @@ def wheel_order(g: SimpleGraph) -> tuple[int, list[int]] | None:
     vertex, smaller rim neighbor first, as cycle_order does on the rim alone.
     Order-4 wheels coincide with the complete graph and are classified there.
     """
-    if g.n < 5 or g.m != 2 * (g.n - 1):
+    # at n = 4 this is K4, whose rim degree 3 is also the hub's, so the
+    # degree counts below turn it away; at n = 1 the walk would have no start
+    if g.m != 2 * (g.n - 1) or g.n == 1:
         return None
     degrees = list(map(len, g.adj))
     if degrees.count(g.n - 1) != 1 or degrees.count(3) != g.n - 1:
