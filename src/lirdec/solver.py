@@ -318,7 +318,7 @@ def _search_graph_k(
         for (u, v), checks, twins in plan
     ]
     color = [-1] * n_edges
-    used = [0] * (n_edges + 1)  # colors in use before each step
+    used = [0] * n_edges  # colors in use before each step
     i = 0
     while True:
         du, dv, tests, twins = steps[i]
@@ -353,10 +353,10 @@ def _search_graph_k(
                 if cf > cs:  # the swapped assignment is lex-smaller
                     break
             else:
-                used[i + 1] = used[i] if c < used[i] else c + 1
                 i += 1
                 if i == n_edges:
                     break
+                used[i] = used[i - 1] if c < used[i - 1] else c + 1
     units = [(0,) * c + (1,) + (0,) * (k - 1 - c) for c in range(k)]
     return [units[c] for c in color], budget
 
