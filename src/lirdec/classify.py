@@ -173,7 +173,8 @@ def t_family_witness(g: SimpleGraph) -> TWitness | None:
     A member has m = n - 1 + #triangles >= n and every degree in 1..3, an
     O(n) pretest that turns most other graphs away before the scan.
     """
-    if g.n < 3 or g.m < g.n or max(map(len, g.adj)) > 3 or min(map(len, g.adj)) < 1:
+    # m >= n and m > 0 leave n >= 3 in a simple graph
+    if not g.m or g.m < g.n or max(map(len, g.adj)) > 3 or min(map(len, g.adj)) < 1:
         return None
     tris = triangles_of(g)
     tri_of_vertex: dict[int, tuple[int, int, int]] = {}
