@@ -29,6 +29,7 @@ from lirdec.graphs import (
     path_graph,
     wheel_graph,
 )
+from lirdec.solver import is_decomposable
 
 from oracle import (
     bowtie_graph,
@@ -407,3 +408,22 @@ def test_the_empty_graph_is_no_cycle():
 def test_a_single_vertex_is_no_wheel():
     assert wheel_order(SimpleGraph(1, [])) is None
     assert wheel_order(complete_graph(4)) is None  # classified as complete
+
+
+def test_triangles_sharing_an_edge_make_no_family_member():
+    # the diamond 3, 4, 6, 7 between the triangle 0, 1, 2 and the pendant
+    # edge 4-5: without the vertex-disjointness test, the bridge walks would
+    # place every vertex and return a witness, yet the graph decomposes
+    g = SimpleGraph(8, [(0, 1), (0, 2), (1, 2), (2, 7), (3, 6), (3, 4), (4, 6), (3, 7), (6, 7), (4, 5)])
+    assert t_family_witness(g) is None
+    assert not recognize_t_prime(g).member
+    assert is_decomposable(g).found
+
+
+def test_a_degree_three_vertex_off_the_triangles_ends_the_scan():
+    # a 4-cycle whose vertex 0 joins the triangle 4, 5, 6, beside an edge:
+    # m = n - 1 + #triangles, and the bridge walk from 6 would circle the
+    # 4-cycle forever
+    g = SimpleGraph(9, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (4, 6), (5, 6), (0, 6), (7, 8)])
+    assert t_family_witness(g) is None
+    assert not recognize_t_prime(g).member
