@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from lirdec.classify import (
+    Attachment,
     ClassKind,
+    TWitness,
     classify,
     cycle_order,
     multipartite_parts,
@@ -427,3 +429,19 @@ def test_a_degree_three_vertex_off_the_triangles_ends_the_scan():
     g = SimpleGraph(9, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (4, 6), (5, 6), (0, 6), (7, 8)])
     assert t_family_witness(g) is None
     assert not recognize_t_prime(g).member
+
+
+def test_the_family_witness_lists_attachments_breadth_first():
+    # triangles 3-5 and 6-8 hang off the root 0-2, and 9-11 and 12-14 off
+    # those two: both children of the root come before any grandchild
+    triangles = [e for a in range(0, 15, 3) for e in ((a, a + 1), (a, a + 2), (a + 1, a + 2))]
+    g = SimpleGraph(15, triangles + [(0, 3), (1, 6), (4, 9), (7, 12)])
+    assert t_family_witness(g) == TWitness(
+        root=(0, 1, 2),
+        steps=[
+            Attachment(0, [0, 3], (4, 5)),
+            Attachment(1, [1, 6], (7, 8)),
+            Attachment(4, [4, 9], (10, 11)),
+            Attachment(7, [7, 12], (13, 14)),
+        ],
+    )

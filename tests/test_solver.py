@@ -309,6 +309,8 @@ def test_decision_ignores_max_colors_and_keeps_the_edge_cap():
     assert res.found and res.colors == 4
     assert is_decomposable(path_graph(2)).status is SearchStatus.NONE
     assert is_decomposable(SimpleGraph(1, [])).colors == 0
+    # the lone-edge cases search nothing
+    assert is_decomposable(SimpleGraph(1, [])).nodes == is_decomposable(path_graph(2)).nodes == 0
     with pytest.raises(ValueError, match="too many edges"):
         is_decomposable(complete_graph(8), SearchLimits(max_edges=27))
 
