@@ -199,7 +199,6 @@ def t_family_witness(g: SimpleGraph) -> TWitness | None:
     witness = TWitness(root=tris[0])
     placed = set(tris[0])
     queue = [tris[0]]
-    seen_tris = {tris[0]}
     while queue:
         tri = queue.pop(0)
         for v in sorted(tri):
@@ -213,12 +212,12 @@ def t_family_witness(g: SimpleGraph) -> TWitness | None:
                 if end in tri_of_vertex:
                     if len(path) % 2 != 0:
                         return None  # triangle-to-triangle path must be odd
+                    # new_tri is unseen: by the count, a connected g has no
+                    # cycle but its triangles, so a path out of the placed
+                    # part never comes back (a disconnected g fails below)
                     new_tri = tri_of_vertex[end]
-                    if new_tri in seen_tris:
-                        return None
                     others = tuple(sorted(set(new_tri) - {end}))
                     witness.steps.append(Attachment(v, path, others))
-                    seen_tris.add(new_tri)
                     placed.update(path)
                     placed.update(new_tri)
                     queue.append(new_tri)
