@@ -72,9 +72,12 @@ def test_path_system_rejects_odd_terminals():
         path_system(path_graph(3), {0})
 
 
-def test_path_system_rejects_foreign_terminals():
-    with pytest.raises(ValueError, match="outside"):
-        path_system(path_graph(3), {0, 7})
+@pytest.mark.parametrize(
+    "terminals,region", [({0, 7}, None), ({-1, 0}, None), ({0, 2}, [0, 1])], ids=["above", "negative", "off-region"]
+)
+def test_path_system_rejects_foreign_terminals(terminals, region):
+    with pytest.raises(ValueError, match="terminal outside the graph"):
+        path_system(path_graph(3), terminals, region)
 
 
 def test_path_system_parity_property():
