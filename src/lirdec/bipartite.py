@@ -71,7 +71,7 @@ def path_system(
         raise ValueError("terminal set must have even size")
     if not inside:
         return frozenset()
-    parent, reached = _spanning_tree(g, keep, terms[0] if terms else inside[0])
+    parent, reached = _spanning_tree(g, keep, (terms or inside)[0])
     if reached != len(inside):
         raise ValueError("path system requires a connected graph")
     flips: set[Edge] = set()
