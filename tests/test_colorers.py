@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+import typing
 
 import pytest
 
@@ -20,7 +21,9 @@ from lirdec.colorers import (
     color_double_auto,
     cycle_states,
     multipartite_states,
+    path_assign,
     path_states,
+    ring_assign,
 )
 from lirdec.decomposition import Decomposition, verify
 from lirdec.graphs import (
@@ -204,6 +207,14 @@ def test_k111_is_valid_triangle():
 def test_multipartite_rejects_k2():
     with pytest.raises(ValueError, match="no locally irregular"):
         color_double_multipartite([1, 1])
+
+
+def test_the_constructions_type_hints_resolve():
+    # State appears in annotations only
+    hints = typing.get_type_hints(multipartite_states)
+    assert hints["return"] == list[tuple[int, int]]
+    for f in (path_states, cycle_states, path_assign, ring_assign, color_double_auto):
+        assert typing.get_type_hints(f)["return"]
 
 
 @pytest.mark.parametrize(
