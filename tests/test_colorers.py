@@ -209,6 +209,12 @@ def test_multipartite_rejects_k2():
         color_double_multipartite([1, 1])
 
 
+@pytest.mark.parametrize("length", [-1, 0, 1, 2])
+def test_cycle_states_rejects_a_length_below_three(length):
+    with pytest.raises(ValueError, match="cycle needs length >= 3"):
+        cycle_states(length)
+
+
 def test_the_constructions_type_hints_resolve():
     # State appears in annotations only
     hints = typing.get_type_hints(multipartite_states)
