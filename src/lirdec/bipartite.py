@@ -111,10 +111,9 @@ def find_twin_split(
     groups: dict[tuple[int, ...], list[int]] = {}
     for v in range(g.n):
         groups.setdefault(g.adj[v], []).append(v)
-    # twins share N(S), so |N(S)| is the degree of any member
-    for s in sorted(groups.values(), key=lambda s: (len(s) + len(g.adj[s[0]]), s)):
+    # each class S is keyed by its T = N(S)
+    for t, s in sorted(groups.items(), key=lambda ts: (len(ts[1]) + len(ts[0]), ts[1])):
         s_on_x = on_x[s[0]]  # twins share a neighbour, hence a side
-        t = g.adj[s[0]]
         keep = [True] * g.n
         for v in s:
             keep[v] = False
