@@ -59,7 +59,8 @@ def cycle_states(length: int) -> list[State]:
     """State sequence around a doubled cycle of the given length."""
     if length < 3:
         raise ValueError("cycle needs length >= 3")
-    base = CYCLE_BASE[length if length <= 7 else 4 + (length - 4) % 4]
+    # from 4 on, the base is the one of length 4..7 that whole blocks extend
+    base = CYCLE_BASE[4 + (length - 4) % 4 if length > 3 else 3]
     blocks = (length - len(base)) // 4
     return list(base[:2]) + [BB, BB, RR, RR] * blocks + list(base[2:])
 
