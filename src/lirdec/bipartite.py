@@ -91,16 +91,26 @@ def find_twin_split(
     side and Y' the rest of T's. The maximal twin classes (vertices sharing
     an open neighborhood) are tried in ascending order of (|S| + |N(S)|,
     sorted S), and the first valid split is returned; keys are unique, so
-    this is the minimum. sides, when given, must be bipartition_sides(g),
-    and is used as is; otherwise one walk tests connectivity and finds them.
+    this is the minimum. A split is valid when its residue X' + Y' is
+    connected and, if X' is not empty, every vertex of T has a neighbour
+    in it. sides, when given, must be bipartition_sides(g), and is used as
+    is; otherwise one walk tests connectivity and finds them.
 
     Some class is always valid. Take a vertex v at the largest BFS distance
     d from a root r, with N(v) minimal by inclusion among the vertices at
     distance d, and S its class. Every vertex at distance d outside S has a
     neighbour outside N(v), at distance d - 1; a twin of v at distance
     below d can only be r, when d = 2, and then S and N(v) = N(r) cover
-    everything, as they do when d <= 1. Otherwise the vertices at distance below d - 1 stay, and
-    they carry a BFS path from each vertex of the residue and of N(v).
+    everything, as they do when d <= 1. Otherwise the vertices at distance
+    below d - 1 stay, and they carry a BFS path from each vertex of the
+    residue and of N(v).
+
+    The first class with a connected residue is valid, so only that is
+    tested. Were a vertex u of T without a neighbour in a non-empty X', then
+    N(u) = S, and the class C of u, inside T, is valid with a smaller
+    score: its T is S, whose members all reach T - C, and its residue adds
+    to the connected X' + Y' the rest of T, each vertex of which has a
+    neighbour in X'.
     """
     if sides is None:
         sides = _walk_sides(g, "twin split requires a connected graph", "twin split not found")
@@ -120,8 +130,6 @@ def find_twin_split(
         for v in t:
             keep[v] = False
         xp = [v for v in (side_x if s_on_x else side_y) if keep[v]]
-        if xp and not all(any(keep[w] for w in g.adj[v]) for v in t):
-            continue  # T member with no neighbor in the residue
         yp = [v for v in (side_y if s_on_x else side_x) if keep[v]]
         rest = len(xp) + len(yp)
         if rest and _spanning_tree(g, keep, (xp or yp)[0])[1] != rest:
