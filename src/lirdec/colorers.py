@@ -78,7 +78,7 @@ def ring_assign(order: Sequence[int], hub: int | None = None) -> dict[Edge, Stat
     wheel on that rim, every spoke all red. For a rim of four or more the
     hub's red degree 2 * len(order) dominates every rim vertex."""
     states = cycle_states(len(order))
-    after = itertools.chain(order[1:], order[:1])
+    after = itertools.chain(order[1:], order)  # zip stops at the wrap
     assign = {(u, v) if u < v else (v, u): s for u, v, s in zip(order, after, states)}
     if hub is not None:
         for v in order:
