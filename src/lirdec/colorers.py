@@ -164,7 +164,7 @@ def multipartite_states(g: SimpleGraph, parts: list[list[int]]) -> list[State]:
         for i in range(t):
             table[i][t] = table[t][i] = state
     row_of: list = [None] * g.n  # each vertex's part's row of the table
-    part_of = [0] * g.n
+    part_of: list = [None] * g.n
     for i, part in enumerate(parts):
         for v in part:
             row_of[v] = table[i]
