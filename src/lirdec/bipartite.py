@@ -105,6 +105,13 @@ def find_twin_split(
     below d - 1 stay, and they carry a BFS path from each vertex of the
     residue and of N(v).
 
+    Y' is empty when X' is: a vertex of Y' has all its neighbours in S + X'
+    but is not in T = N(S). A valid split with X' but no Y' has no edge in
+    its residue, so X' = {x}; x is no twin of S, so N(x) is smaller than
+    T, and {x}, with the residue S + T - N(x), is a valid split with a
+    smaller score. So X' and Y' of the split returned are both empty or
+    both not.
+
     The first class with a connected residue is valid, so only that is
     tested. Were a vertex u of T without a neighbour in a non-empty X', then
     N(u) = S, and the class C of u, inside T, is valid with a smaller
@@ -132,7 +139,7 @@ def find_twin_split(
         xp = [v for v in (side_x if s_on_x else side_y) if keep[v]]
         yp = [v for v in (side_y if s_on_x else side_x) if keep[v]]
         rest = len(xp) + len(yp)
-        if rest and _spanning_tree(g, keep, (xp or yp)[0])[1] != rest:
+        if rest and _spanning_tree(g, keep, keep.index(True))[1] != rest:
             continue
         return s, list(t), xp, yp
 
@@ -161,8 +168,9 @@ def color_double_bipartite(
         return Decomposition(host, 2, [RB if e in join else BB for e in g.edges])
 
     s_list, t_list, xp, yp = find_twin_split(g, sides)
-    if not xp and not yp:
-        # complete bipartite: the two-part colorer on the actual labels
+    if not xp:
+        # complete bipartite: the two-part colorer on the actual labels (a
+        # vertex of Y' has a neighbour off S, in X')
         return Decomposition(host, 2, multipartite_states(g, [s_list, t_list]))
 
     xp_set = set(xp)
