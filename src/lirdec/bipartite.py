@@ -174,43 +174,32 @@ def color_double_bipartite(
         return Decomposition(host, 2, multipartite_states(g, [s_list, t_list]))
 
     xp_set = set(xp)
-    region = xp_set.union(yp)
     s = len(s_list)
     t = len(t_list)
-    assign: dict[Edge, tuple[int, int]] = {}
-
-    def paint_region(terminals):
-        # the doubled residue: join edges red-blue, the rest blue
-        join = path_system(g, terminals, region)
-        for e in g.edges:
-            if e[0] in region and e[1] in region:
-                assign[e] = RB if e in join else BB
 
     def paint(us, vs, state):
         for u in us:
             for v in vs:
-                e = canon_edge(u, v)
                 if g.has_edge(u, v):
-                    assign[e] = state
+                    assign[canon_edge(u, v)] = state
 
     if s % 2 == 1:
         # Case 1: residue path-system over all of X'
-        paint_region(xp)
+        terminals = xp
     else:
-        # Case 2: one red-blue hook x0-y0-z0 moves a unit of parity across
-        hooks = [
-            (y0, min(w for w in g.adj[y0] if w in xp_set))
-            for y0 in t_list
-            if any(w in xp_set for w in g.adj[y0])
-        ]
+        # Case 2: one red-blue hook x0-y0-z0 moves a unit of parity across;
+        # every vertex of T has a neighbour in X' (see find_twin_split)
+        hooks = [(y0, min(w for w in g.adj[y0] if w in xp_set)) for y0 in t_list]
         # prefer a y0 with a second residue neighbor: no repair needed then
         rich = [h for h in hooks if sum(1 for w in g.adj[h[0]] if w in xp_set) >= 2]
         y0, z0 = rich[0] if rich else hooks[0]
-        paint_region(v for v in xp if v != z0)
-    # the corner: S-T blue, T-X' red when |S| != |T| (Cases 1 and 2a), else
-    # blue; it shares no edge with the residue
-    paint(s_list, t_list, BB)
-    paint(t_list, xp, RR if s != t else BB)
+        terminals = [v for v in xp if v != z0]
+    # the doubled residue: join edges red-blue, every other edge blue, which
+    # paints the corner's S-T; T-X' turns red when |S| != |T| (Cases 1, 2a)
+    join = path_system(g, terminals, xp_set.union(yp))
+    assign = {e: RB if e in join else BB for e in g.edges}
+    if s != t:
+        paint(t_list, xp, RR)
     if s % 2 == 0:  # Case 2: the hook overrides the corner
         assign[canon_edge(s_list[0], y0)] = RB
         assign[canon_edge(y0, z0)] = RB
@@ -218,6 +207,4 @@ def color_double_bipartite(
             # Subcase 2b: every T vertex holds exactly one residue multiedge;
             # repaint the S edges of one T vertex other than y0 red
             paint([w for w in t_list if w != y0][:1], s_list, RR)
-    # every edge is painted: S meets only T, and every other edge is T-X' or
-    # lies in the residue
-    return Decomposition(host, 2, list(map(assign.get, g.edges)))
+    return Decomposition(host, 2, list(assign.values()))
