@@ -49,6 +49,12 @@ def test_simple_graph_rejects_out_of_range():
         SimpleGraph(2, [(0, 2)])
 
 
+@pytest.mark.parametrize("edge", [(2, 0), (-1, 0), (0, -1)])
+def test_simple_graph_rejects_every_end_out_of_range(edge):
+    with pytest.raises(ValueError, match=rf"edge \({edge[0]},{edge[1]}\) out of range for n=2"):
+        SimpleGraph(2, [edge])
+
+
 def test_adjacency_is_symmetric():
     g = SimpleGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     for u, v in g.edges:
