@@ -299,6 +299,17 @@ def test_subcase_2b_repaints_the_first_t_vertex_after_y0():
     assert corner == {(s, t): RB if t == 4 and s == 0 else RR if t == 5 else BB for s in range(4) for t in range(4, 8)}
 
 
+def test_subcase_2b_hooks_at_the_first_rich_t_vertex():
+    # S = {0, 3}, T = {1, 2}, and both T vertices see 4, 5 and 6 in X': the
+    # hook is 0-1-4, not 3-2-4
+    g = SimpleGraph(8, [(0, 1), (0, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (4, 7), (5, 7), (6, 7)])
+    assert find_twin_split(g) == ([0, 3], [1, 2], [4, 5, 6], [7])
+    assert _branch_of(g) == "case2b"
+    d = color_double_bipartite(g)
+    assert verify(d).valid
+    assert [e for e, state in d.assign.items() if state == RB] == [(0, 1), (1, 4), (5, 7), (6, 7)]
+
+
 @pytest.mark.parametrize(
     "g,branch",
     [
