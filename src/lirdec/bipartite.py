@@ -176,13 +176,6 @@ def color_double_bipartite(
     xp_set = set(xp)
     s = len(s_list)
     t = len(t_list)
-
-    def paint(us, vs, state):
-        for u in us:
-            for v in vs:
-                if g.has_edge(u, v):
-                    assign[canon_edge(u, v)] = state
-
     if s % 2 == 1:
         # Case 1: residue path-system over all of X'
         terminals = xp
@@ -198,6 +191,13 @@ def color_double_bipartite(
     # paints the corner's S-T; T-X' turns red when |S| != |T| (Cases 1, 2a)
     join = path_system(g, terminals, xp_set.union(yp))
     assign = {e: RB if e in join else BB for e in g.edges}
+
+    def paint(us, vs, state):
+        for u in us:
+            for v in vs:
+                if g.has_edge(u, v):
+                    assign[canon_edge(u, v)] = state
+
     if s != t:
         paint(t_list, xp, RR)
     if s % 2 == 0:  # Case 2: the hook overrides the corner
