@@ -254,3 +254,12 @@ def test_an_incomparable_multiplicity_fails_as_the_reference_does(mult):
     with pytest.raises(TypeError) as want:
         multiplicities_reference(path_graph(3), mult)
     assert str(got.value) == str(want.value)
+
+
+def test_graphs_differ_on_order_edges_or_multiplicities_and_show_their_size():
+    assert path_graph(4) != cycle_graph(4)
+    assert SimpleGraph(2, []) != SimpleGraph(3, [])
+    assert path_graph(3) != "SimpleGraph"
+    assert Multigraph(path_graph(3)) != double(path_graph(3))
+    assert repr(path_graph(4)) == "SimpleGraph(n=4, m=3)"
+    assert repr(double(cycle_graph(5))) == "Multigraph(n=5, m=5)"
