@@ -216,6 +216,20 @@ def test_an_edge_carries_a_color_from_one_unit_on():
     assert verify(d).conflicts == verify_reference(d) == [(0, (0, 1), 1.5)]
 
 
+@pytest.mark.xfail(strict=True, reason="the constructor checks only length, sign and sum")
+@pytest.mark.parametrize("route", ["tuple", "mapping"])
+@pytest.mark.parametrize("counts", [(1.5, 0.5), (2.0, 0), (True, True)], ids=["half", "float", "bool"])
+def test_counts_that_are_not_ints_are_rejected_naming_the_edge(route, counts):
+    # each has the edge's sum 2; the first edge is valid, so the second is named
+    host = double(path_graph(3))
+    vectors = [RR, counts]
+    assign = dict(zip(host.edges, vectors))
+    with pytest.raises(ValueError, match=r"^edge \(1, 2\): non-integer color count$"):
+        Decomposition(host, 2, vectors if route == "tuple" else assign)
+    with pytest.raises(ValueError, match=r"^edge \(1, 2\): non-integer color count$"):
+        assignment_reference(host, 2, assign)
+
+
 def test_vectors_of_a_tuple_subclass_become_plain_tuples():
     Pair = collections.namedtuple("Pair", "red blue")
     d = Decomposition(double(path_graph(3)), 2, [Pair(2, 0), Pair(0, 2)])
