@@ -8,8 +8,9 @@ A witness is a tuple of count vectors in the host's edge order, validated
 once by the Decomposition constructor and verified once by verify. A mapping
 from edges, as public callers give, is checked edge by edge. A list or tuple
 in edge order, as the colorers and the solver hand over, is checked once per
-distinct vector plus one comparison of its sums with the multiplicities, and
-edge by edge when that fails, so both routes name the same first bad edge.
+distinct vector plus one type pass over its counts and one comparison of its
+sums with the multiplicities, and edge by edge when that fails, so both routes
+name the same first bad edge. A count is an int, and a bool is not one.
 verify zips the edges with the vectors in one degree pass, which re-checks
 every sum, and one conflict pass. Nothing is trusted or cached between the
 two, and verify is the only judge.
@@ -18,6 +19,7 @@ two, and verify is the only judge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -134,6 +136,7 @@ def verify(d: Decomposition) -> VerifyReport:
 
 _color = itemgetter(0)
 _count = itemgetter(1)
+_INT = {int}
 
 
 def _vector_info(counts) -> tuple:
@@ -145,11 +148,13 @@ def _vector_info(counts) -> tuple:
 
 def _valid_in_bulk(host: Multigraph, k: int, vectors: tuple) -> bool:
     """Whether vectors, one per edge in edge order, are plain tuples of k
-    non-negative counts summing to each edge's multiplicity: each distinct
-    vector is checked once. False on any fault, for _checked_by_edge to name
-    the first bad edge."""
+    non-negative int counts summing to each edge's multiplicity: every
+    count's type is checked, each distinct vector's length and sign once.
+    False on any fault, for _checked_by_edge to name the first bad edge."""
     if set(map(type, vectors)) - {tuple}:
         return False  # a missing entry, or counts to be turned into tuples
+    if set(map(type, chain.from_iterable(vectors))) - _INT:
+        return False  # per edge: (2.0, 0) and (2, 0) are one distinct vector
     sums = {}
     try:
         for counts in set(vectors):
@@ -180,5 +185,7 @@ def _checked_by_edge(host: Multigraph, k: int, entries) -> tuple[tuple[int, ...]
             raise ValueError(
                 f"edge {e}: counts sum {sum(counts)} != multiplicity {host.mult[e]}"
             )
+        if not _INT.issuperset(map(type, counts)):
+            raise ValueError(f"edge {e}: non-integer color count")
         vectors.append(counts)
     return tuple(vectors)

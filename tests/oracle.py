@@ -869,7 +869,7 @@ def multiplicities_reference(base: SimpleGraph, mult) -> dict[Edge, int]:
 
 def assignment_reference(host: Multigraph, k: int, assign) -> dict[Edge, tuple[int, ...]]:
     """Decomposition(host, k, assign).assign, checking one edge at a time in
-    edge order: coverage, length, sign and sum, then the non-edges."""
+    edge order: coverage, length, sign, sum and type, then the non-edges."""
     if k < 1:
         raise ValueError("need at least one color")
     cleaned = {}
@@ -886,6 +886,8 @@ def assignment_reference(host: Multigraph, k: int, assign) -> dict[Edge, tuple[i
             raise ValueError(
                 f"edge {e}: counts sum {sum(counts)} != multiplicity {host.mult[e]}"
             )
+        if any(type(x) is not int for x in counts):
+            raise ValueError(f"edge {e}: non-integer color count")
         cleaned[e] = counts
     if len(assign) != len(host.edges):
         extra = set(assign) - set(host.edges)

@@ -210,13 +210,14 @@ def test_a_decomposition_has_no_instance_dict():
 
 
 def test_an_edge_carries_a_color_from_one_unit_on():
-    # the constructor takes any counts with the right sums; as the
-    # reference does, verify reads half a unit as not carrying its color
-    d = Decomposition(double(path_graph(2)), 2, [(1.5, 0.5)])
+    # the constructor takes only int counts, but verify judges whatever
+    # vectors a decomposition holds; as the reference does, it reads half a
+    # unit as not carrying its color
+    d = Decomposition(double(path_graph(2)), 2, [RB])
+    d.vectors = ((1.5, 0.5),)
     assert verify(d).conflicts == verify_reference(d) == [(0, (0, 1), 1.5)]
 
 
-@pytest.mark.xfail(strict=True, reason="the constructor checks only length, sign and sum")
 @pytest.mark.parametrize("route", ["tuple", "mapping"])
 @pytest.mark.parametrize("counts", [(1.5, 0.5), (2.0, 0), (True, True)], ids=["half", "float", "bool"])
 def test_counts_that_are_not_ints_are_rejected_naming_the_edge(route, counts):
