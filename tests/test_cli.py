@@ -120,6 +120,24 @@ def test_color_fallback_none_exit_code(capsys):
     assert out == "" and "no coloring within the color limit" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["cycle:5"], id="colorer"),
+        pytest.param(["cycle:5", "--exact"], id="exact", marks=pytest.mark.xfail(strict=True)),
+        pytest.param(["Cx"], id="fallback", marks=pytest.mark.xfail(strict=True)),
+    ],
+)
+def test_color_verifies_its_witness_once(capsys, monkeypatch, argv):
+    # the solver verifies an exact witness; the command verifies a colorer's
+    from test_harness import _count_calls
+
+    calls = _count_calls(monkeypatch, "lirdec.decomposition", "verify")
+    code, out, _ = run(capsys, "color", *argv)
+    assert code == EXIT_OK and verify(decomposition_from_json(out)).valid
+    assert calls[0] == 1
+
+
 def test_color_exact_flag(capsys):
     code, out, _ = run(capsys, "color", "cycle:5", "--exact", "--format", "summary")
     assert code == EXIT_OK
