@@ -150,10 +150,11 @@ def _cmd_color(args, out) -> int:
         if res.status is SearchStatus.NONE:
             sys.stderr.write("no coloring within the color limit\n")
             return EXIT_INVALID
-        d = res.witness
-    report = verify(d)
-    if not report.valid:
-        raise AssertionError(f"emitted witness failed verification: {report.conflicts}")
+        d = res.witness  # the solver has verified it
+    else:
+        report = verify(d)
+        if not report.valid:
+            raise AssertionError(f"emitted witness failed verification: {report.conflicts}")
     _emit(d, args.format, out)
     return EXIT_OK
 

@@ -124,8 +124,8 @@ def test_color_fallback_none_exit_code(capsys):
     "argv",
     [
         pytest.param(["cycle:5"], id="colorer"),
-        pytest.param(["cycle:5", "--exact"], id="exact", marks=pytest.mark.xfail(strict=True)),
-        pytest.param(["Cx"], id="fallback", marks=pytest.mark.xfail(strict=True)),
+        pytest.param(["cycle:5", "--exact"], id="exact"),
+        pytest.param(["Cx"], id="fallback"),
     ],
 )
 def test_color_verifies_its_witness_once(capsys, monkeypatch, argv):
