@@ -7,7 +7,7 @@ import pytest
 from lirdec.cli import EXIT_INCONCLUSIVE, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
 from lirdec.graph_io import decomposition_from_json, to_graph6
 from lirdec.decomposition import verify
-from lirdec.graphs import cycle_graph
+from lirdec.graphs import cycle_graph, double
 
 from oracle import bowtie_graph
 
@@ -433,3 +433,115 @@ def test_sweep_into_closed_pipe_exits_quietly(tmp_path):
     assert proc.wait(timeout=60) == EXIT_OK
     assert json.loads(first)["result"] == "lir<=2"
     assert err == ""
+
+
+def test_exit_codes_have_their_documented_values():
+    assert (EXIT_OK, EXIT_INVALID, EXIT_INCONCLUSIVE, EXIT_USAGE) == (0, 1, 2, 64)
+
+
+def test_color_k2_names_the_exclusion_alone(capsys):
+    for argv in (["path:2"], ["path:2", "--exact"]):
+        assert run(capsys, "color", *argv) == (EXIT_INVALID, "", "K2 is excluded by the conjecture statement\n")
+
+
+@pytest.mark.parametrize("suffix", [".edges", ".txt"])
+def test_an_edge_list_file_is_read_by_its_suffix(capsys, tmp_path, suffix):
+    path = tmp_path / f"c4{suffix}"
+    path.write_text("# a 4-cycle\n0 1\n1 2\n2 3\n3 0\n")
+    code, out, _ = run(capsys, "classify", str(path))
+    assert code == EXIT_OK and out == "Cl n=4 m=4 class=cycle\n"
+    # the same text under another name is read as graph6
+    other = tmp_path / "c4.g6"
+    other.write_text(path.read_text())
+    code, out, err = run(capsys, "classify", str(other))
+    assert code == EXIT_USAGE and out == "" and err.startswith(f"lirdec: {other}: line 1: ")
+
+
+def test_an_edge_list_error_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "bad.edges"
+    path.write_text("0 1\n1 x\n")
+    assert run(capsys, "classify", str(path)) == (
+        EXIT_USAGE, "", "lirdec: line 2: non-integer vertex in '1 x'\n"
+    )
+
+
+def test_verify_reads_stdin_and_lists_each_conflict(capsys, monkeypatch):
+    import io
+
+    def edges(*counts):
+        return ",".join(f'{{"counts":{list(c)},"u":{u},"v":{v}}}'.replace(" ", "") for (u, v), c in counts)
+
+    cases = [
+        # the doubled K2 red-blue: a conflict in each color, by color
+        ('{"edges":[%s],"k":2,"n":2}' % edges(((0, 1), (1, 1))),
+         ["color 0 edge (0,1) equal degree 1", "color 1 edge (0,1) equal degree 1"]),
+        # the doubled K2 all in the second of three colors
+        ('{"edges":[%s],"k":3,"n":2}' % edges(((0, 1), (0, 2, 0))), ["color 1 edge (0,1) equal degree 2"]),
+        # the doubled 4-cycle all red: every edge, in edge order
+        ('{"edges":[%s],"k":2,"n":4}' % edges(*(((u, v), (2, 0)) for u, v in cycle_graph(4).edges)),
+         [f"color 0 edge ({u},{v}) equal degree 4" for u, v in cycle_graph(4).edges]),
+    ]
+    for payload, conflicts in cases:
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        want = f"invalid: {len(conflicts)} conflicts\n" + "".join(f"  {c}\n" for c in conflicts)
+        assert run(capsys, "verify", "-") == (EXIT_INVALID, want, "")
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"edges":[%s],"k":2,"n":3}' % edges(((0, 1), (1, 1)), ((1, 2), (1, 1)))))
+    assert run(capsys, "verify", "-") == (EXIT_OK, "valid\n", "")
+
+
+def test_verify_of_a_missing_file_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "verify", str(tmp_path / "none.json"))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("lirdec: [Errno 2] No such file or directory")
+
+
+def test_exact_prints_the_color_count_then_the_witness(capsys):
+    code, out, _ = run(capsys, "exact", "cycle:5")
+    assert code == EXIT_OK
+    first, second = out.splitlines()
+    assert first == "k=2"
+    d = decomposition_from_json(second)
+    assert d.k == 2 and d.host == double(cycle_graph(5)) and verify(d).valid
+    code, out, _ = run(capsys, "exact", "path:5", "--graph-mode")
+    assert (code, out) == (
+        EXIT_OK,
+        'k=2\n{"edges":[{"counts":[1,0],"u":0,"v":1},{"counts":[1,0],"u":1,"v":2},'
+        '{"counts":[0,1],"u":2,"v":3},{"counts":[0,1],"u":3,"v":4}],"k":2,"n":5}\n',
+    )
+
+
+@pytest.mark.parametrize("command", ["color", "exact"])
+def test_color_and_exact_take_exactly_one_graph(capsys, tmp_path, command):
+    two = tmp_path / "two.g6"
+    two.write_text("Bw\nBg\n")
+    assert run(capsys, command, str(two)) == (
+        EXIT_USAGE, "", f"lirdec: {command} expects exactly one input graph\n"
+    )
+    empty = tmp_path / "empty.g6"
+    empty.write_text("\n")
+    assert run(capsys, command, str(empty))[0] == EXIT_USAGE
+
+
+def test_sweep_without_input_is_a_usage_error(capsys):
+    assert run(capsys, "sweep") == (EXIT_USAGE, "", "lirdec: sweep needs an input file or --enumerate N\n")
+
+
+def test_a_second_sweep_into_a_report_without_resume_appends_every_graph(capsys, tmp_path):
+    report = tmp_path / "report.jsonl"
+    for lines in (1, 2):
+        code, out, _ = run(capsys, "sweep", "cycle:5", "-o", str(report))
+        assert code == EXIT_OK and "graphs checked: 1" in out
+        assert len(report.read_text().splitlines()) == lines
+
+
+def test_the_seed_and_jobs_defaults():
+    from lirdec.cli import build_parser
+
+    parser = build_parser()
+    for argv in (["color", "path:3"], ["exact", "path:3"], ["classify", "path:3"], ["sweep"]):
+        assert parser.parse_args(argv).seed == 0
+    assert parser.parse_args(["sweep"]).jobs == 1
+
+
+def test_randbip_without_a_seed_uses_seed_zero(capsys):
+    assert run(capsys, "color", "randbip:14") == run(capsys, "color", "randbip:14", "--seed", "0")

@@ -87,3 +87,14 @@ def test_random_bipartite_deterministic_per_seed():
     a = random_connected_bipartite(25, random.Random(7))
     b = random_connected_bipartite(25, random.Random(7))
     assert a == b
+
+
+def test_bipartite_enumeration_limit(monkeypatch):
+    import lirdec.enumeration as enumeration
+
+    with pytest.raises(ValueError, match="n <= 10"):
+        enumerate_connected_bipartite(11)
+    # order 10 is allowed: count its growth steps without building them
+    steps = []
+    monkeypatch.setattr(enumeration, "_one_more_vertex", lambda reps, pools: steps.append(1) or reps)
+    assert enumerate_connected_bipartite(10) == [SimpleGraph(1, [])] and len(steps) == 9

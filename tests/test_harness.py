@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from lirdec.decomposition import verify
-from lirdec.graph_io import decomposition_to_json
+from lirdec.graph_io import decomposition_to_json, to_graph6
 from lirdec.enumeration import enumerate_connected, random_connected_bipartite
 from lirdec.graphs import (
     SimpleGraph,
@@ -373,3 +373,18 @@ def test_record_json_matches_json_dumps():
         for runtime in (0.0, 1e-06, 12.5, 0.123456789):
             record.runtime = runtime
             assert record.to_json() == record_json_reference(record)
+
+
+def test_graph_ids_are_graph6_up_to_62_vertices():
+    assert check_graph(cycle_graph(62)).graph_id == to_graph6(cycle_graph(62))
+    rec = check_graph(path_graph(63))
+    assert (rec.graph_id, rec.result) == ("n63m62", RESULT_TWO_COLORS)
+    # a skipped id is looked up for graphs of at most 62 vertices only
+    rest = list(sweep([path_graph(63), cycle_graph(62)], skip_ids={"n63m62", to_graph6(cycle_graph(62))}))
+    assert [r.graph_id for r in rest] == ["n63m62"]
+
+
+def test_only_k0_k1_and_k2_are_excluded():
+    # an edge and an isolated vertex: three vertices, one edge, no exclusion
+    rec = check_graph(SimpleGraph(3, [(0, 1)]))
+    assert (rec.result, rec.class_tag, rec.method) == (RESULT_ERROR, "?", "none")

@@ -194,3 +194,75 @@ def test_graph6_round_trip_property(spec):
         assert text.startswith("~")
         with pytest.raises(ValueError, match="62"):
             to_graph6(g)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty graph6 string"),
+        (">>graph6<<", "empty graph6 string"),
+        ("~", "unsupported or truncated graph6 size field"),
+        ("~??", "unsupported or truncated graph6 size field"),
+        ("~~??????", "unsupported or truncated graph6 size field"),
+        ("~?>?", "invalid graph6 size field"),
+        ("~??\x7f", "invalid graph6 size field"),
+        ("~\x7f??", "invalid graph6 size field"),
+        (">", "invalid graph6 size byte '>'"),
+        ("\x7f", "invalid graph6 size byte '\\x7f'"),
+        ("B\x7f", "invalid graph6 character '\\x7f'"),
+        ("Bww", "graph6 body for n=3 needs 1 chars, got 2"),
+        # the long form's top digit counts 4096 vertices
+        ("~@??", "graph6 body for n=4096 needs 1397760 chars, got 0"),
+        ("~?@?", "graph6 body for n=64 needs 336 chars, got 0"),
+    ],
+)
+def test_each_graph6_error_message(text, message):
+    with pytest.raises(Graph6Error) as got:
+        parse_graph6(text, line=7)
+    assert str(got.value).startswith(f"line 7: {message}")
+    with pytest.raises(Graph6Error) as got:
+        parse_graph6(text)
+    assert str(got.value).startswith(message)
+
+
+def test_the_long_size_form_reads_each_of_its_digits():
+    assert parse_graph6("~??@") == SimpleGraph(1, [])
+    assert parse_graph6("~?@?" + "?" * 336) == SimpleGraph(64, [])
+    assert parse_graph6("~?AA" + "?" * 1398) == SimpleGraph(130, [])
+
+
+def test_dot_names_every_color_and_closes_the_graph():
+    from lirdec.graphs import Multigraph
+
+    host = Multigraph(SimpleGraph(3, [(0, 1)]), {(0, 1): 6})
+    d = Decomposition(host, 5, [(1, 1, 1, 2, 1)])
+    assert decomposition_to_dot(d) == (
+        "graph decomposition {\n  0;\n  1;\n  2;\n"
+        '  0 -- 1 [color="red"];\n  0 -- 1 [color="blue"];\n  0 -- 1 [color="purple"];\n'
+        '  0 -- 1 [color="gray60"];\n  0 -- 1 [color="gray60"];\n  0 -- 1 [color="gray70"];\n'
+        "}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0 1\n1\n", "line 2: expected 'u v', got '1'"),
+        ("0 1\n\n1 2 3\n", "line 3: expected 'u v', got '1 2 3'"),
+        ("0 1\n1 x\n", "line 2: non-integer vertex in '1 x'"),
+        ("0 1.5\n", "line 1: non-integer vertex in '0 1.5'"),
+        ("# one edge\n0 1\n-1 2\n", "line 3: negative vertex id"),
+        ("2 -3\n", "line 1: negative vertex id"),
+        ("# nothing\n\n", "edge list is empty"),
+        ("0 0\n", "loop at vertex 0 not allowed"),
+    ],
+)
+def test_each_edge_list_error_message(text, message):
+    with pytest.raises(ValueError) as got:
+        parse_edge_list(text)
+    assert str(got.value) == message
+
+
+def test_an_edge_list_spans_its_largest_vertex_id():
+    assert parse_edge_list("  3 1  \n# 9 9\n") == SimpleGraph(4, [(1, 3)])
+    assert parse_edge_list("0 1") == path_graph(2)
