@@ -29,8 +29,9 @@ def _refined_cells(g: SimpleGraph) -> list[list[int]]:
         ]
         ranking = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
         new_colors = [ranking[sigs[v]] for v in range(g.n)]
+        # a sig extends its vertex's color, so an equal count is an equal
+        # partition, and the ranks keep the colors' order
         if len(set(new_colors)) == len(set(colors)):
-            colors = new_colors
             break
         colors = new_colors
     cells: dict[int, list[int]] = {}
@@ -42,8 +43,6 @@ def _refined_cells(g: SimpleGraph) -> list[list[int]]:
 def canonical_key(g: SimpleGraph) -> tuple[int, int]:
     """(n, minimum adjacency bitmask) over refinement-consistent relabelings."""
     n = g.n
-    if n == 0:
-        return (0, 0)
     cells = _refined_cells(g)
     edges = g.edges
     best = None
