@@ -545,3 +545,50 @@ def test_the_seed_and_jobs_defaults():
 
 def test_randbip_without_a_seed_uses_seed_zero(capsys):
     assert run(capsys, "color", "randbip:14") == run(capsys, "color", "randbip:14", "--seed", "0")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["color", "B_"], "classification requires a connected graph"),
+        (["color", "A?"], "nothing to double: graph has no edges"),
+        (["classify", "path:x"], "bad family spec 'path:x': invalid literal for int() with base 10: 'x'"),
+        (["classify", "cycle:2"], "bad family spec 'cycle:2': cycle needs length >= 3"),
+        (["classify", "kpartite:2,x"], "bad family spec 'kpartite:2,x': invalid literal for int() with base 10: 'x'"),
+        (["classify", "randbip:1"], "bad family spec 'randbip:1': need n >= 2"),
+        (["classify", "B"], "input 'B' is not a file, family spec, or graph6 string: graph6 body for n=3 needs 1 chars, got 0"),
+    ],
+)
+def test_each_bad_input_message(capsys, argv, message):
+    # a graph of two vertices, or of one edge, is K2 only when it is both
+    assert run(capsys, *argv) == (EXIT_USAGE, "", f"lirdec: {message}\n")
+
+
+def test_an_empty_graph6_file_holds_no_graph(capsys, tmp_path):
+    empty = tmp_path / "empty.g6"
+    empty.write_text("\n  \n")
+    assert run(capsys, "color", str(empty)) == (EXIT_USAGE, "", "lirdec: color expects exactly one input graph\n")
+    assert run(capsys, "classify", str(empty)) == (EXIT_OK, "", "")
+
+
+def test_sweep_enumerate_one_checks_no_graph(capsys):
+    assert run(capsys, "sweep", "--enumerate", "1") == (EXIT_OK, "", "graphs checked: 0\n")
+
+
+def test_sweep_closes_its_report(capsys, tmp_path, monkeypatch):
+    import lirdec.cli as cli
+
+    opened = []
+
+    def recorded(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(cli, "open", recorded, raising=False)
+    code, _, _ = run(capsys, "sweep", "cycle:5", "-o", str(tmp_path / "report.jsonl"))
+    assert code == EXIT_OK
+    assert opened and all(fh.closed for fh in opened)
+
+
+def test_exact_none_names_the_color_limit(capsys):
+    assert run(capsys, "exact", "path:2", "--max-colors", "3") == (EXIT_INVALID, "none (no coloring with k<=3)\n", "")

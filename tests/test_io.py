@@ -205,11 +205,13 @@ def test_graph6_round_trip_property(spec):
         ("~??", "unsupported or truncated graph6 size field"),
         ("~~??????", "unsupported or truncated graph6 size field"),
         ("~?>?", "invalid graph6 size field"),
+        ("~??~", "graph6 body for n=63 needs 326 chars, got 0"),
         ("~??\x7f", "invalid graph6 size field"),
         ("~\x7f??", "invalid graph6 size field"),
         (">", "invalid graph6 size byte '>'"),
         ("\x7f", "invalid graph6 size byte '\\x7f'"),
         ("B\x7f", "invalid graph6 character '\\x7f'"),
+        ("B>", "invalid graph6 character '>'"),
         ("Bww", "graph6 body for n=3 needs 1 chars, got 2"),
         # the long form's top digit counts 4096 vertices
         ("~@??", "graph6 body for n=4096 needs 1397760 chars, got 0"),
@@ -266,3 +268,11 @@ def test_each_edge_list_error_message(text, message):
 def test_an_edge_list_spans_its_largest_vertex_id():
     assert parse_edge_list("  3 1  \n# 9 9\n") == SimpleGraph(4, [(1, 3)])
     assert parse_edge_list("0 1") == path_graph(2)
+
+
+def test_graph6_reads_every_body_digit_and_skips_blank_lines():
+    assert parse_graph6("C~") == SimpleGraph(4, [(i, j) for j in range(4) for i in range(j)])
+    assert parse_graph6("C?") == SimpleGraph(4, [])
+    assert list(read_graph6_lines("Bw\n\n  \nBg\n")) == [cycle_graph(3), path_graph(3)]
+    with pytest.raises(Graph6Error, match="^line 4: "):
+        list(read_graph6_lines("Bw\n\n  \nB\n"))
