@@ -20,31 +20,31 @@ DOT_COLORS = ("red", "blue", "purple")
 
 
 class Graph6Error(ValueError):
-    """Raised on malformed graph6 input; carries the offending line number."""
+    """Raised on malformed graph6 input; the message starts with the
+    offending line number when one is given."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 def _g6_read_n(data: str, line: int | None) -> tuple[int, int]:
     """Decode the leading vertex count; returns (n, chars consumed)."""
     if not data:
         raise Graph6Error("empty graph6 string", line)
-    c0 = ord(data[0])
-    if c0 == 126:  # '~' prefix: 18-bit form, n <= 258047
-        if len(data) < 4 or data[1] == "~":
-            raise Graph6Error("unsupported or truncated graph6 size field", line)
-        vals = [ord(ch) - 63 for ch in data[1:4]]
-        if any(v < 0 or v > 63 for v in vals):
-            raise Graph6Error("invalid graph6 size field", line)
-        return (vals[0] << 12) | (vals[1] << 6) | vals[2], 4
-    n = c0 - 63
-    if n < 0 or n > 62:
+    n = ord(data[0]) - 63
+    if 0 <= n < 63:
+        return n, 1
+    if n != 63:
         raise Graph6Error(f"invalid graph6 size byte {data[0]!r}", line)
-    return n, 1
+    # '~' prefix: 18-bit form, n <= 258047
+    if len(data) < 4 or data[1] == "~":
+        raise Graph6Error("unsupported or truncated graph6 size field", line)
+    vals = [ord(ch) - 63 for ch in data[1:4]]
+    if any(v < 0 or v > 63 for v in vals):
+        raise Graph6Error("invalid graph6 size field", line)
+    return (vals[0] << 12) | (vals[1] << 6) | vals[2], 4
 
 
 def parse_graph6(text: str, line: int | None = None) -> SimpleGraph:
@@ -69,7 +69,7 @@ def parse_graph6(text: str, line: int | None = None) -> SimpleGraph:
     bits >>= 6 * need_chars - need_bits  # drop padding
     edges = []
     idx = need_bits - 1
-    for j in range(1, n):
+    for j in range(n):
         for i in range(j):
             if (bits >> idx) & 1:
                 edges.append((i, j))
@@ -109,7 +109,6 @@ def read_graph6_lines(text: str) -> Iterator[SimpleGraph]:
 def parse_edge_list(text: str) -> SimpleGraph:
     """Parse "u v" lines (0-based); n is one past the largest vertex id."""
     edges = []
-    top = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
@@ -123,11 +122,10 @@ def parse_edge_list(text: str) -> SimpleGraph:
             raise ValueError(f"line {lineno}: non-integer vertex in {raw!r}") from None
         if u < 0 or v < 0:
             raise ValueError(f"line {lineno}: negative vertex id")
-        top = max(top, u, v)
         edges.append((u, v))
-    if top < 0:
+    if not edges:
         raise ValueError("edge list is empty")
-    return SimpleGraph(top + 1, edges)
+    return SimpleGraph(1 + max(map(max, edges)), edges)
 
 
 def decomposition_to_json(d: Decomposition) -> str:
