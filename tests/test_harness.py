@@ -388,3 +388,124 @@ def test_only_k0_k1_and_k2_are_excluded():
     # an edge and an isolated vertex: three vertices, one edge, no exclusion
     rec = check_graph(SimpleGraph(3, [(0, 1)]))
     assert (rec.result, rec.class_tag, rec.method) == (RESULT_ERROR, "?", "none")
+
+
+def test_an_invalid_constructive_witness_is_an_internal_error(monkeypatch):
+    import lirdec.harness as harness
+    from lirdec.decomposition import Decomposition
+    from lirdec.graphs import double
+
+    g = cycle_graph(4)  # all red: every vertex has red degree 4
+    monkeypatch.setattr(harness, "color_double_auto", lambda g, tag: Decomposition(double(g), 2, [(2, 0)] * g.m))
+    with pytest.raises(AssertionError, match="constructive witness failed verification: Cl"):
+        check_graph(g)
+
+
+def test_an_exact_none_beside_a_constructive_witness_is_an_internal_error(monkeypatch):
+    import lirdec.harness as harness
+    from lirdec.solver import SearchStatus, SolveResult
+
+    monkeypatch.setattr(harness, "exact_lir_multigraph", lambda m, lim: SolveResult(SearchStatus.NONE, None, None, 1))
+    with pytest.raises(AssertionError, match="constructive witness exists but exact search found none: Bg"):
+        check_graph(path_graph(3), cross_check=True)
+    rec = check_graph(bowtie_graph())
+    assert (rec.result, rec.method, rec.witness) == (RESULT_CANDIDATE, "exact", None)
+    assert rec.detail == "completed exact search found no two-coloring"
+
+
+def test_the_exact_route_asks_for_two_colors_within_the_callers_limits(monkeypatch):
+    import lirdec.harness as harness
+
+    asked = []
+    real = harness.exact_lir_multigraph
+    monkeypatch.setattr(harness, "exact_lir_multigraph", lambda m, lim: asked.append(lim) or real(m, lim))
+    g = bowtie_graph()  # 13 edges, covered by no colorer
+    rec = check_graph(g, SearchLimits(max_colors=5, max_edges=13, node_budget=999))
+    assert rec.result == RESULT_TWO_COLORS and asked == [SearchLimits(2, 13, 999)]
+    # one edge more than the cap skips the search
+    rec = check_graph(g, SearchLimits(max_edges=12))
+    assert (rec.result, rec.detail) == (RESULT_INCONCLUSIVE, "exact search skipped: edge cap 13 > max_edges 12")
+    assert len(asked) == 1
+
+
+def test_two_isolated_vertices_are_an_error_not_an_exclusion():
+    rec = check_graph(SimpleGraph(2, []))
+    assert (rec.result, rec.class_tag) == (RESULT_ERROR, "?")
+
+
+def test_record_runtime_is_written_to_the_microsecond():
+    rec = SweepRecord("A_", 2, 1, "path", "none", RESULT_EXCLUDED, runtime=0.12345678)
+    assert '"runtime":0.123457,' in rec.to_json()
+
+
+def test_a_parallel_sweep_keeps_two_chunks_of_eight_in_flight_per_job(monkeypatch):
+    import multiprocessing
+
+    log = []
+
+    class InlinePool:
+        def __init__(self, processes):
+            log.append(("pool", processes))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def apply_async(self, fn, args):
+            log.append(("submit", len(args[0])))
+            records = fn(*args)
+
+            class Result:
+                def get(self):
+                    log.append(("get", len(records)))
+                    return records
+
+            return Result()
+
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+    graphs = enumerate_connected(5)  # 21 graphs: chunks of 8, 8 and 5
+    got = [r.graph_id for r in sweep(graphs, jobs=1)]
+    assert log == []
+    assert [r.graph_id for r in sweep(graphs, jobs=2)] == got
+    assert log == [("pool", 2), ("submit", 8), ("submit", 8), ("submit", 5), ("get", 8), ("get", 8), ("get", 5)]
+    log.clear()
+    # 105 graphs: 13 chunks of 8, then 1; one more is sent as each comes back
+    assert [r.graph_id for r in sweep(graphs * 5, jobs=2)] == got * 5
+    assert log == (
+        [("pool", 2)] + [("submit", 8)] * 4 + [("get", 8), ("submit", 8)] * 9
+        + [("get", 8), ("submit", 1)] + [("get", 8)] * 3 + [("get", 1)]
+    )
+
+
+def test_drop_torn_tail_reads_the_report_back_from_its_end_in_64_kib_blocks(tmp_path, monkeypatch):
+    import builtins
+
+    import lirdec.harness as harness
+
+    reads = []
+
+    class Watched:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def read(self, size):
+            reads.append(size)
+            return self.fh.read(size)
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+    monkeypatch.setattr(harness, "open", lambda *a: Watched(builtins.open(*a)), raising=False)
+    report = tmp_path / "report.jsonl"
+    # the last newline lies 100,000 bytes before the end of 200,001 bytes
+    report.write_bytes(b"x" * 100_000 + b"\n" + b"y" * 100_000)
+    drop_torn_tail(str(report))
+    assert reads == [65536, 65536] and report.read_bytes() == b"x" * 100_000 + b"\n"
