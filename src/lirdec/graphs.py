@@ -204,10 +204,7 @@ def is_locally_irregular(m: Multigraph) -> bool:
     if len(set(m.mult.values())) == 1:  # one multiplicity scales all degrees alike
         adj = m.base.adj
         return all(len(adj[u]) != len(adj[v]) for u, v in m.edges)
-    deg = [0] * m.n
-    for (u, v), mu in m.mult.items():
-        deg[u] += mu
-        deg[v] += mu
+    deg = [m.degree(v) for v in range(m.n)]
     return all(deg[u] != deg[v] for u, v in m.edges)
 
 
@@ -215,8 +212,8 @@ def sides_of(coloring: list[int]) -> tuple[list[int], list[int]]:
     """The sides of a coloring from SimpleGraph.is_connected: vertex 0's
     side, then the other, each sorted."""
     return (
-        [v for v, s in enumerate(coloring) if s > 0],
-        [v for v, s in enumerate(coloring) if s < 0],
+        [v for v, s in enumerate(coloring) if s == 1],
+        [v for v, s in enumerate(coloring) if s == -1],
     )
 
 
