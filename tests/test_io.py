@@ -206,6 +206,8 @@ def test_graph6_round_trip_property(spec):
         ("~~??????", "unsupported or truncated graph6 size field"),
         ("~?>?", "invalid graph6 size field"),
         ("~??~", "graph6 body for n=63 needs 326 chars, got 0"),
+        # the size field is three digits: the fourth is the body's first
+        ("~?@?\x7f" + "?" * 335, "invalid graph6 character '\\x7f'"),
         ("~??\x7f", "invalid graph6 size field"),
         ("~\x7f??", "invalid graph6 size field"),
         (">", "invalid graph6 size byte '>'"),
