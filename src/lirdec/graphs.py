@@ -102,7 +102,7 @@ class SimpleGraph:
         for u in walk:  # after an odd cycle, only reach the rest
             for w in adj[u]:
                 if not side[w]:
-                    side[w] = 1
+                    side[w] = -side[u]
                     reached.append(w)
         if len(reached) != self.n:
             return False
