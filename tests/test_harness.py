@@ -509,3 +509,12 @@ def test_drop_torn_tail_reads_the_report_back_from_its_end_in_64_kib_blocks(tmp_
     report.write_bytes(b"x" * 100_000 + b"\n" + b"y" * 100_000)
     drop_torn_tail(str(report))
     assert reads == [65536, 65536] and report.read_bytes() == b"x" * 100_000 + b"\n"
+
+
+def test_cross_check_details():
+    rec = check_graph(cycle_graph(5), cross_check=True)
+    assert (rec.method, rec.detail) == ("both", "constructive and exact agree")
+    # with no colorer, cross-checking changes nothing: the exact witness is kept
+    plain, crossed = check_graph(bowtie_graph()), check_graph(bowtie_graph(), cross_check=True)
+    assert (crossed.method, crossed.detail) == ("exact", "")
+    assert crossed.witness == plain.witness and verify(crossed.witness).valid
