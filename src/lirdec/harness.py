@@ -107,7 +107,7 @@ def _check_graph(g: SimpleGraph, gid: str, lim: SearchLimits, cross_check: bool)
         )
         res = exact_lir_multigraph(double(g), two_color_lim)
         if res.status is SearchStatus.FOUND:
-            if witness is not None and cross_check:
+            if witness is not None:  # so cross_check is set
                 detail = "constructive and exact agree"
             else:
                 witness = res.witness
