@@ -466,7 +466,8 @@ def test_a_parallel_sweep_keeps_two_chunks_of_eight_in_flight_per_job(monkeypatc
 
     monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
     graphs = enumerate_connected(5)  # 21 graphs: chunks of 8, 8 and 5
-    got = [r.graph_id for r in sweep(graphs, jobs=1)]
+    got = [r.graph_id for r in sweep(graphs)]
+    assert [r.graph_id for r in sweep(graphs, jobs=1)] == got
     assert log == []
     assert [r.graph_id for r in sweep(graphs, jobs=2)] == got
     assert log == [("pool", 2), ("submit", 8), ("submit", 8), ("submit", 5), ("get", 8), ("get", 8), ("get", 5)]
@@ -518,3 +519,9 @@ def test_cross_check_details():
     plain, crossed = check_graph(bowtie_graph()), check_graph(bowtie_graph(), cross_check=True)
     assert (crossed.method, crossed.detail) == ("exact", "")
     assert crossed.witness == plain.witness and verify(crossed.witness).valid
+
+
+def test_a_sweep_is_serial_unless_asked_for_jobs():
+    import inspect
+
+    assert inspect.signature(sweep).parameters["jobs"].default == 1
