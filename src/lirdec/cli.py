@@ -126,11 +126,16 @@ def _emit(decomposition: Decomposition, fmt: str, out) -> None:
             out.write(f"{u} {v} {' '.join(map(str, counts))}\n")
 
 
-def _cmd_color(args, out) -> int:
+def _one_graph(args) -> SimpleGraph:
+    """The input of color and exact, which take exactly one graph."""
     graphs = _load_graphs(args.input, args.seed)
     if len(graphs) != 1:
-        raise ValueError("color expects exactly one input graph")
-    g = graphs[0]
+        raise ValueError(f"{args.command} expects exactly one input graph")
+    return graphs.pop()
+
+
+def _cmd_color(args, out) -> int:
+    g = _one_graph(args)
     lim = _limits(args)
     if g.n == 2 and g.m == 1:
         sys.stderr.write("K2 is excluded by the conjecture statement\n")
@@ -182,10 +187,7 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_exact(args, out) -> int:
-    graphs = _load_graphs(args.input, args.seed)
-    if len(graphs) != 1:
-        raise ValueError("exact expects exactly one input graph")
-    g = graphs[0]
+    g = _one_graph(args)
     lim = _limits(args)
     if args.graph_mode:
         res = exact_lir_graph(g, lim)
