@@ -525,3 +525,19 @@ def test_a_sweep_is_serial_unless_asked_for_jobs():
     import inspect
 
     assert inspect.signature(sweep).parameters["jobs"].default == 1
+
+
+def test_report_ids_skip_blank_lines_and_name_a_torn_line_before_the_last(tmp_path):
+    report = tmp_path / "report.jsonl"
+    whole = [rec.to_json() for rec in sweep(enumerate_connected(3))]
+    report.write_text(f"\n{whole[0]}\n\n  \n{whole[1]}\n\n")
+    assert load_report_ids(str(report)) == {json.loads(x)["graph"] for x in whole[:2]}
+    fragment = whole[0][:20]
+    try:
+        json.loads(fragment)
+    except json.JSONDecodeError as exc:
+        reason = str(exc)
+    report.write_text(f"\n{fragment}\n\n{whole[1]}\n")
+    with pytest.raises(ValueError) as got:
+        load_report_ids(str(report))
+    assert str(got.value) == f"{report}: line 2: {reason}"
