@@ -92,9 +92,9 @@ def test_random_bipartite_deterministic_per_seed():
 def test_bipartite_enumeration_limit(monkeypatch):
     import lirdec.enumeration as enumeration
 
-    with pytest.raises(ValueError, match="n <= 10"):
-        enumerate_connected_bipartite(11)
-    # order 10 is allowed: count its growth steps without building them
+    # count the growth steps without building them
     steps = []
     monkeypatch.setattr(enumeration, "_one_more_vertex", lambda reps, pools: steps.append(1) or reps)
+    with pytest.raises(ValueError, match="n <= 10"):
+        enumerate_connected_bipartite(11)
     assert enumerate_connected_bipartite(10) == [SimpleGraph(1, [])] and len(steps) == 9
