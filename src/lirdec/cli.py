@@ -68,14 +68,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _family_graph(spec: str, seed: int) -> SimpleGraph:
-    """The graph of a spec whose name is one of FAMILIES."""
     name, _, arg = spec.partition(":")
     try:
         if name in _SIZED_FAMILIES:
             return _SIZED_FAMILIES[name](int(arg))
         if name == "kpartite":
             return complete_multipartite_graph([int(s) for s in arg.split(",") if s])
-        return random_connected_bipartite(int(arg), random.Random(seed))  # randbip
+        return random_connected_bipartite(int(arg), random.Random(seed))  # randbip, the last of FAMILIES
     except ValueError as exc:
         raise ValueError(f"bad family spec {spec!r}: {exc}") from exc
 

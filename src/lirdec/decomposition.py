@@ -8,9 +8,8 @@ A witness is a tuple of count vectors in the host's edge order, validated
 once by the Decomposition constructor and verified once by verify. A mapping
 from edges, as public callers give, is checked edge by edge. A list or tuple
 in edge order, as the colorers and the solver hand over, is checked once per
-distinct vector plus one type pass over its counts and one comparison of its
-sums with the multiplicities, and edge by edge when that fails, so both routes
-name the same first bad edge. A count is an int, and a bool is not one.
+distinct vector plus one pass over its count types and sums (counts are ints,
+not bools), and edge by edge when that fails, so both name the first bad edge.
 verify zips the edges with the vectors in one degree pass, which re-checks
 every sum, and one conflict pass. Nothing is trusted or cached between the
 two, and verify is the only judge.
@@ -136,7 +135,6 @@ def verify(d: Decomposition) -> VerifyReport:
 
 _color = itemgetter(0)
 _count = itemgetter(1)
-_INT = {int}
 
 
 def _vector_info(counts) -> tuple:
@@ -153,7 +151,7 @@ def _valid_in_bulk(host: Multigraph, k: int, vectors: tuple) -> bool:
     False on any fault, for _checked_by_edge to name the first bad edge."""
     if set(map(type, vectors)) - {tuple}:
         return False  # a missing entry, or counts to be turned into tuples
-    if set(map(type, chain.from_iterable(vectors))) - _INT:
+    if set(map(type, chain.from_iterable(vectors))) - {int}:
         return False  # per edge: (2.0, 0) and (2, 0) are one distinct vector
     sums = {}
     try:
@@ -185,7 +183,7 @@ def _checked_by_edge(host: Multigraph, k: int, entries) -> tuple[tuple[int, ...]
             raise ValueError(
                 f"edge {e}: counts sum {sum(counts)} != multiplicity {host.mult[e]}"
             )
-        if not _INT.issuperset(map(type, counts)):
+        if set(map(type, counts)) - {int}:
             raise ValueError(f"edge {e}: non-integer color count")
         vectors.append(counts)
     return tuple(vectors)

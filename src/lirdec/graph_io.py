@@ -38,8 +38,7 @@ def _g6_read_n(data: str, line: int | None) -> tuple[int, int]:
         return n, 1
     if n != 63:
         raise Graph6Error(f"invalid graph6 size byte {data[0]!r}", line)
-    # '~' prefix: 18-bit form, n <= 258047
-    if len(data) < 4 or data[1] == "~":
+    if len(data) < 4 or data[1] == "~":  # '~' prefix: 18-bit form, n <= 258047
         raise Graph6Error("unsupported or truncated graph6 size field", line)
     vals = [ord(ch) - 63 for ch in data[1:4]]
     if any(v < 0 or v > 63 for v in vals):
