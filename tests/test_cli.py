@@ -592,3 +592,13 @@ def test_sweep_closes_its_report(capsys, tmp_path, monkeypatch):
 
 def test_exact_none_names_the_color_limit(capsys):
     assert run(capsys, "exact", "path:2", "--max-colors", "3") == (EXIT_INVALID, "none (no coloring with k<=3)\n", "")
+
+
+def test_an_invalid_colorer_witness_is_an_internal_error(capsys, monkeypatch):
+    import lirdec.cli as cli
+    from lirdec.decomposition import Decomposition
+
+    # all red: every vertex of the doubled 5-cycle has red degree 4
+    monkeypatch.setattr(cli, "color_double_auto", lambda g: Decomposition(double(g), 2, [(2, 0)] * g.m))
+    with pytest.raises(AssertionError, match=r"^emitted witness failed verification: \[\(0, \(0, 1\), 4\)"):
+        main(["color", "cycle:5"])
