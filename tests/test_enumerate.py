@@ -10,6 +10,7 @@ from lirdec.enumeration import (
     enumerate_connected_bipartite,
     random_connected_bipartite,
 )
+from lirdec.graph_io import to_graph6
 from lirdec.graphs import SimpleGraph, bipartition_sides, cycle_graph, path_graph
 
 
@@ -98,3 +99,11 @@ def test_bipartite_enumeration_limit(monkeypatch):
     with pytest.raises(ValueError, match="n <= 10"):
         enumerate_connected_bipartite(11)
     assert enumerate_connected_bipartite(10) == [SimpleGraph(1, [])] and len(steps) == 9
+
+
+def test_random_bipartite_graphs_are_fixed_by_their_seed():
+    # the bench's and the CLI's randbip inputs are these graphs
+    assert to_graph6(random_connected_bipartite(12, random.Random(5))) == "KsUIj@CTCO`I"
+    assert random_connected_bipartite(2, random.Random(0)) == path_graph(2)
+    with pytest.raises(ValueError, match="need n >= 2"):
+        random_connected_bipartite(1, random.Random(0))
