@@ -48,7 +48,7 @@ def canonical_key(g: SimpleGraph) -> tuple[int, int]:
     best = None
     for parts in itertools.product(*(itertools.permutations(c) for c in cells)):
         order = [v for part in parts for v in part]
-        pos = [0] * n
+        pos = [None] * n  # each entry is set below
         for i, v in enumerate(order):
             pos[v] = i
         mask = 0
@@ -89,7 +89,7 @@ def enumerate_connected(n: int) -> list[SimpleGraph]:
             f"built-in enumeration supports n <= {ENUMERATION_LIMIT}; "
             "ingest a graph6 file for larger orders"
         )
-    reps = _catalog_memo.setdefault(1, (SimpleGraph(1, []),))
+    reps = (SimpleGraph(1, []),)
     for size in range(2, n + 1):
         if size not in _catalog_memo:
             _catalog_memo[size] = tuple(_one_more_vertex(reps, lambda g: [range(g.n)]))
