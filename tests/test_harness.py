@@ -541,3 +541,19 @@ def test_report_ids_skip_blank_lines_and_name_a_torn_line_before_the_last(tmp_pa
     with pytest.raises(ValueError) as got:
         load_report_ids(str(report))
     assert str(got.value) == f"{report}: line 2: {reason}"
+
+
+def test_summary_counts_each_result_and_method():
+    summary = SweepSummary()
+    for rec in sweep(enumerate_connected(4)):
+        summary.add(rec)
+    summary.add(SweepRecord("X", 5, 6, "other", "exact", RESULT_CANDIDATE))
+    summary.add(SweepRecord("Y", 5, 6, "other", "exact", RESULT_CANDIDATE))
+    assert summary.counterexample_candidates == 2
+    assert summary.table() == (
+        "graphs checked: 8\n"
+        "  result counterexample-candidate   2\n"
+        "  result lir<=2                     6\n"
+        "  method constructive               5\n"
+        "  method exact                      3"
+    )
