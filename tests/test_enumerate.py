@@ -107,3 +107,20 @@ def test_random_bipartite_graphs_are_fixed_by_their_seed():
     assert random_connected_bipartite(2, random.Random(0)) == path_graph(2)
     with pytest.raises(ValueError, match="need n >= 2"):
         random_connected_bipartite(1, random.Random(0))
+
+
+def test_catalogs_keep_their_graphs_and_order():
+    # the sweep reports graphs in catalog order: the representatives and
+    # their order are pinned, not only the counts
+    import hashlib
+
+    def digest(graphs):
+        return hashlib.sha256("\n".join(map(to_graph6, graphs)).encode()).hexdigest()
+
+    assert [to_graph6(g) for g in enumerate_connected(4)] == ["Cr", "Cq", "Cs", "Cu", "Cv", "C~"]
+    assert digest(g for n in range(1, 8) for g in enumerate_connected(n)) == (
+        "36654057006c3c64ff4d03215aef0c2b9350999daeb3c986415de855e917a088"
+    )
+    assert digest(g for n in range(1, 8) for g in enumerate_connected_bipartite(n)) == (
+        "493a57e041b28240e01822778cb0fe0358d6f146410059b66cf1a8c6c5393d8e"
+    )
