@@ -70,8 +70,8 @@ def _one_more_vertex(reps: Iterable[SimpleGraph], pools: Callable) -> list[Simpl
     for g in reps:
         base = list(g.edges)
         for pool in pools(g):
-            for r in range(1, len(pool) + 1):
-                for subset in itertools.combinations(pool, r):
+            for r in range(len(pool)):
+                for subset in itertools.combinations(pool, r + 1):
                     h = SimpleGraph(g.n + 1, base + [(u, g.n) for u in subset])
                     seen.setdefault(canonical_key(h), h)
     return [seen[k] for k in sorted(seen)]
