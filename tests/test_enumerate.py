@@ -124,3 +124,11 @@ def test_catalogs_keep_their_graphs_and_order():
     assert digest(g for n in range(1, 8) for g in enumerate_connected_bipartite(n)) == (
         "493a57e041b28240e01822778cb0fe0358d6f146410059b66cf1a8c6c5393d8e"
     )
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_catalogs_start_at_order_one(n):
+    with pytest.raises(ValueError, match="need n >= 1"):
+        enumerate_connected(n)
+    with pytest.raises(ValueError, match="need n >= 1"):
+        enumerate_connected_bipartite(n)

@@ -557,3 +557,11 @@ def test_summary_counts_each_result_and_method():
         "  method constructive               5\n"
         "  method exact                      3"
     )
+
+
+def test_drop_torn_tail_reads_down_to_the_first_byte(tmp_path):
+    # 65,537 bytes: the second block is the first byte alone, the only newline
+    report = tmp_path / "report.jsonl"
+    report.write_bytes(b"\n" + b"y" * 65_536)
+    drop_torn_tail(str(report))
+    assert report.read_bytes() == b"\n"
