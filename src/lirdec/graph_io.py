@@ -84,7 +84,7 @@ def to_graph6(g: SimpleGraph) -> str:
     # the bits are padded to whole 24-bit groups, which base64 turns into
     # whole 6-bit digits, the first count/6 of them graph6's
     count = g.n * (g.n - 1) // 2
-    bits = bytearray(b"0") * (-(-count // 24) * 24)
+    bits = bytearray(b"0") * (count + -count % 24)
     for i, j in g.edges:
         bits[j * (j - 1) // 2 + i] = 49  # "1"
     raw = int(bits or b"0", 2).to_bytes(len(bits) // 8, "big")
