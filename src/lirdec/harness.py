@@ -233,7 +233,7 @@ def drop_torn_tail(path: str) -> None:
     except FileNotFoundError:
         return
     with fh:
-        end = pos = fh.seek(0, os.SEEK_END)
+        end = pos = os.fstat(fh.fileno()).st_size
         keep = 0
         while pos > 0:
             step = min(pos, 1 << 16)
