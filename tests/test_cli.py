@@ -602,3 +602,25 @@ def test_an_invalid_colorer_witness_is_an_internal_error(capsys, monkeypatch):
     monkeypatch.setattr(cli, "color_double_auto", lambda g: Decomposition(double(g), 2, [(2, 0)] * g.m))
     with pytest.raises(AssertionError, match=r"^emitted witness failed verification: \[\(0, \(0, 1\), 4\)"):
         main(["color", "cycle:5"])
+
+
+def test_a_closed_stdout_ends_the_run_with_0_and_points_stdout_at_devnull(monkeypatch, tmp_path):
+    import io
+    import os
+
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+    class Closed(io.TextIOBase):
+        def write(self, text):
+            raise BrokenPipeError
+
+        def fileno(self):
+            return fd
+
+    monkeypatch.setattr("sys.stdout", Closed())
+    try:
+        assert main(["classify", "cycle:4"]) == EXIT_OK
+        # what is still buffered goes to devnull at exit
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
