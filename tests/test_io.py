@@ -212,6 +212,7 @@ def test_graph6_round_trip_property(spec):
         ("~\x7f??", "invalid graph6 size field"),
         (">", "invalid graph6 size byte '>'"),
         ("\x7f", "invalid graph6 size byte '\\x7f'"),
+        ("\x7fBw", "invalid graph6 size byte '\\x7f'"),
         ("B\x7f", "invalid graph6 character '\\x7f'"),
         ("B>", "invalid graph6 character '>'"),
         ("Bww", "graph6 body for n=3 needs 1 chars, got 2"),
