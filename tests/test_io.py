@@ -258,6 +258,7 @@ def test_dot_names_every_color_and_closes_the_graph():
         ("0 1.5\n", "line 1: non-integer vertex in '0 1.5'"),
         ("# one edge\n0 1\n-1 2\n", "line 3: negative vertex id"),
         ("2 -3\n", "line 1: negative vertex id"),
+        ("0 1\n2 -1\n", "line 2: negative vertex id"),
         ("# nothing\n\n", "edge list is empty"),
         ("0 0\n", "loop at vertex 0 not allowed"),
     ],
