@@ -154,13 +154,10 @@ def _valid_in_bulk(host: Multigraph, k: int, vectors: tuple) -> bool:
     if set(map(type, chain.from_iterable(vectors))) - {int}:
         return False  # per edge: (2.0, 0) and (2, 0) are one distinct vector
     sums = {}
-    try:
-        for counts in set(vectors):
-            if len(counts) != k or min(counts) < 0:
-                return False
-            sums[counts] = sum(counts)
-    except TypeError:  # counts that do not compare with 0
-        return False
+    for counts in set(vectors):
+        if len(counts) != k or min(counts) < 0:
+            return False
+        sums[counts] = sum(counts)
     mult, edges = host.mult, host.edges
     mults = mult.values() if tuple(mult) == edges else map(mult.__getitem__, edges)
     return list(map(sums.__getitem__, vectors)) == list(mults)
