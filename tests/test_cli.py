@@ -155,7 +155,8 @@ def test_exact_bowtie_graph_mode(capsys, tmp_path):
 def test_exact_none_exit_code(capsys):
     code, out, _ = run(capsys, "exact", "path:2")
     assert code == EXIT_INVALID
-    assert out.startswith("none")
+    assert out == "none (no coloring with k<=4)\n"
+    assert run(capsys, "exact", "path:2", "--max-colors", "3") == (EXIT_INVALID, "none (no coloring with k<=3)\n", "")
 
 
 def test_exact_inconclusive_exit_code(capsys):
@@ -588,10 +589,6 @@ def test_sweep_closes_its_report(capsys, tmp_path, monkeypatch):
     code, _, _ = run(capsys, "sweep", "cycle:5", "-o", str(tmp_path / "report.jsonl"))
     assert code == EXIT_OK
     assert opened and all(fh.closed for fh in opened)
-
-
-def test_exact_none_names_the_color_limit(capsys):
-    assert run(capsys, "exact", "path:2", "--max-colors", "3") == (EXIT_INVALID, "none (no coloring with k<=3)\n", "")
 
 
 def test_an_invalid_colorer_witness_is_an_internal_error(capsys, monkeypatch):
