@@ -28,9 +28,16 @@ def test_connected_count_at_the_builtin_ceiling():
     assert len(enumerate_connected(8)) == 11117
 
 
-def test_enumeration_limit():
+def test_enumeration_limit(monkeypatch):
+    import lirdec.enumeration as enumeration
+
+    # count the growth steps without building them, in a memo of their own
+    steps = []
+    monkeypatch.setattr(enumeration, "_one_more_vertex", lambda reps, pools: steps.append(1) or reps)
+    monkeypatch.setattr(enumeration, "_catalog_memo", {})
     with pytest.raises(ValueError, match="graph6 file"):
         enumerate_connected(9)
+    assert enumerate_connected(8) == [SimpleGraph(1, [])] and len(steps) == 7
 
 
 def test_canonical_key_invariant_under_relabeling():
