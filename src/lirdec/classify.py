@@ -15,8 +15,8 @@ exactly the connected graphs with no locally irregular decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .graphs import SimpleGraph, sides_of
 
@@ -33,22 +33,20 @@ class ClassKind(Enum):
     OTHER = "other"
 
 
-@dataclass
-class Classification:
+class Classification(NamedTuple):
     """Structural tag, plus what its recognizer found (for the colorers)."""
 
     kind: ClassKind
     part_sizes: tuple[int, ...] | None = None  # only for complete multipartite
     # path or cycle vertex order; for a wheel, the rim order
-    order: list[int] | None = field(default=None, compare=False, repr=False)
-    hub: int | None = field(default=None, compare=False, repr=False)  # wheel only
-    parts: list[list[int]] | None = field(default=None, compare=False, repr=False)
+    order: list[int] | None = None
+    hub: int | None = None  # wheel only
+    parts: list[list[int]] | None = None
     # OTHER only: bipartition_sides(g), or None after an odd cycle
-    sides: tuple[list[int], list[int]] | None = field(default=None, compare=False, repr=False)
+    sides: tuple[list[int], list[int]] | None = None
 
 
-@dataclass
-class Attachment:
+class Attachment(NamedTuple):
     """One construction step: a path glued onto `host`, optionally ending in
     a new triangle whose remaining two vertices are `triangle`."""
 
@@ -57,16 +55,14 @@ class Attachment:
     triangle: tuple[int, int] | None = None
 
 
-@dataclass
-class TWitness:
+class TWitness(NamedTuple):
     """Replayable construction of a triangle-family member."""
 
     root: tuple[int, int, int]
-    steps: list[Attachment] = field(default_factory=list)
+    steps: list[Attachment]
 
 
-@dataclass
-class TPrimeResult:
+class TPrimeResult(NamedTuple):
     member: bool
     kind: ClassKind | None = None  # ODD_PATH, ODD_CYCLE or T_FAMILY
     witness: TWitness | None = None
@@ -196,7 +192,7 @@ def t_family_witness(g: SimpleGraph) -> TWitness | None:
         [w for w in ns if tri_of_vertex.get(w, w) != tri_of_vertex.get(v, v)]
         for v, ns in enumerate(g.adj)
     ]
-    witness = TWitness(root=tris[0])
+    witness = TWitness(tris[0], [])
     placed = set(tris[0])
     queue = [tris[0]]
     while queue:

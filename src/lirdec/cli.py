@@ -104,14 +104,11 @@ def _load_graphs(spec: str, seed: int) -> list[SimpleGraph]:
 def _limits(args) -> SearchLimits:
     """Flags over environment (LIRDEC_<NAME>) over the SearchLimits
     defaults; SearchLimits rejects values < 1."""
-
-    def pick(name):
-        flag = getattr(args, name)
-        if flag is not None:
-            return flag
-        return int(os.environ.get(f"LIRDEC_{name.upper()}", getattr(SearchLimits, name)))
-
-    return SearchLimits(*map(pick, ("max_colors", "max_edges", "node_budget")))
+    return SearchLimits(**{
+        name: int(os.environ.get(f"LIRDEC_{name.upper()}", default))
+        if getattr(args, name) is None else getattr(args, name)
+        for name, default in SearchLimits()._asdict().items()
+    })
 
 
 def _emit(decomposition: Decomposition, fmt: str, out) -> None:
@@ -136,7 +133,9 @@ def _one_graph(args) -> SimpleGraph:
 def _cmd_color(args, out) -> int:
     g = _one_graph(args)
     lim = _limits(args)
-    if g.n == 2 and g.m == 1:
+    if not g.is_connected():
+        raise ValueError("color needs a connected graph")
+    if g.m == 1:  # a connected graph with one edge is K2
         sys.stderr.write("K2 is excluded by the conjecture statement\n")
         return EXIT_INVALID
     if args.exact:
@@ -270,16 +269,14 @@ def build_parser() -> _Parser:
                 "or family spec like path:7, cycle:11, wheel:6, complete:5, "
                 "kpartite:2,2,3, randbip:12",
             )
-        p.add_argument("--max-colors", type=int, default=None)
-        p.add_argument("--max-edges", type=int, default=None)
-        p.add_argument("--node-budget", type=int, default=None)
         p.add_argument("--seed", type=int, default=0, help="seed for randbip inputs")
 
     p_color = sub.add_parser("color", help="construct a locally irregular coloring of the doubled graph")
     add_common(p_color)
     p_color.add_argument("--format", choices=("json", "dot", "summary"), default="json")
-    p_color.add_argument("--bipartite", action="store_true", help="force the bipartite construction")
-    p_color.add_argument("--exact", action="store_true", help="force the exact solver")
+    route = p_color.add_mutually_exclusive_group()
+    route.add_argument("--bipartite", action="store_true", help="force the bipartite construction")
+    route.add_argument("--exact", action="store_true", help="force the exact solver")
     p_color.set_defaults(func=_cmd_color)
 
     p_verify = sub.add_parser("verify", help="verify a decomposition JSON (file or - for stdin)")
@@ -308,6 +305,9 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--cross-check", action="store_true", help="run exact solver even when a colorer matched")
     p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.set_defaults(func=_cmd_sweep)
+    for p in (p_color, p_exact, p_sweep):  # classify searches nothing
+        for flag in ("--max-colors", "--max-edges", "--node-budget"):
+            p.add_argument(flag, type=int, default=None)
     return parser
 
 

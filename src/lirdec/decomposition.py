@@ -17,11 +17,10 @@ two, and verify is the only judge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .graphs import Edge, Multigraph
 
@@ -78,11 +77,10 @@ class Decomposition:
         return f"Decomposition(n={self.host.n}, m={len(self.host.edges)}, k={self.k})"
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Conflicts found by verify(); empty means locally irregular."""
 
-    conflicts: list[tuple[int, Edge, int]] = field(default_factory=list)
+    conflicts: list[tuple[int, Edge, int]]
 
     @property
     def valid(self) -> bool:

@@ -16,10 +16,9 @@ import json
 import os
 import time
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .classify import classify
 from .colorers import color_double_auto
@@ -35,8 +34,7 @@ RESULT_EXCLUDED = "excluded"
 RESULT_ERROR = "error"
 
 
-@dataclass
-class SweepRecord:
+class SweepRecord(NamedTuple):
     graph_id: str  # graph6
     n: int
     m: int
@@ -102,10 +100,7 @@ def _check_graph(g: SimpleGraph, gid: str, lim: SearchLimits, cross_check: bool)
         if witness is None:
             result = RESULT_INCONCLUSIVE
     elif witness is None or cross_check:
-        two_color_lim = SearchLimits(
-            max_colors=2, max_edges=lim.max_edges, node_budget=lim.node_budget
-        )
-        res = exact_lir_multigraph(double(g), two_color_lim)
+        res = exact_lir_multigraph(double(g), lim._replace(max_colors=2))
         if res.status is SearchStatus.FOUND:
             if witness is not None:  # so cross_check is set
                 detail = "constructive and exact agree"
@@ -169,11 +164,11 @@ def sweep(
             yield from records
 
 
-@dataclass
 class SweepSummary:
-    total: int = 0
-    by_result: dict = field(default_factory=dict)
-    by_method: dict = field(default_factory=dict)
+    def __init__(self, total: int = 0, by_result: dict | None = None, by_method: dict | None = None):
+        self.total = total
+        self.by_result = {} if by_result is None else by_result
+        self.by_method = {} if by_method is None else by_method
 
     def add(self, record: SweepRecord) -> None:
         self.total += 1

@@ -54,9 +54,9 @@ was exhausted; a blown node budget yields "inconclusive", never "none".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 from .decomposition import Decomposition, verify
 from .graphs import Edge, Multigraph, SimpleGraph, is_locally_irregular
@@ -68,19 +68,18 @@ class SearchStatus(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass
-class SearchLimits:
-    max_colors: int = 4
-    max_edges: int = 24
-    node_budget: int = 10**9
+class SearchLimits(
+    NamedTuple("SearchLimits", [("max_colors", int), ("max_edges", int), ("node_budget", int)])
+):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_colors < 1 or self.max_edges < 1 or self.node_budget < 1:
+    def __new__(cls, max_colors: int = 4, max_edges: int = 24, node_budget: int = 10**9):
+        if min(max_colors, max_edges, node_budget) < 1:
             raise ValueError("search limits must be positive")
+        return super().__new__(cls, max_colors, max_edges, node_budget)
 
 
-@dataclass
-class SolveResult:
+class SolveResult(NamedTuple):
     status: SearchStatus
     colors: int | None = None
     witness: Decomposition | None = None

@@ -382,7 +382,6 @@ def test_module_entry_point_subprocess():
     assert "class=cycle" in proc.stdout
 
 
-@pytest.mark.xfail(strict=True, reason="not yet mended")
 def test_the_cli_loads_neither_dataclasses_nor_inspect():
     # a fresh interpreter, since the suite itself may have loaded both
     import subprocess
@@ -562,8 +561,8 @@ def test_randbip_without_a_seed_uses_seed_zero(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["color", "B_"], "classification requires a connected graph"),
-        (["color", "A?"], "nothing to double: graph has no edges"),
+        (["classify", "B_"], "classification requires a connected graph"),
+        (["exact", "A?"], "nothing to double: graph has no edges"),
         (["classify", "path:x"], "bad family spec 'path:x': invalid literal for int() with base 10: 'x'"),
         (["classify", "cycle:2"], "bad family spec 'cycle:2': cycle needs length >= 3"),
         (["classify", "kpartite:2,x"], "bad family spec 'kpartite:2,x': invalid literal for int() with base 10: 'x'"),
@@ -572,7 +571,6 @@ def test_randbip_without_a_seed_uses_seed_zero(capsys):
     ],
 )
 def test_each_bad_input_message(capsys, argv, message):
-    # a graph of two vertices, or of one edge, is K2 only when it is both
     assert run(capsys, *argv) == (EXIT_USAGE, "", f"lirdec: {message}\n")
 
 
@@ -583,9 +581,10 @@ DISCONNECTED = (EXIT_USAGE, "", "lirdec: color needs a connected graph\n")
     "argv, expected",
     [
         # B_ is one edge beside an isolated vertex
-        pytest.param(["color", "B_"], DISCONNECTED, id="color", marks=pytest.mark.xfail(strict=True, reason="not yet mended")),
-        pytest.param(["color", "B_", "--bipartite"], DISCONNECTED, id="color-bipartite", marks=pytest.mark.xfail(strict=True, reason="not yet mended")),
-        pytest.param(["color", "B_", "--exact"], DISCONNECTED, id="color-exact", marks=pytest.mark.xfail(strict=True, reason="not yet mended")),
+        pytest.param(["color", "B_"], DISCONNECTED, id="color"),
+        pytest.param(["color", "B_", "--bipartite"], DISCONNECTED, id="color-bipartite"),
+        pytest.param(["color", "B_", "--exact"], DISCONNECTED, id="color-exact"),
+        pytest.param(["color", "A?"], DISCONNECTED, id="color-edgeless"),
         # no coloring exists, so exact's answer is true
         pytest.param(["exact", "B_"], (EXIT_INVALID, "none (no coloring with k<=4)\n", ""), id="exact"),
     ],
@@ -594,7 +593,6 @@ def test_a_disconnected_input_gets_one_answer_on_every_route(capsys, argv, expec
     assert run(capsys, *argv) == expected
 
 
-@pytest.mark.xfail(strict=True, reason="not yet mended")
 def test_bipartite_and_exact_together_are_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["color", "cycle:4", "--bipartite", "--exact"])
@@ -603,7 +601,6 @@ def test_bipartite_and_exact_together_are_a_usage_error(capsys):
     assert "--exact: not allowed with argument --bipartite" in err
 
 
-@pytest.mark.xfail(strict=True, reason="not yet mended")
 @pytest.mark.parametrize("flag", ["--max-colors", "--max-edges", "--node-budget"])
 def test_classify_takes_no_limit_flags(capsys, flag):
     with pytest.raises(SystemExit) as exc:

@@ -261,8 +261,7 @@ def test_record_json_matches_golden_bytes():
     cases = _golden_cases()
     assert set(golden) == set(cases)
     for name, (g, lim) in cases.items():
-        rec = check_graph(g, lim)
-        rec.runtime = 0.0
+        rec = check_graph(g, lim)._replace(runtime=0.0)
         assert rec.to_json() == golden[name], name
 
 
@@ -371,7 +370,7 @@ def test_record_json_matches_json_dumps():
     ]
     for record in records:
         for runtime in (0.0, 1e-06, 12.5, 0.123456789):
-            record.runtime = runtime
+            record = record._replace(runtime=runtime)
             assert record.to_json() == record_json_reference(record)
 
 

@@ -8,8 +8,6 @@ import sys
 import time
 from pathlib import Path
 
-import pytest
-
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "mutants.py"
 
 
@@ -42,7 +40,6 @@ def test_the_audit_reports_the_one_mutant_its_test_cannot_see(tmp_path):
     assert done.stderr.count(": pass, whole suite pass\n") == 1
 
 
-@pytest.mark.xfail(strict=True, reason="not yet mended")
 def test_a_terminated_audit_removes_its_copy_of_the_repo(tmp_path):
     project, tmp = tmp_path / "project", tmp_path / "tmp"
     toy_project(project)

@@ -20,7 +20,8 @@ first. The report lists, by line of the original module, every mutant that
 survived the given tests and whether the whole suite killed it; a mutant that
 survives both is a statement or value the suite cannot tell apart from the
 edit, so it is either dead code, code that only saves time, or a gap in the
-tests. The last line counts the mutants and both kinds of survivors.
+tests. The last line counts the mutants and both kinds of survivors. A run
+ended by SIGTERM removes its copy and exits with 143.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import ast
 import importlib.util
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -191,4 +193,6 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
+    # SIGTERM as SystemExit unwinds the temporary directory, so no copy is left
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     sys.exit(main(sys.argv[1:]))
