@@ -74,9 +74,9 @@ class SearchLimits(
     __slots__ = ()
 
     def __new__(cls, max_colors: int = 4, max_edges: int = 24, node_budget: int = 10**9):
-        if min(max_colors, max_edges, node_budget) < 1:
+        if max_colors < 1 or max_edges < 1 or node_budget < 1:
             raise ValueError("search limits must be positive")
-        return super().__new__(cls, max_colors, max_edges, node_budget)
+        return tuple.__new__(cls, (max_colors, max_edges, node_budget))
 
 
 class SolveResult(NamedTuple):
