@@ -100,7 +100,7 @@ def _check_graph(g: SimpleGraph, gid: str, lim: SearchLimits, cross_check: bool)
         if witness is None:
             result = RESULT_INCONCLUSIVE
     elif witness is None or cross_check:
-        res = exact_lir_multigraph(double(g), lim._replace(max_colors=2))
+        res = exact_lir_multigraph(double(g), SearchLimits(2, lim.max_edges, lim.node_budget))
         if res.status is SearchStatus.FOUND:
             if witness is not None:  # so cross_check is set
                 detail = "constructive and exact agree"
