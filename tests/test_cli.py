@@ -593,6 +593,20 @@ def test_a_disconnected_input_gets_one_answer_on_every_route(capsys, argv, expec
     assert run(capsys, *argv) == expected
 
 
+@pytest.mark.parametrize(
+    "route",
+    [
+        pytest.param([], id="auto"),
+        pytest.param(["--bipartite"], id="bipartite", marks=pytest.mark.xfail(strict=True, reason="not yet mended")),
+        pytest.param(["--exact"], id="exact"),
+    ],
+)
+@pytest.mark.parametrize("graph", ["@", "?", "path:1"], ids=["K1", "K0", "path1"])
+def test_an_edgeless_input_gets_one_answer_on_every_color_route(capsys, graph, route):
+    # K0 and K1 are connected, but they have no edge to double
+    assert run(capsys, "color", graph, *route) == (EXIT_USAGE, "", "lirdec: nothing to double: graph has no edges\n")
+
+
 def test_bipartite_and_exact_together_are_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["color", "cycle:4", "--bipartite", "--exact"])

@@ -238,30 +238,48 @@ def test_edge_cap_keeps_constructive_witness_under_cross_check():
 
 
 def _golden_cases():
+    """name -> (graph, limits, cross_check): one record of every outcome.
+    The candidate case runs with the solver stubbed to find nothing."""
     return {
-        "path": (path_graph(5), None),
-        "cycle": (cycle_graph(6), None),
-        "wheel": (wheel_graph(6), None),
-        "complete": (complete_graph(5), None),
-        "multipartite": (complete_multipartite_graph([2, 2, 3]), None),
-        "bipartite": (SimpleGraph(6, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5)]), None),
-        "bowtie": (bowtie_graph(), None),
-        "k2": (path_graph(2), None),
-        "budget": (bowtie_graph(), SearchLimits(node_budget=3)),
+        "path": (path_graph(5), None, False),
+        "cycle": (cycle_graph(6), None, False),
+        "wheel": (wheel_graph(6), None, False),
+        "complete": (complete_graph(5), None, False),
+        "multipartite": (complete_multipartite_graph([2, 2, 3]), None, False),
+        "bipartite": (SimpleGraph(6, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5)]), None, False),
+        "bowtie": (bowtie_graph(), None, False),
+        "k2": (path_graph(2), None, False),
+        "budget": (bowtie_graph(), SearchLimits(node_budget=3), False),
+        "k0": (SimpleGraph(0, []), None, False),
+        "k1": (SimpleGraph(1, []), None, False),
+        "error": (SimpleGraph(4, [(0, 1), (2, 3)]), None, False),
+        "agree": (path_graph(5), None, True),
+        "cross-inconclusive": (cycle_graph(5), SearchLimits(node_budget=1), True),
+        "cross-skipped": (complete_graph(8), None, True),
+        "over-cap": (bowtie_graph(), SearchLimits(max_edges=12), False),
+        "candidate": (bowtie_graph(), None, False),
     }
 
 
-def test_record_json_matches_golden_bytes():
+def test_record_json_matches_golden_bytes(monkeypatch):
     # captured before the record path was rewritten, the multipartite line
-    # re-pinned when its part matrix became one closed form; runtime zeroed
+    # re-pinned when its part matrix became one closed form, the rows from
+    # k0 on captured before _check_graph became one flat decision; runtime
+    # zeroed
+    import lirdec.harness as harness
+    from lirdec.solver import SearchStatus, SolveResult
+
     golden = {}
     for line in (Path(__file__).parent / "data" / "sweep_records.golden").read_text().splitlines():
         name, text = line.split(" ", 1)
         golden[name] = text
     cases = _golden_cases()
     assert set(golden) == set(cases)
-    for name, (g, lim) in cases.items():
-        rec = check_graph(g, lim)._replace(runtime=0.0)
+    for name, (g, lim, cross_check) in cases.items():
+        with monkeypatch.context() as patch:
+            if name == "candidate":  # no graph known here lacks a two-coloring
+                patch.setattr(harness, "exact_lir_multigraph", lambda m, lim: SolveResult(SearchStatus.NONE))
+            rec = check_graph(g, lim, cross_check)._replace(runtime=0.0)
         assert rec.to_json() == golden[name], name
 
 
@@ -285,7 +303,7 @@ def _count_calls(monkeypatch, module, name):
 def test_check_graph_classifies_once_and_verifies_at_most_once(monkeypatch):
     from lirdec.classify import ClassKind, classify
 
-    graphs = [g for g, _ in _golden_cases().values() if g.m > 1]
+    graphs = [g for g, _, _ in _golden_cases().values() if g.m > 1 and g.is_connected()]
     graphs += [_k8_minus_path()]
     graphs += [g for n in range(3, 7) for g in enumerate_connected(n)]
     # constructive records of every colorer, each multipartite scan tier included
