@@ -135,6 +135,7 @@ def _cmd_color(args, out) -> int:
     lim = _limits(args)
     if not g.is_connected():
         raise ValueError("color needs a connected graph")
+    host = double(g)  # rejects an edgeless graph, the same on every route
     if g.m == 1:  # a connected graph with one edge is K2
         sys.stderr.write("K2 is excluded by the conjecture statement\n")
         return EXIT_INVALID
@@ -145,7 +146,7 @@ def _cmd_color(args, out) -> int:
     else:
         d = color_double_auto(g)
     if d is None:
-        res = exact_lir_multigraph(double(g), lim)
+        res = exact_lir_multigraph(host, lim)
         if res.status is SearchStatus.INCONCLUSIVE:
             sys.stderr.write("search inconclusive: node budget exhausted\n")
             return EXIT_INCONCLUSIVE

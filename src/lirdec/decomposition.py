@@ -5,11 +5,12 @@ red and color 1 is blue by convention; a doubled edge therefore has three
 states: RR (2,0), RB (1,1), BB (0,2).
 
 A witness is a tuple of count vectors in the host's edge order, validated
-once by the Decomposition constructor and verified once by verify. A mapping
-from edges, as public callers give, is checked edge by edge. A list or tuple
-in edge order, as the colorers and the solver hand over, is checked once per
-distinct vector plus one pass over its count types and sums (counts are ints,
-not bools), and edge by edge when that fails, so both name the first bad edge.
+once by the Decomposition constructor and verified once by verify. A list or
+tuple in edge order, as the colorers and the solver hand over, and a mapping
+from edges, as public callers give, read in edge order, take one route: a
+check once per distinct vector plus one pass over its count types and sums
+(counts are ints, not bools), and edge by edge when that fails, naming the
+first bad edge. A mapping's keys that are not edges are named after that.
 verify zips the edges with the vectors in one degree pass, which re-checks
 every sum, and one conflict pass. Nothing is trusted or cached between the
 two, and verify is the only judge.
@@ -49,13 +50,13 @@ class Decomposition:
             vectors = tuple(counts)
             if len(vectors) != len(edges):
                 raise ValueError(f"expected {len(edges)} count vectors, got {len(vectors)}")
-            if not _valid_in_bulk(host, k, vectors):
-                vectors = _checked_by_edge(host, k, vectors)
         else:
-            vectors = _checked_by_edge(host, k, map(counts.get, edges))
-            if len(counts) != len(edges):
-                extra = set(counts) - set(edges)
-                raise ValueError(f"assignment for non-edges: {sorted(extra)}")
+            vectors = tuple(map(counts.get, edges))  # None for a missing edge
+        if not _valid_in_bulk(host, k, vectors):
+            vectors = _checked_by_edge(host, k, vectors)
+        if len(counts) != len(edges):  # a mapping with keys that are not edges
+            extra = set(counts) - set(edges)
+            raise ValueError(f"assignment for non-edges: {sorted(extra)}")
         self.host = host
         self.k = k
         self.vectors: tuple[tuple[int, ...], ...] = vectors

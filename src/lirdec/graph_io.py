@@ -20,50 +20,43 @@ DOT_COLORS = ("red", "blue", "purple")
 
 
 class Graph6Error(ValueError):
-    """Raised on malformed graph6 input; the message starts with the
-    offending line number when one is given."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    """Raised on malformed graph6 input; read_graph6_lines starts the
+    message with the offending line number."""
 
 
-def _g6_read_n(data: str, line: int | None) -> tuple[int, int]:
+def _g6_read_n(data: str) -> tuple[int, int]:
     """Decode the leading vertex count; returns (n, chars consumed)."""
     if not data:
-        raise Graph6Error("empty graph6 string", line)
+        raise Graph6Error("empty graph6 string")
     n = ord(data[0]) - 63
     if 0 <= n < 63:
         return n, 1
     if n != 63:
-        raise Graph6Error(f"invalid graph6 size byte {data[0]!r}", line)
+        raise Graph6Error(f"invalid graph6 size byte {data[0]!r}")
     if len(data) < 4 or data[1] == "~":  # '~' prefix: 18-bit form, n <= 258047
-        raise Graph6Error("unsupported or truncated graph6 size field", line)
+        raise Graph6Error("unsupported or truncated graph6 size field")
     vals = [ord(ch) - 63 for ch in data[1:4]]
     if any(v < 0 or v > 63 for v in vals):
-        raise Graph6Error("invalid graph6 size field", line)
+        raise Graph6Error("invalid graph6 size field")
     return (vals[0] << 12) | (vals[1] << 6) | vals[2], 4
 
 
-def parse_graph6(text: str, line: int | None = None) -> SimpleGraph:
+def parse_graph6(text: str) -> SimpleGraph:
     """Decode one graph6 string into a SimpleGraph."""
     data = text.strip()
     if data.startswith(">>graph6<<"):
         data = data[len(">>graph6<<"):]
-    n, offset = _g6_read_n(data, line)
+    n, offset = _g6_read_n(data)
     body = data[offset:]
     need_bits = n * (n - 1) // 2
     need_chars = (need_bits + 5) // 6
     if len(body) != need_chars:
-        raise Graph6Error(
-            f"graph6 body for n={n} needs {need_chars} chars, got {len(body)}", line
-        )
+        raise Graph6Error(f"graph6 body for n={n} needs {need_chars} chars, got {len(body)}")
     bits = 0
     for ch in body:
         v = ord(ch) - 63
         if v < 0 or v > 63:
-            raise Graph6Error(f"invalid graph6 character {ch!r}", line)
+            raise Graph6Error(f"invalid graph6 character {ch!r}")
         bits = (bits << 6) | v
     bits >>= 6 * need_chars - need_bits  # drop padding
     edges = []
@@ -102,7 +95,11 @@ def read_graph6_lines(text: str) -> Iterator[SimpleGraph]:
     """Parse a graph6 file: one graph per non-empty line."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if raw.strip():
-            yield parse_graph6(raw, line=lineno)
+            try:
+                g = parse_graph6(raw)
+            except Graph6Error as exc:
+                raise Graph6Error(f"line {lineno}: {exc}") from None
+            yield g
 
 
 def parse_edge_list(text: str) -> SimpleGraph:

@@ -64,66 +64,63 @@ def check_graph(
     g: SimpleGraph, lim: SearchLimits | None = None, cross_check: bool = False
 ) -> SweepRecord:
     """Conjecture check for one connected graph."""
-    return _check_graph(g, _graph_id(g), lim or SearchLimits(), cross_check)
+    return _check_graph(g, _graph_id(g), _two_colors(lim), cross_check)
 
 
 def _graph_id(g: SimpleGraph) -> str:
     return to_graph6(g) if g.n <= 62 else f"n{g.n}m{g.m}"
 
 
+def _two_colors(lim: SearchLimits | None) -> SearchLimits:
+    """The exact fallback's limits: the caller's edge cap and node budget at
+    two colors, built once per run."""
+    return (lim or SearchLimits())._replace(max_colors=2)
+
+
+def _record(g, gid, start, class_tag, method, result, detail="", witness=None) -> SweepRecord:
+    """The record of g, timed from start."""
+    return SweepRecord(gid, g.n, g.m, class_tag, method, result, witness, time.perf_counter() - start, detail)
+
+
 def _check_graph(g: SimpleGraph, gid: str, lim: SearchLimits, cross_check: bool) -> SweepRecord:
-    """check_graph with the graph's id already computed."""
+    """check_graph with the graph's id and the two-color limits already
+    built: each outcome is one record."""
     start = time.perf_counter()
     if g.n <= 2 and g.m == g.n // 2:  # K0, K1 or K2
-        return SweepRecord(
-            gid, g.n, g.m, "path", "none", RESULT_EXCLUDED,
-            runtime=time.perf_counter() - start,
-            detail="excluded by conjecture statement" if g.m else "excluded: graph has no edges",
+        return _record(
+            g, gid, start, "path", "none", RESULT_EXCLUDED,
+            "excluded by conjecture statement" if g.m else "excluded: graph has no edges",
         )
     try:
         tag = classify(g)
     except ValueError as exc:
-        return SweepRecord(
-            gid, g.n, g.m, "?", "none", RESULT_ERROR,
-            runtime=time.perf_counter() - start, detail=str(exc),
-        )
+        return _record(g, gid, start, "?", "none", RESULT_ERROR, str(exc))
+    kind = tag.kind.value
     witness = color_double_auto(g, tag)
     if witness is not None and not verify(witness).valid:
         raise AssertionError(f"constructive witness failed verification: {gid}")
-    method = "constructive" if witness is not None else "exact"
-    result = RESULT_TWO_COLORS
-    detail = ""
-    if witness is not None and cross_check:
-        method = "both"
-    if (witness is None or cross_check) and g.m > lim.max_edges:
+    if witness is not None and not cross_check:
+        return _record(g, gid, start, kind, "constructive", RESULT_TWO_COLORS, "", witness)
+    if g.m > lim.max_edges:
         detail = f"exact search skipped: edge cap {g.m} > max_edges {lim.max_edges}"
         if witness is None:
-            result = RESULT_INCONCLUSIVE
-    elif witness is None or cross_check:
-        res = exact_lir_multigraph(double(g), SearchLimits(2, lim.max_edges, lim.node_budget))
-        if res.status is SearchStatus.FOUND:
-            if witness is not None:  # so cross_check is set
-                detail = "constructive and exact agree"
-            else:
-                witness = res.witness
-        elif res.status is SearchStatus.NONE:
-            if witness is not None:
-                raise AssertionError(
-                    f"constructive witness exists but exact search found none: {gid}"
-                )
-            result = RESULT_CANDIDATE
-            detail = "completed exact search found no two-coloring"
-        else:
-            if witness is None:
-                result = RESULT_INCONCLUSIVE
-                detail = "node budget exhausted"
-            else:
-                detail = "exact cross-check inconclusive"
-    return SweepRecord(
-        gid, g.n, g.m, tag.kind.value, method, result,
-        witness=witness if result == RESULT_TWO_COLORS else None,
-        runtime=time.perf_counter() - start, detail=detail,
-    )
+            return _record(g, gid, start, kind, "exact", RESULT_INCONCLUSIVE, detail)
+        return _record(g, gid, start, kind, "both", RESULT_TWO_COLORS, detail, witness)
+    res = exact_lir_multigraph(double(g), lim)
+    if witness is not None:  # the cross-check
+        if res.status is SearchStatus.NONE:
+            raise AssertionError(f"constructive witness exists but exact search found none: {gid}")
+        return _record(
+            g, gid, start, kind, "both", RESULT_TWO_COLORS,
+            "constructive and exact agree" if res.found else "exact cross-check inconclusive", witness,
+        )
+    if res.found:
+        return _record(g, gid, start, kind, "exact", RESULT_TWO_COLORS, "", res.witness)
+    if res.status is SearchStatus.NONE:
+        return _record(
+            g, gid, start, kind, "exact", RESULT_CANDIDATE, "completed exact search found no two-coloring"
+        )
+    return _record(g, gid, start, kind, "exact", RESULT_INCONCLUSIVE, "node budget exhausted")
 
 
 def _check_chunk(tasks) -> list[SweepRecord]:
@@ -144,7 +141,7 @@ def sweep(
     With jobs > 1 the source is read in chunks of 8, and only 2 * jobs
     chunks are in flight: one more is submitted as each comes back.
     """
-    lim = lim or SearchLimits()
+    lim = _two_colors(lim)
     # each graph's id is computed once, for the skip test and the record
     tasks = ((g, _graph_id(g), lim, cross_check) for g in source)
     if skip_ids:
@@ -165,10 +162,10 @@ def sweep(
 
 
 class SweepSummary:
-    def __init__(self, total: int = 0, by_result: dict | None = None, by_method: dict | None = None):
-        self.total = total
-        self.by_result = {} if by_result is None else by_result
-        self.by_method = {} if by_method is None else by_method
+    def __init__(self):
+        self.total = 0
+        self.by_result: dict[str, int] = {}
+        self.by_method: dict[str, int] = {}
 
     def add(self, record: SweepRecord) -> None:
         self.total += 1

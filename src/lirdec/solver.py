@@ -78,6 +78,8 @@ class SearchLimits(
             raise ValueError("search limits must be positive")
         return tuple.__new__(cls, (max_colors, max_edges, node_budget))
 
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace checks its limits too
+
 
 class SolveResult(NamedTuple):
     status: SearchStatus
@@ -367,11 +369,11 @@ def _checked(d: Decomposition) -> Decomposition:
     return d
 
 
-def _ladder(m: Multigraph, lim: SearchLimits | None, search) -> SolveResult:
-    """Smallest k <= lim.max_colors admitting a valid coloring of m, with
-    witness: k = 1 by the degree check, then search(m, plan, kinds, k,
-    budget) for k = 2, 3, .. over one shared node budget, each search
-    returning its result and the budget it leaves."""
+def _ladder(m: Multigraph, lim: SearchLimits | None, search, max_colors: int | None = None) -> SolveResult:
+    """Smallest k <= max_colors (lim.max_colors unless given) admitting a
+    valid coloring of m, with witness: k = 1 by the degree check, then
+    search(m, plan, kinds, k, budget) for k = 2, 3, .. over one shared node
+    budget, each search returning its result and the budget it leaves."""
     lim = lim or SearchLimits()
     if len(m.edges) > lim.max_edges:
         raise ValueError(f"too many edges: {len(m.edges)} > limit {lim.max_edges}")
@@ -382,7 +384,7 @@ def _ladder(m: Multigraph, lim: SearchLimits | None, search) -> SolveResult:
         return SolveResult(SearchStatus.FOUND, 1, witness, 0)
     budget = lim.node_budget
     plan, at, kinds = _plan(m)
-    for k in range(2, lim.max_colors + 1):
+    for k in range(2, (max_colors or lim.max_colors) + 1):
         try:
             found, budget = search(m, plan, kinds, k, budget)
         except _BudgetExhausted:
@@ -414,10 +416,9 @@ def is_decomposable(g: SimpleGraph, lim: SearchLimits | None = None) -> SolveRes
     witness partition; lim.max_colors is ignored.
     """
     # zero or one edge: lone edges tie, the empty graph is vacuously fine;
-    # exact_lir_graph applies the edge cap (lim.max_edges >= 1)
+    # _ladder applies the edge cap (lim.max_edges >= 1)
     if g.m == 0:
         return SolveResult(SearchStatus.FOUND, 0, None, 0)
     if g.m == 1:
         return SolveResult(SearchStatus.NONE, nodes=0)
-    lim = lim or SearchLimits()
-    return exact_lir_graph(g, SearchLimits(g.m // 2, lim.max_edges, lim.node_budget))
+    return _ladder(Multigraph(g), lim, _search_graph_k, g.m // 2)

@@ -597,7 +597,7 @@ def test_a_disconnected_input_gets_one_answer_on_every_route(capsys, argv, expec
     "route",
     [
         pytest.param([], id="auto"),
-        pytest.param(["--bipartite"], id="bipartite", marks=pytest.mark.xfail(strict=True, reason="not yet mended")),
+        pytest.param(["--bipartite"], id="bipartite"),
         pytest.param(["--exact"], id="exact"),
     ],
 )

@@ -68,8 +68,8 @@ def test_a_terminated_audit_removes_its_copy_of_the_repo(tmp_path):
 @pytest.mark.parametrize(
     "timeouts, verdict",
     [
-        pytest.param(1, "pass", id="once", marks=pytest.mark.xfail(strict=True, reason="not yet mended")),
-        pytest.param(2, "timeout", id="twice", marks=pytest.mark.xfail(strict=True, reason="not yet mended")),
+        pytest.param(1, "pass", id="once"),
+        pytest.param(2, "timeout", id="twice"),
     ],
 )
 def test_a_timed_out_run_is_tried_once_more(monkeypatch, timeouts, verdict):

@@ -259,7 +259,6 @@ def test_each_limit_must_be_positive(field):
         SearchLimits(**{field: 0})
 
 
-@pytest.mark.xfail(strict=True, reason="not yet mended")
 def test_a_changed_copy_of_the_limits_is_checked_too():
     # a zero color limit would make the search report none for any graph
     assert SearchLimits()._replace(max_colors=2) == SearchLimits(2)

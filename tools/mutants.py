@@ -14,9 +14,10 @@ one edit of the module's syntax tree:
 
 Each mutant runs the given test files, serially, stopping at the first
 failure, with a timeout of three times their clean run (a mutant that loops
-is killed by it). Every mutant they do not kill runs the rest of the suite
-the same way, its files in the order of their clean run times, fastest
-first. The report lists, by line of the original module, every mutant that
+is killed by it; a run that times out is tried once more, and only two
+timeouts in a row make the verdict). Every mutant they do not kill runs the
+rest of the suite the same way, its files in the order of their clean run
+times, fastest first. The report lists, by line of the original module, every mutant that
 survived the given tests and whether the whole suite killed it; a mutant that
 survives both is a statement or value the suite cannot tell apart from the
 edit, so it is either dead code, code that only saves time, or a gap in the
@@ -115,7 +116,8 @@ def mutant(source: str, index: int) -> str:
 
 def run_tests(root: str, args: list[str], timeout: float | None) -> tuple[str, float, str]:
     """Run pytest in root: 'pass', 'fail' or 'timeout', the wall time and
-    the output."""
+    the output. A run that times out is run once more, and 'timeout' means
+    that both did: one slow run may be the host's load, not the mutant."""
     # no plugin is autoloaded, which saves about 0.5 s a run here; the
     # suite needs only hypothesis's, loaded by name when it is installed
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTEST_DISABLE_PLUGIN_AUTOLOAD="1")
@@ -123,11 +125,13 @@ def run_tests(root: str, args: list[str], timeout: float | None) -> tuple[str, f
     env["PYTHONPATH"] = os.pathsep.join(paths + [env["PYTHONPATH"]] if env.get("PYTHONPATH") else paths)
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *PLUGINS, *args]
     start = time.perf_counter()
-    try:
-        done = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True, timeout=timeout)
-    except subprocess.TimeoutExpired:
-        return "timeout", time.perf_counter() - start, ""
-    return ("pass" if done.returncode == 0 else "fail"), time.perf_counter() - start, done.stdout
+    for _ in range(2):
+        try:
+            done = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True, timeout=timeout)
+        except subprocess.TimeoutExpired:
+            continue
+        return ("pass" if done.returncode == 0 else "fail"), time.perf_counter() - start, done.stdout
+    return "timeout", time.perf_counter() - start, ""
 
 
 def suite_files(root: str) -> list[tuple[float, str]]:
