@@ -259,6 +259,14 @@ def test_each_limit_must_be_positive(field):
         SearchLimits(**{field: 0})
 
 
+def test_limits_take_no_other_attribute():
+    # __slots__: a misspelt limit raises instead of being stored beside the fields
+    lim = SearchLimits()
+    assert not hasattr(lim, "__dict__")
+    with pytest.raises(AttributeError):
+        lim.max_color = 2
+
+
 def test_a_changed_copy_of_the_limits_is_checked_too():
     # a zero color limit would make the search report none for any graph
     assert SearchLimits()._replace(max_colors=2) == SearchLimits(2)

@@ -17,12 +17,13 @@ failure, with a timeout of three times their clean run (a mutant that loops
 is killed by it; a run that times out is tried once more, and only two
 timeouts in a row make the verdict). Every mutant they do not kill runs the
 rest of the suite the same way, its files in the order of their clean run
-times, fastest first. The report lists, by line of the original module, every mutant that
-survived the given tests and whether the whole suite killed it; a mutant that
-survives both is a statement or value the suite cannot tell apart from the
-edit, so it is either dead code, code that only saves time, or a gap in the
-tests. The last line counts the mutants and both kinds of survivors. A run
-ended by SIGTERM removes its copy and exits with 143.
+times, fastest first. The report lists, by line of the original module,
+every mutant that survived the given tests and whether the whole suite
+killed it; a mutant that survives both is a statement or value the suite
+cannot tell apart from the edit, so it is either dead code, code that only
+saves time, or a gap in the tests. The last line counts the mutants and
+both kinds of survivors. A run ended by SIGTERM removes its copy and exits
+with 143.
 """
 
 from __future__ import annotations
