@@ -74,7 +74,8 @@ def _graph_id(g: SimpleGraph) -> str:
 def _two_colors(lim: SearchLimits | None) -> SearchLimits:
     """The exact fallback's limits: the caller's edge cap and node budget at
     two colors, built once per run."""
-    return (lim or SearchLimits())._replace(max_colors=2)
+    lim = lim or SearchLimits()
+    return SearchLimits(2, lim.max_edges, lim.node_budget)
 
 
 def _record(g, gid, start, class_tag, method, result, detail="", witness=None) -> SweepRecord:
