@@ -1,11 +1,13 @@
 """Exact solver against independent enumeration oracles."""
 
+import hashlib
 import random
 from pathlib import Path
 
 import pytest
 
-from lirdec.classify import recognize_t_prime
+from lirdec.classify import classify, recognize_t_prime
+from lirdec.colorers import color_double_auto
 from lirdec.decomposition import verify
 from lirdec.enumeration import enumerate_connected
 from lirdec.graph_io import parse_graph6, read_graph6_lines
@@ -17,6 +19,7 @@ from lirdec.graphs import (
     double,
     path_graph,
 )
+from lirdec.harness import sweep
 from lirdec.solver import (
     SearchLimits,
     SearchStatus,
@@ -347,3 +350,23 @@ def test_order8_none_is_exactly_the_non_decomposable_family():
         assert (res.status is SearchStatus.NONE) == recognize_t_prime(g).member, g.edges
         nones += res.status is SearchStatus.NONE
     assert nones == 3
+
+
+def test_order8_sweep_and_node_totals_are_pinned():
+    # the built-in order-8 catalog: the sweep's JSONL byte for byte with
+    # runtime zeroed, the k = 2 nodes of the exact-route graphs (in the
+    # catalog's labelling and in bench/data/connected8.g6's) and the graph
+    # mode nodes of deciding every connected graph on 2-7 vertices
+    lim = SearchLimits(max_edges=28)
+    graphs = enumerate_connected(8)
+    digest = hashlib.sha256()
+    for rec in sweep(graphs, lim):
+        digest.update((rec._replace(runtime=0.0).to_json() + "\n").encode())
+    assert digest.hexdigest() == "79f444ddb833282eb9b6a922862841c0a51d17b5f63c1f4d4050c0a31ea5ac1d"
+    data = Path(__file__).resolve().parent.parent / "bench" / "data" / "connected8.g6"
+    two = SearchLimits(2, 28)
+    for catalog, nodes in ((graphs, 241_097), (list(read_graph6_lines(data.read_text())), 241_091)):
+        exact = [g for g in catalog if color_double_auto(g, classify(g)) is None]
+        assert len(exact) == 10917
+        assert sum(exact_lir_multigraph(double(g), two).nodes for g in exact) == nodes
+    assert sum(is_decomposable(g).nodes for n in range(2, 8) for g in enumerate_connected(n)) == 47596
