@@ -56,10 +56,11 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
+from itertools import islice
 from typing import NamedTuple
 
 from .decomposition import Decomposition, verify
-from .graphs import Edge, Multigraph, SimpleGraph, is_locally_irregular
+from .graphs import Edge, Multigraph, SimpleGraph
 
 
 class SearchStatus(Enum):
@@ -109,29 +110,35 @@ def compositions(total: int, k: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _edge_states(total: int, k: int, first: bool) -> tuple[tuple, tuple]:
-    """Count vectors of one edge, and each as its (color, count) pairs with
-    count > 0; the first edge takes non-increasing ones only (color
+def _edge_options(total: int, k: int, first: bool) -> tuple[tuple, ...]:
+    """Each count vector of one edge, paired with its (color, count) pairs
+    of count > 0; the first edge takes non-increasing ones only (color
     permutation symmetry)."""
     states = compositions(total, k)
     if first:
         states = tuple(s for s in states if all(s[j] >= s[j + 1] for j in range(k - 1)))
-    return states, tuple(tuple((c, x) for c, x in enumerate(s) if x) for s in states)
+    return tuple((s, tuple((c, x) for c, x in enumerate(s) if x)) for s in states)
 
 
-def _plan(m: Multigraph) -> tuple[list, dict[Edge, int], set[int]]:
-    """The ladder's set-up, built once: the steps, the step of each edge and
-    the set of multiplicities.
+def _plan(m: Multigraph, degree: list[int], kinds: set[int]) -> tuple[list, list, list[int], list[int]]:
+    """The tables the searches read, built once per ladder: the steps, each
+    vertex's color-degree row, the multiplicity at each step and the step of
+    each host edge, in host edge order.
 
-    Edges go in BFS order from a max-degree vertex, each at its later
-    endpoint's BFS position, then by the earlier one's, so vertices finish
-    early. steps[i] is (edge, checks, twins) for the i-th edge:
+    degree holds the vertices' degrees in m.base and kinds the set of
+    multiplicities. Edges go in BFS order from a max-degree vertex, each at
+    its later endpoint's BFS position, then by the earlier one's, so
+    vertices finish early. Each vertex with an edge gets one row of two
+    zeros (None for an isolated one), its color degrees at k = 2, which the
+    ladder widens by one color for each further k. steps[i] is
+    (du, dv, checks, twins) for the i-th edge {u, v}:
 
-    - checks lists the (j, v, o, near) of every edge j = {v, o} whose two
-      endpoints are both final once step i is placed, near being the bit
-      mask of the steps whose edge touches v or o. A vertex is final after
-      its last incident edge, the highest bit of its mask, so each edge is
-      checked exactly once, at the highest bit of near.
+    - du and dv are the rows of u and v.
+    - checks lists the (j, da, db, near) of every edge j = {a, b} whose two
+      endpoints are both final once step i is placed, da and db being their
+      rows and near the bit mask of the steps whose edge touches a or b. A
+      vertex is final after its last incident edge, the highest bit of its
+      mask, so each edge is checked exactly once, at the highest bit of near.
     - twins holds the lex-leader checks from twin transpositions. Twins
       a, b (same open or same closed neighbourhood) make (a b) an
       automorphism; on a multigraph it counts only when mult(aw) = mult(bw)
@@ -145,105 +152,119 @@ def _plan(m: Multigraph) -> tuple[list, dict[Edge, int], set[int]]:
     """
     adj = m.base.adj
     n = m.n
-    degree = [len(nb) for nb in adj]
+    uniform = len(kinds) == 1
     pos = [-1] * n
     seq: list[int] = []  # vertices by BFS position; the BFS queue too
-    back: list[list[Edge]] = []  # per BFS position: edges to earlier vertices
+    back: list[list[int]] = []  # per BFS position: the earlier neighbours
+    rows: list = [None] * n
+    order: list[Edge] = []  # (earlier, later) endpoints by step
+    touch = [0] * n  # per vertex: the steps at its edges
+    opened = [0] * n  # per vertex: its open neighbourhood
     # roots by degree, isolated vertices left out: they have no edges to order
     for root in sorted(filter(degree.__getitem__, range(n)), key=degree.__getitem__, reverse=True):
         if pos[root] != -1:
             continue
-        head = pos[root] = len(seq)
+        start = pos[root] = len(seq)
         seq.append(root)
         back.append([])
-        while head < len(seq):
-            u = seq[head]
+        rows[root] = [0, 0]
+        # the walk sees the vertices appended while it runs
+        for head, u in enumerate(islice(seq, start, None), start):
+            # u's edges to earlier vertices are complete: they take the next
+            # steps, in the order of those vertices
+            touch_u = opened_u = 0
+            bit_u = 1 << u
+            for a in back[head]:
+                bit = 1 << len(order)
+                order.append((a, u))
+                touch[a] |= bit
+                touch_u |= bit
+                opened[a] |= bit_u
+                opened_u |= 1 << a
             for w in adj[u]:
-                if pos[w] == -1:
-                    pos[w] = len(seq)
+                p = pos[w]
+                if p == -1:
+                    p = pos[w] = len(seq)
                     seq.append(w)
                     back.append([])
-                if pos[w] > head:  # u is taken in BFS order, so back stays sorted
-                    back[pos[w]].append((u, w) if u < w else (w, u))
-            head += 1
-    order = [e for edges in back for e in edges]
-    at = {e: i for i, e in enumerate(order)}
-    touch = [0] * n  # per vertex: the steps at its edges
-    opened = [0] * n  # per vertex: its open neighbourhood
-    for i, (u, v) in enumerate(order):
-        touch[u] |= 1 << i
-        touch[v] |= 1 << i
-        opened[u] |= 1 << v
-        opened[v] |= 1 << u
-    checks: list[list[tuple[int, int, int, int]]] = [[] for _ in order]
-    for j, (v, o) in enumerate(order):
-        near = touch[v] | touch[o]
-        checks[near.bit_length() - 1].append((j, v, o, near))
-    twins: list = [()] * len(order)
+                    rows[w] = [0, 0]
+                if p > head:  # u is taken in BFS order, so back stays sorted
+                    back[p].append(u)
+            touch[u] = touch_u
+            opened[u] = opened_u
+    mult = m.mult
+    mus = [*kinds] * len(order) if uniform else [mult[(a, u) if a < u else (u, a)] for a, u in order]
     # an open neighbourhood never equals another vertex's closed one, so
     # both kinds share one table of the latest vertex with each
     last: dict[int, int] = {}
     swaps = []
-    for v, bits in enumerate(opened):
+    for b, bits in enumerate(opened):
         if bits:
-            for key in (bits, bits | 1 << v):
-                if key in last:
-                    swaps.append((last[key], v))
-                last[key] = v
-    kinds = set(m.mult.values())
-    mult = m.mult if len(kinds) > 1 else None  # else every transposition counts
+            a = last.get(bits)
+            last[bits] = b
+            if a is not None:
+                swaps.append((a, b))
+            bits |= 1 << b
+            a = last.get(bits)
+            last[bits] = b
+            if a is not None:
+                swaps.append((a, b))
+    twins: list = [()] * len(order)
     for a, b in swaps:
         pairs = []
         for w in adj[a]:
             if w != b:
-                ea = (a, w) if a < w else (w, a)
-                eb = (b, w) if b < w else (w, b)
-                if mult is not None and mult[ea] != mult[eb]:
+                # an edge's step is the one bit its endpoints' masks share
+                p = (touch[a] & touch[w]).bit_length() - 1
+                q = (touch[b] & touch[w]).bit_length() - 1
+                if not uniform and mus[p] != mus[q]:
                     break
-                p = at[ea]
-                q = at[eb]
                 pairs.append((p, q) if p < q else (q, p))
         else:
             pairs.sort()
             for t, (_, s) in enumerate(pairs):
                 twins[s] += (tuple(pairs[: t + 1]),)
-    return list(zip(order, checks, twins)), at, kinds
+    checks: list = [()] * len(order)
+    steps = []
+    for j, (a, u) in enumerate(order):
+        da, du = rows[a], rows[u]
+        near = touch[a] | touch[u]
+        checks[near.bit_length() - 1] += ((j, da, du, near),)
+        # checks[j] is complete: a check lands at or after its own step
+        steps.append((da, du, checks[j], twins[j]))
+    return steps, rows, mus, [(touch[u] & touch[v]).bit_length() - 1 for u, v in m.edges]
 
 
 def _search_multigraph_k(
-    m: Multigraph, plan: list, kinds: set[int], k: int, budget: int
+    steps: list, mus: list[int], kinds: set[int], k: int, budget: int
 ) -> tuple[list[tuple[int, ...]] | None, int]:
-    """Find a valid k-coloring of m, as count vectors in the order of the
-    plan's steps, or None after exhausting the space, with the node budget
-    left.
+    """Find a valid k-coloring, as count vectors in the order of the plan's
+    steps, or None after exhausting the space, with the node budget left.
 
-    plan and kinds are the steps and multiplicities of _plan(m). A state's
-    value is its rank in compositions(mult, k), the order the search tries
-    states in. Each search node takes one from budget; raises
-    _BudgetExhausted when it runs out. conf[i] collects the steps that the
-    failures at and below step i depend on.
+    steps, mus and kinds are _plan's steps, the multiplicity at each step
+    and the set of multiplicities. A state's value is its rank in
+    compositions(mult, k), the order the search tries states in. Each search
+    node takes one from budget; raises _BudgetExhausted when it runs out.
+    conf[i] collects the steps that the failures at and below step i depend
+    on. An exhausted search leaves the color-degree rows all zero, for the
+    next k.
     """
-    n_edges = len(plan)
-    deg = [[0] * k for _ in range(m.n)]
-    # an edge's states depend on its multiplicity, and on being the first
-    mus = [m.mult[e] for e, _, _ in plan]
-    states_of = {mu: _edge_states(mu, k, False) for mu in kinds}
-    per_step = [states_of[mu] for mu in mus]
-    per_step[0] = _edge_states(mus[0], k, True)
-    state_lists = [states for states, _ in per_step]
-    # per step: both endpoints' color degrees, each state's (color, count)
-    # units, the backchecks against the endpoints' color degrees with the
-    # steps at either endpoint, and the lex-leader checks
-    steps = [
-        (deg[u], deg[v], options, checks and [(j, deg[a], deg[b], near) for j, a, b, near in checks], twins)
-        for ((u, v), checks, twins), (_, options) in zip(plan, per_step)
-    ]
+    n_edges = len(steps)
+    # an edge's options depend on its multiplicity, and on being the first
+    if len(kinds) == 1:
+        choices = [_edge_options(mus[0], k, False)] * n_edges
+    else:
+        options_of = {mu: _edge_options(mu, k, False) for mu in kinds}
+        choices = [options_of[mu] for mu in mus]
+    choices[0] = _edge_options(mus[0], k, True)
     pick = [0] * n_edges  # states tried so far at each step
     units: list[tuple[tuple[int, int], ...]] = [()] * n_edges
+    vectors: list = [None] * n_edges
     conf = [0] * n_edges  # conflict set of each step, bit h for step h
     i = 0
     while True:
-        du, dv, options, tests, twins = steps[i]
+        du, dv, tests, twins = steps[i]
+        options = choices[i]
         p = pick[i]
         if p:  # take back the state tried last at this step
             for c, x in units[i]:
@@ -251,10 +272,9 @@ def _search_multigraph_k(
                 dv[c] -= x
             if p == len(options):
                 # no state fits: jump back to the latest step the failures
-                # depend on, handing it the rest of the conflict set
+                # depend on, handing it the rest of the conflict set; with
+                # none (h = -1), take back every step and stop
                 cause = conf[i] & ((1 << i) - 1)
-                if not cause:
-                    return None, budget
                 h = cause.bit_length() - 1
                 conf[h] |= cause
                 pick[i] = conf[i] = 0
@@ -264,13 +284,16 @@ def _search_multigraph_k(
                         dt[c] -= x
                         ut[c] -= x
                     pick[t] = conf[t] = 0
+                if not cause:
+                    return None, budget
                 i = h
                 continue
         budget -= 1
         if budget < 0:
             raise _BudgetExhausted
         pick[i] = p + 1
-        placed = units[i] = options[p]
+        vectors[i], placed = options[p]
+        units[i] = placed
         for c, x in placed:
             du[c] += x
             dv[c] += x
@@ -285,8 +308,8 @@ def _search_multigraph_k(
         else:
             for pairs in twins:
                 for f, s in pairs:
-                    xf = state_lists[f][pick[f] - 1]
-                    xs = state_lists[s][pick[s] - 1]
+                    xf = vectors[f]
+                    xs = vectors[s]
                     if xf != xs:
                         break
                 # all pairs equal leave xf == xs, so nothing fails
@@ -300,24 +323,20 @@ def _search_multigraph_k(
                 i += 1
                 if i == n_edges:
                     break
-    return [states[q - 1] for states, q in zip(state_lists, pick)], budget
+    return vectors, budget
 
 
 def _search_graph_k(
-    m: Multigraph, plan: list, kinds: set[int], k: int, budget: int
+    steps: list, mus: list[int], kinds: set[int], k: int, budget: int
 ) -> tuple[list[tuple[int, ...]] | None, int]:
-    """One color per edge of m (multiplicities all 1, so kinds is {1}),
-    colors introduced in index order (restricted growth), as unit count
-    vectors in the order of the plan's steps.
+    """One color per edge (multiplicities all 1), colors introduced in index
+    order (restricted growth), as unit count vectors in the order of the
+    plan's steps.
 
-    plan is the steps of _plan(m); a state's value is its color.
+    steps is _plan's; a state's value is its color. mus and kinds are not
+    read.
     """
-    n_edges = len(plan)
-    deg = [[0] * k for _ in range(m.n)]
-    steps = [
-        (deg[u], deg[v], checks and [(j, deg[a], deg[b]) for j, a, b, _ in checks], twins)
-        for (u, v), checks, twins in plan
-    ]
+    n_edges = len(steps)
     color = [-1] * n_edges
     used = [0] * n_edges  # colors in use before each step
     i = 0
@@ -340,7 +359,7 @@ def _search_graph_k(
         color[i] = c
         du[c] += 1
         dv[c] += 1
-        for j, da, db in tests:
+        for j, da, db, _ in tests:
             cj = color[j]
             if da[cj] == db[cj]:
                 break
@@ -372,25 +391,34 @@ def _checked(d: Decomposition) -> Decomposition:
 def _ladder(m: Multigraph, lim: SearchLimits | None, search, max_colors: int | None = None) -> SolveResult:
     """Smallest k <= max_colors (lim.max_colors unless given) admitting a
     valid coloring of m, with witness: k = 1 by the degree check, then
-    search(m, plan, kinds, k, budget) for k = 2, 3, .. over one shared node
-    budget, each search returning its result and the budget it leaves."""
+    search(steps, mus, kinds, k, budget) for k = 2, 3, .. over one shared
+    node budget, each search returning its result and the budget it
+    leaves."""
     lim = lim or SearchLimits()
     if len(m.edges) > lim.max_edges:
         raise ValueError(f"too many edges: {len(m.edges)} > limit {lim.max_edges}")
-    if is_locally_irregular(m):
-        # the only 1-coloring gives every edge its whole multiplicity; an
-        # edgeless host ends here, so each search has a first edge
+    kinds = set(m.mult.values())
+    degree = [len(nb) for nb in m.base.adj]
+    # the only 1-coloring gives every edge its whole multiplicity, so it is
+    # valid iff m is locally irregular; one multiplicity scales all degrees
+    # alike. An edgeless host ends here, so each search has a first edge
+    host_degree = degree if len(kinds) == 1 else [m.degree(v) for v in range(m.n)]
+    if all(host_degree[u] != host_degree[v] for u, v in m.edges):
         witness = _checked(Decomposition(m, 1, [(mu,) for mu in m.mult.values()]))
         return SolveResult(SearchStatus.FOUND, 1, witness, 0)
     budget = lim.node_budget
-    plan, at, kinds = _plan(m)
+    steps, rows, mus, rank = _plan(m, degree, kinds)
     for k in range(2, (max_colors or lim.max_colors) + 1):
+        if k > 2:  # one more color in each row; a search leaves them all zero
+            for row in rows:
+                if row is not None:
+                    row.append(0)
         try:
-            found, budget = search(m, plan, kinds, k, budget)
+            found, budget = search(steps, mus, kinds, k, budget)
         except _BudgetExhausted:
             return SolveResult(SearchStatus.INCONCLUSIVE, nodes=lim.node_budget)
         if found is not None:
-            witness = _checked(Decomposition(m, k, [found[at[e]] for e in m.edges]))
+            witness = _checked(Decomposition(m, k, [found[i] for i in rank]))
             return SolveResult(
                 SearchStatus.FOUND, k, witness, lim.node_budget - budget
             )

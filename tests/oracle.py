@@ -708,20 +708,47 @@ def color_t_family_3(g: SimpleGraph, witness: TWitness | None = None) -> Decompo
     return Decomposition(host, 3, assign)
 
 
+def plan_steps(m: Multigraph) -> list:
+    """lirdec.solver._plan's steps with vertices in place of color-degree
+    rows: per step (edge, checks, twins), each check (j, a, b, near) with
+    edge j = (a, b). Asserts that each vertex with an edge has its own row,
+    that each step's rows are its edge's endpoints' and that the step of
+    each host edge, which puts witnesses in host order, is that edge's."""
+    from lirdec.solver import _plan
+
+    steps, rows, _, rank = _plan(m, [len(nb) for nb in m.base.adj], set(m.mult.values()))
+    vertex = {id(row): v for v, row in enumerate(rows) if row is not None}
+    assert len(vertex) == sum(row is not None for row in rows)
+    order: list = [None] * len(steps)
+    for e, i in zip(m.edges, rank):
+        order[i] = e
+    assert None not in order
+
+    def edge(da, db) -> Edge:
+        return canon_edge(vertex[id(da)], vertex[id(db)])
+
+    plan = []
+    for e, (du, dv, checks, twins) in zip(order, steps):
+        assert edge(du, dv) == e
+        plan.append((e, [(j, *edge(da, db), near) for j, da, db, near in checks], twins))
+    return plan
+
+
 def _chronological_multigraph_k(m: Multigraph, plan, k: int, budget: list[int]):
     """The doubled-mode loop with chronological backtracking over the
     plan's (edge, backchecks, twins) steps: first-edge color symmetry
     breaking, plus the twin lex-leader checks (all empty for the search
     without them)."""
-    from lirdec.solver import _BudgetExhausted, _edge_states
+    from lirdec.solver import _BudgetExhausted, _edge_options
 
     n_edges = len(plan)
     deg = [[0] * k for _ in range(m.n)]
     mult = m.mult
-    state_lists = [_edge_states(mult[e], k, i == 0)[0] for i, (e, _, _) in enumerate(plan)]
+    options = [_edge_options(mult[e], k, i == 0) for i, (e, _, _) in enumerate(plan)]
+    state_lists = [[s for s, _ in opts] for opts in options]
     steps = [
-        (deg[u], deg[v], _edge_states(mult[(u, v)], k, i == 0)[1], [(j, deg[a], deg[b]) for j, a, b, _ in checks], twins)
-        for i, ((u, v), checks, twins) in enumerate(plan)
+        (deg[u], deg[v], [units for _, units in opts], [(j, deg[a], deg[b]) for j, a, b, _ in checks], twins)
+        for ((u, v), checks, twins), opts in zip(plan, options)
     ]
     pick = [0] * n_edges
     units = [()] * n_edges
@@ -815,12 +842,7 @@ def reference_exact_search(host, lim, graph_mode: bool = False, twins: bool = Fa
     (one color per edge). twins (doubled mode only) adds the solver's twin
     lex-leader checks: the solver's search before conflict-directed
     backjumping."""
-    from lirdec.solver import (
-        SearchStatus,
-        SolveResult,
-        _BudgetExhausted,
-        _plan,
-    )
+    from lirdec.solver import SearchStatus, SolveResult, _BudgetExhausted
 
     if graph_mode and twins:
         raise ValueError("the twin checks are kept for the doubled-mode loop only")
@@ -830,7 +852,7 @@ def reference_exact_search(host, lim, graph_mode: bool = False, twins: bool = Fa
             SearchStatus.FOUND, 1, Decomposition(m, 1, {e: (mu,) for e, mu in m.mult.items()}), 0
         )
     budget = [lim.node_budget]
-    plan = _plan(m)[0]
+    plan = plan_steps(m)
     if not twins:
         plan = [(e, checks, ()) for e, checks, _ in plan]
     for k in range(2, lim.max_colors + 1):

@@ -282,8 +282,8 @@ def test_a_changed_copy_of_the_limits_is_checked_too():
 def test_a_witness_that_fails_verification_is_an_internal_error():
     # every edge all red ties the doubled triangle; the ladder must not
     # report it as found
-    def search(m, plan, kinds, k, budget):
-        return [(2,) + (0,) * (k - 1) for _ in plan], budget
+    def search(steps, mus, kinds, k, budget):
+        return [(2,) + (0,) * (k - 1) for _ in steps], budget
 
     assert _ladder(double(cycle_graph(3)), None, _search_multigraph_k).found
     with pytest.raises(AssertionError, match="search produced an invalid witness"):

@@ -8,6 +8,7 @@ conflict-directed backjumping. The status, color count and witness must
 match, and the nodes can only drop.
 """
 
+import hashlib
 import tracemalloc
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from lirdec.solver import (
     is_decomposable,
 )
 
-from oracle import bowtie_graph, reference_exact_search
+from oracle import bowtie_graph, plan_steps, reference_exact_search
 
 DATA = Path(__file__).resolve().parent.parent / "bench" / "data"
 
@@ -53,9 +54,9 @@ def assert_same_answer(got, want):
 
 def plan_of(host) -> tuple[list, list, list]:
     """The edges, backchecks and twin checks of _plan's steps, each as a
-    list over the steps; host is a Multigraph or a SimpleGraph."""
-    m = host if isinstance(host, Multigraph) else Multigraph(host)
-    steps = _plan(m)[0]
+    list over the steps, with vertices in place of rows (oracle.plan_steps);
+    host is a Multigraph or a SimpleGraph."""
+    steps = plan_steps(host if isinstance(host, Multigraph) else Multigraph(host))
     return [e for e, _, _ in steps], [checks for _, checks, _ in steps], [twins for _, _, twins in steps]
 
 
@@ -79,11 +80,11 @@ def test_twin_detection_memory_is_linear_in_the_vertex_count():
     m = Multigraph(SimpleGraph(n, [(0, 1), (0, 2), (0, 3)]))
     tracemalloc.start()
     try:
-        steps = _plan(m)[0]
+        steps = _plan(m, [len(nb) for nb in m.base.adj], {1})[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert [twins for _, _, twins in steps] == [(), (((0, 1),),), (((1, 2),),)]
+    assert [twins for _, _, _, twins in steps] == [(), (((0, 1),),), (((1, 2),),)]
     assert peak < 4 * 2**20
 
 
@@ -153,14 +154,28 @@ def test_schedule_checks_each_edge_once_its_endpoints_are_final():
                 at[v] |= 1 << i
             assert len(checks) == len(edges)
             assert sorted(j for step in checks for j, *_ in step) == list(range(len(edges)))
-            # the step map, which puts witnesses in host order, inverts the order
-            assert _plan(Multigraph(g))[1] == {e: i for i, e in enumerate(edges)}
+            # plan_of asserts that the step map, which puts witnesses in
+            # host order, inverts the order
             for i, step in enumerate(checks):
                 for j, v, o, near in step:
                     assert (v, o) == edges[j]
                     assert i == max(last[v], last[o])
                     assert near == at[v] | at[o]
                 assert [j for j, *_ in step] == sorted(j for j, *_ in step)
+
+
+def test_plans_are_pinned():
+    # every step's edge, backchecks and twin checks, and the step of each
+    # host edge, over the atlas and order-8 graphs with all multiplicities
+    # equal and with 1 and 2 mixed (the twin checks then compare them)
+    digest = hashlib.sha256()
+    for name in ("atlas7.g6", "connected8.g6"):
+        for g in data_graphs(name):
+            for mult in (None, {(u, v): 1 + (u + v) % 2 for u, v in g.edges}):
+                plan = plan_steps(Multigraph(g, mult))
+                steps = {e: i for i, (e, _, _) in enumerate(plan)}
+                digest.update(repr((plan, [steps[e] for e in g.edges])).encode())
+    assert digest.hexdigest() == "4486f5871dd1845d0e889dd4fe6a5c34a35f488251642566165b56a1f904c90e"
 
 
 def test_atlas7_graph_mode_matches_the_reference():
