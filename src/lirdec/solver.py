@@ -4,26 +4,28 @@ decomposability for small instances.
 The search assigns edges in BFS order from a max-degree vertex. A vertex's
 color degrees are final once its last incident edge in that order is
 assigned, and an edge can only be checked once both its endpoints are
-final. Since the order is fixed before the search starts, `_plan` lists,
-once per ladder, for each step the edges whose endpoints become final there
-(backchecking, Haralick & Elliott, Artificial Intelligence 14, 1980); after
-placing a state the search tests only those. Both engines are explicit-stack
-loops, so the instance size is not bounded by the recursion limit.
+final (backchecking, Haralick & Elliott, Artificial Intelligence 14, 1980).
+Since the order is fixed before the search starts, `_plan` builds, in one
+pass per ladder, the tables both search loops read: per step the
+color-degree rows of the edge's endpoints, the backchecks that become due
+there with their rows and conflict masks, and the twin checks. A further k
+only widens the rows by one color. Both engines are explicit-stack loops,
+so the instance size is not bounded by the recursion limit.
 
 Symmetry is broken twice, by lex-leader constraints over the edge order
 (Crawford, Ginsberg, Luks & Roy, KR 1996). Colors: restricted growth in
 graph mode, a non-increasing first edge in multigraph mode. Vertices:
 twins a, b (same open or same closed neighbourhood) make the transposition
-(a b) an automorphism, and `_plan` turns each consecutive pair of a
-twin class into checks that backtrack once the assignment is lex-larger
-than its image. Values are compared in the order the search tries them:
-the color, or the rank in `compositions(mult, k)`. The search visits
+(a b) an automorphism, and `_plan` turns each consecutive pair of a twin
+class into checks that backtrack once the assignment is lex-larger than
+its image. Values are compared in the order the search tries them: the
+color, or the rank in `compositions(mult, k)`. The search visits
 assignments in lex order, so its first valid one is the lex-least valid
 assignment, which no such constraint excludes: status, color count and
 witness are those of the search without them, and only the node count
-drops. `is_decomposable(K8)` takes about 0.1 s (103k nodes, 36M without
+drops. `is_decomposable(K8)` takes about 0.05 s (103k nodes, 36M without
 twin constraints); all 11117 connected graphs on 8 vertices are decided in
-about 2 s (2 vCPU, CPython 3.11).
+about 0.9 s (2 vCPU Intel Xeon, CPython 3.11.7).
 
 The doubled-mode search also backjumps (conflict-directed backjumping,
 Prosser, Computational Intelligence 9, 1993). Each step keeps a bit mask of
@@ -36,22 +38,21 @@ first valid assignment, and with it every answer and witness, is the one
 chronological backtracking finds (Kondrak & van Beek, Artificial
 Intelligence 89, 1997), after no more nodes. The exact-route doubled graphs
 among the 11117 connected 8-vertex graphs take 241,091 nodes at k = 2
-instead of 310,287; the slowest, which took 2104 nodes, takes 46. Graph
-mode backtracks chronologically: there restricted growth ties each step's
-colors to the steps before it, and on the atlas graphs up to 7 vertices
-backjumping cut nodes by only 15 % (49,322 to 41,710) while the 11th-slowest
-graph took about 30 % longer and the whole pass about 9 % (best of five
-in-process passes, 2 vCPU, CPython 3.11).
+instead of 310,287. Graph mode backtracks chronologically: restricted
+growth ties each step's colors to the steps before it, and on the atlas
+graphs up to 7 vertices backjumping cut nodes by only 15 % (49,322 to
+41,710) while the pass took about 9 % longer.
 
 Both modes run one ladder, `_ladder`; graph mode runs it on the multigraph
-with every multiplicity 1. k = 1 needs no search: the only 1-coloring gives
-every edge its whole multiplicity, so it is valid iff the host is locally
-irregular, an O(m) degree check. `SolveResult.nodes` therefore counts the
-states tried at k >= 2 only. `is_decomposable` is `exact_lir_graph` at the
-cap floor(m/2) and ignores `lim.max_colors`. "none" means the search space
-was exhausted; a blown node budget yields "inconclusive", never "none".
+with every multiplicity 1. It tests once whether all multiplicities are
+equal, for the k = 1 check and the plan. k = 1 needs no search: the only
+1-coloring gives every edge its whole multiplicity, so it is valid iff the
+host is locally irregular, an O(m) degree check. `SolveResult.nodes`
+counts the states tried at k >= 2 only. `is_decomposable` is
+`exact_lir_graph` at the cap floor(m/2) and ignores `lim.max_colors`.
+"none" means the search space was exhausted; a blown node budget yields
+"inconclusive", never "none".
 """
-
 from __future__ import annotations
 
 from enum import Enum
@@ -111,9 +112,8 @@ def compositions(total: int, k: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _edge_options(total: int, k: int, first: bool) -> tuple[tuple, ...]:
-    """Each count vector of one edge, paired with its (color, count) pairs
-    of count > 0; the first edge takes non-increasing ones only (color
-    permutation symmetry)."""
+    """Each count vector of one edge with its (color, count) pairs of count
+    > 0; the first edge takes non-increasing ones only (color symmetry)."""
     states = compositions(total, k)
     if first:
         states = tuple(s for s in states if all(s[j] >= s[j + 1] for j in range(k - 1)))
@@ -122,18 +122,16 @@ def _edge_options(total: int, k: int, first: bool) -> tuple[tuple, ...]:
 
 def _plan(m: Multigraph, degree: list[int], kinds: set[int]) -> tuple[list, list, list[int], list[int]]:
     """The tables the searches read, built once per ladder: the steps, each
-    vertex's color-degree row, the multiplicity at each step and the step of
-    each host edge, in host edge order.
+    vertex's color-degree row (None if isolated), the multiplicity at each
+    step and the step of each host edge, in host edge order.
 
-    degree holds the vertices' degrees in m.base and kinds the set of
-    multiplicities. Edges go in BFS order from a max-degree vertex, each at
-    its later endpoint's BFS position, then by the earlier one's, so
-    vertices finish early. Each vertex with an edge gets one row of two
-    zeros (None for an isolated one), its color degrees at k = 2, which the
-    ladder widens by one color for each further k. steps[i] is
-    (du, dv, checks, twins) for the i-th edge {u, v}:
+    degree holds the degrees in m.base, kinds the set of multiplicities.
+    Edges go in BFS order from a max-degree vertex, each at its later
+    endpoint's BFS position, then by the earlier one's, so vertices finish
+    early. A row starts as the two zeros of k = 2; the ladder widens it by
+    one color for each further k. steps[i] is (du, dv, checks, twins) for
+    the i-th edge {u, v}, du and dv being the rows of u and v:
 
-    - du and dv are the rows of u and v.
     - checks lists the (j, da, db, near) of every edge j = {a, b} whose two
       endpoints are both final once step i is placed, da and db being their
       rows and near the bit mask of the steps whose edge touches a or b. A
@@ -152,17 +150,16 @@ def _plan(m: Multigraph, degree: list[int], kinds: set[int]) -> tuple[list, list
     """
     adj = m.base.adj
     n = m.n
-    uniform = len(kinds) == 1
     pos = [-1] * n
     seq: list[int] = []  # vertices by BFS position; the BFS queue too
     back: list[list[int]] = []  # per BFS position: the earlier neighbours
-    rows: list = [None] * n
+    rows: list = [None] * n  # per vertex: its color degrees
     order: list[Edge] = []  # (earlier, later) endpoints by step
     touch = [0] * n  # per vertex: the steps at its edges
     opened = [0] * n  # per vertex: its open neighbourhood
     # roots by degree, isolated vertices left out: they have no edges to order
-    for root in sorted(filter(degree.__getitem__, range(n)), key=degree.__getitem__, reverse=True):
-        if pos[root] != -1:
+    for root in sorted(range(n), key=degree.__getitem__, reverse=True):
+        if pos[root] != -1 or not degree[root]:
             continue
         start = pos[root] = len(seq)
         seq.append(root)
@@ -172,15 +169,13 @@ def _plan(m: Multigraph, degree: list[int], kinds: set[int]) -> tuple[list, list
         for head, u in enumerate(islice(seq, start, None), start):
             # u's edges to earlier vertices are complete: they take the next
             # steps, in the order of those vertices
-            touch_u = opened_u = 0
-            bit_u = 1 << u
             for a in back[head]:
                 bit = 1 << len(order)
                 order.append((a, u))
                 touch[a] |= bit
-                touch_u |= bit
-                opened[a] |= bit_u
-                opened_u |= 1 << a
+                touch[u] |= bit
+                opened[a] |= 1 << u
+                opened[u] |= 1 << a
             for w in adj[u]:
                 p = pos[w]
                 if p == -1:
@@ -190,40 +185,30 @@ def _plan(m: Multigraph, degree: list[int], kinds: set[int]) -> tuple[list, list
                     rows[w] = [0, 0]
                 if p > head:  # u is taken in BFS order, so back stays sorted
                     back[p].append(u)
-            touch[u] = touch_u
-            opened[u] = opened_u
-    mult = m.mult
-    mus = [*kinds] * len(order) if uniform else [mult[(a, u) if a < u else (u, a)] for a, u in order]
+    mus = [*kinds] * len(order) if len(kinds) == 1 else [m.mult[(a, u) if a < u else (u, a)] for a, u in order]
     # an open neighbourhood never equals another vertex's closed one, so
     # both kinds share one table of the latest vertex with each
     last: dict[int, int] = {}
-    swaps = []
-    for b, bits in enumerate(opened):
-        if bits:
-            a = last.get(bits)
-            last[bits] = b
-            if a is not None:
-                swaps.append((a, b))
-            bits |= 1 << b
-            a = last.get(bits)
-            last[bits] = b
-            if a is not None:
-                swaps.append((a, b))
     twins: list = [()] * len(order)
-    for a, b in swaps:
-        pairs = []
-        for w in adj[a]:
-            if w != b:
-                # an edge's step is the one bit its endpoints' masks share
-                p = (touch[a] & touch[w]).bit_length() - 1
-                q = (touch[b] & touch[w]).bit_length() - 1
-                if not uniform and mus[p] != mus[q]:
-                    break
-                pairs.append((p, q) if p < q else (q, p))
-        else:
-            pairs.sort()
-            for t, (_, s) in enumerate(pairs):
-                twins[s] += (tuple(pairs[: t + 1]),)
+    for b, bits in enumerate(opened):
+        for key in (bits, bits | 1 << b) if bits else ():
+            a = last.get(key)
+            last[key] = b
+            if a is None:
+                continue
+            pairs = []
+            for w in adj[a]:
+                if w != b:
+                    # an edge's step is the one bit its endpoints' masks share
+                    p = (touch[a] & touch[w]).bit_length() - 1
+                    q = (touch[b] & touch[w]).bit_length() - 1
+                    if mus[p] != mus[q]:
+                        break
+                    pairs.append((p, q) if p < q else (q, p))
+            else:
+                pairs.sort()
+                for t, (_, s) in enumerate(pairs):
+                    twins[s] += (tuple(pairs[: t + 1]),)
     checks: list = [()] * len(order)
     steps = []
     for j, (a, u) in enumerate(order):
@@ -241,21 +226,19 @@ def _search_multigraph_k(
     """Find a valid k-coloring, as count vectors in the order of the plan's
     steps, or None after exhausting the space, with the node budget left.
 
-    steps, mus and kinds are _plan's steps, the multiplicity at each step
-    and the set of multiplicities. A state's value is its rank in
-    compositions(mult, k), the order the search tries states in. Each search
-    node takes one from budget; raises _BudgetExhausted when it runs out.
-    conf[i] collects the steps that the failures at and below step i depend
-    on. An exhausted search leaves the color-degree rows all zero, for the
-    next k.
+    steps and mus are _plan's, kinds the set of multiplicities. A state's
+    value is its rank in compositions(mult, k), the order the search tries
+    states in. Each search node takes one from budget; raises
+    _BudgetExhausted when it runs out. conf[i] collects the steps that the
+    failures at and below step i depend on. An exhausted search leaves the
+    rows all zero, for the next k.
     """
     n_edges = len(steps)
     # an edge's options depend on its multiplicity, and on being the first
-    if len(kinds) == 1:
-        choices = [_edge_options(mus[0], k, False)] * n_edges
-    else:
-        options_of = {mu: _edge_options(mu, k, False) for mu in kinds}
-        choices = [options_of[mu] for mu in mus]
+    choices = (
+        [_edge_options(mus[0], k, False)] * n_edges if len(kinds) == 1
+        else [_edge_options(mu, k, False) for mu in mus]
+    )
     choices[0] = _edge_options(mus[0], k, True)
     pick = [0] * n_edges  # states tried so far at each step
     units: list[tuple[tuple[int, int], ...]] = [()] * n_edges
@@ -292,9 +275,8 @@ def _search_multigraph_k(
         if budget < 0:
             raise _BudgetExhausted
         pick[i] = p + 1
-        vectors[i], placed = options[p]
-        units[i] = placed
-        for c, x in placed:
+        vectors[i], units[i] = options[p]
+        for c, x in units[i]:
             du[c] += x
             dv[c] += x
         for j, da, db, near in tests:
@@ -308,12 +290,10 @@ def _search_multigraph_k(
         else:
             for pairs in twins:
                 for f, s in pairs:
-                    xf = vectors[f]
-                    xs = vectors[s]
-                    if xf != xs:
+                    if vectors[f] != vectors[s]:
                         break
-                # all pairs equal leave xf == xs, so nothing fails
-                if xf < xs:  # a lex-larger vector has a lower rank
+                # all pairs equal leave the last pair equal, so nothing fails
+                if vectors[f] < vectors[s]:  # a lex-larger vector has a lower rank
                     # every pair decides the comparison: the failing pair is
                     # the last, as each shorter prefix passed at its own s
                     for g, t in pairs:
@@ -329,12 +309,9 @@ def _search_multigraph_k(
 def _search_graph_k(
     steps: list, mus: list[int], kinds: set[int], k: int, budget: int
 ) -> tuple[list[tuple[int, ...]] | None, int]:
-    """One color per edge (multiplicities all 1), colors introduced in index
-    order (restricted growth), as unit count vectors in the order of the
-    plan's steps.
-
-    steps is _plan's; a state's value is its color. mus and kinds are not
-    read.
+    """One color per edge of _plan's steps (multiplicities all 1), colors
+    introduced in index order (restricted growth), as unit count vectors in
+    step order. A state's value is its color; mus and kinds are not read.
     """
     n_edges = len(steps)
     color = [-1] * n_edges
@@ -366,11 +343,9 @@ def _search_graph_k(
         else:
             for pairs in twins:
                 for f, s in pairs:
-                    cf = color[f]
-                    cs = color[s]
-                    if cf != cs:
+                    if color[f] != color[s]:
                         break
-                if cf > cs:  # the swapped assignment is lex-smaller
+                if color[f] > color[s]:  # the swapped assignment is lex-smaller
                     break
             else:
                 i += 1
@@ -398,10 +373,9 @@ def _ladder(m: Multigraph, lim: SearchLimits | None, search, max_colors: int | N
     if len(m.edges) > lim.max_edges:
         raise ValueError(f"too many edges: {len(m.edges)} > limit {lim.max_edges}")
     kinds = set(m.mult.values())
-    degree = [len(nb) for nb in m.base.adj]
-    # the only 1-coloring gives every edge its whole multiplicity, so it is
-    # valid iff m is locally irregular; one multiplicity scales all degrees
-    # alike. An edgeless host ends here, so each search has a first edge
+    degree = list(map(len, m.base.adj))
+    # k = 1 iff m is locally irregular, and one multiplicity scales every
+    # degree alike; an edgeless host ends here, so each search has a first edge
     host_degree = degree if len(kinds) == 1 else [m.degree(v) for v in range(m.n)]
     if all(host_degree[u] != host_degree[v] for u, v in m.edges):
         witness = _checked(Decomposition(m, 1, [(mu,) for mu in m.mult.values()]))
@@ -409,19 +383,17 @@ def _ladder(m: Multigraph, lim: SearchLimits | None, search, max_colors: int | N
     budget = lim.node_budget
     steps, rows, mus, rank = _plan(m, degree, kinds)
     for k in range(2, (max_colors or lim.max_colors) + 1):
-        if k > 2:  # one more color in each row; a search leaves them all zero
-            for row in rows:
-                if row is not None:
-                    row.append(0)
         try:
             found, budget = search(steps, mus, kinds, k, budget)
         except _BudgetExhausted:
             return SolveResult(SearchStatus.INCONCLUSIVE, nodes=lim.node_budget)
         if found is not None:
-            witness = _checked(Decomposition(m, k, [found[i] for i in rank]))
+            witness = _checked(Decomposition(m, k, list(map(found.__getitem__, rank))))
             return SolveResult(
                 SearchStatus.FOUND, k, witness, lim.node_budget - budget
             )
+        for row in filter(None, rows):  # the search left it all zero: one more color
+            row.append(0)
     return SolveResult(SearchStatus.NONE, nodes=lim.node_budget - budget)
 
 
