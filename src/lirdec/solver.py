@@ -25,7 +25,7 @@ assignment, which no such constraint excludes: status, color count and
 witness are those of the search without them, and only the node count
 drops. `is_decomposable(K8)` takes about 0.05 s (103k nodes, 36M without
 twin constraints); all 11117 connected graphs on 8 vertices are decided in
-about 0.9 s (2 vCPU Intel Xeon, CPython 3.11.7).
+about 0.9 s, with max_edges=28 (2 vCPU Intel Xeon, CPython 3.11.7).
 
 The doubled-mode search also backjumps (conflict-directed backjumping,
 Prosser, Computational Intelligence 9, 1993). Each step keeps a bit mask of
