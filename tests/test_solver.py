@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from lirdec import solver
 from lirdec.classify import classify, recognize_t_prime
 from lirdec.colorers import color_double_auto
 from lirdec.decomposition import verify
@@ -25,6 +26,7 @@ from lirdec.solver import (
     SearchStatus,
     SolveResult,
     _ladder,
+    _plan,
     _search_multigraph_k,
     exact_lir_graph,
     exact_lir_multigraph,
@@ -236,6 +238,22 @@ def test_first_color_count_needs_no_search():
     # a host that is not irregular gets no 1-coloring, and no node is charged
     res = exact_lir_multigraph(double(cycle_graph(3)), SearchLimits(max_colors=1))
     assert (res.status, res.nodes) == (SearchStatus.NONE, 0)
+
+
+def test_no_plan_is_built_when_no_second_color_is_allowed(monkeypatch):
+    # a cap of 1 after a failed degree check: P4 and K3 decided at floor(m/2)
+    # = 1 class, and the doubled triangle with max_colors=1
+    calls = []
+    monkeypatch.setattr(solver, "_plan", lambda *args: calls.append(args) or _plan(*args))
+    for res in (
+        is_decomposable(path_graph(4)),
+        is_decomposable(complete_graph(3)),
+        exact_lir_multigraph(double(cycle_graph(3)), SearchLimits(max_colors=1)),
+    ):
+        assert res == SolveResult(SearchStatus.NONE, nodes=0)
+    assert calls == []
+    assert exact_lir_multigraph(double(cycle_graph(3)), SearchLimits(max_colors=2)).colors == 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("mode,g,nodes", [("double", complete_graph(5), 39), ("graph", bowtie_graph(), 920)])
