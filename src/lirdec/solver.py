@@ -380,9 +380,12 @@ def _ladder(m: Multigraph, lim: SearchLimits | None, search, max_colors: int | N
     if all(host_degree[u] != host_degree[v] for u, v in m.edges):
         witness = _checked(Decomposition(m, 1, [(mu,) for mu in m.mult.values()]))
         return SolveResult(SearchStatus.FOUND, 1, witness, 0)
+    cap = max_colors or lim.max_colors
+    if cap < 2:
+        return SolveResult(SearchStatus.NONE, nodes=0)
     budget = lim.node_budget
     steps, rows, mus, rank = _plan(m, degree, kinds)
-    for k in range(2, (max_colors or lim.max_colors) + 1):
+    for k in range(2, cap + 1):
         try:
             found, budget = search(steps, mus, kinds, k, budget)
         except _BudgetExhausted:
