@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import binascii
 import json
+from itertools import compress
 from typing import Iterator
 
 from .decomposition import Decomposition
-from .graphs import Multigraph, SimpleGraph, canon_edge
+from .graphs import Multigraph, SimpleGraph, _assemble, canon_edge
 
 DOT_COLORS = ("red", "blue", "purple")
 
@@ -42,31 +43,30 @@ def _g6_read_n(data: str) -> tuple[int, int]:
 
 
 def parse_graph6(text: str) -> SimpleGraph:
-    """Decode one graph6 string into a SimpleGraph."""
+    """Decode one graph6 string into a SimpleGraph.
+
+    The body is read the way to_graph6 writes it, through base64: one 0/1
+    byte per vertex pair, which selects the pairs that are edges. Each pair
+    (i, j) has i < j < n and comes once, so the graph is assembled without
+    SimpleGraph's per-edge checks; the text itself is checked in full.
+    """
     data = text.strip()
     if data.startswith(">>graph6<<"):
         data = data[len(">>graph6<<"):]
     n, offset = _g6_read_n(data)
     body = data[offset:]
-    need_bits = n * (n - 1) // 2
-    need_chars = (need_bits + 5) // 6
+    count = n * (n - 1) // 2
+    need_chars = (count + 5) // 6
     if len(body) != need_chars:
         raise Graph6Error(f"graph6 body for n={n} needs {need_chars} chars, got {len(body)}")
-    bits = 0
-    for ch in body:
-        v = ord(ch) - 63
-        if v < 0 or v > 63:
-            raise Graph6Error(f"invalid graph6 character {ch!r}")
-        bits = (bits << 6) | v
-    bits >>= 6 * need_chars - need_bits  # drop padding
-    edges = []
-    idx = need_bits - 1
-    for j in range(n):
-        for i in range(j):
-            if (bits >> idx) & 1:
-                edges.append((i, j))
-            idx -= 1
-    return SimpleGraph(n, edges)
+    if body and (min(body) < "?" or max(body) > "~"):
+        bad = next(ch for ch in body if not "?" <= ch <= "~")
+        raise Graph6Error(f"invalid graph6 character {bad!r}")
+    # "?" pads the body to whole 4-digit base64 groups; the bits past count are padding
+    raw = binascii.a2b_base64((body + "?" * (-need_chars % 4)).encode().translate(_G6_TO_BASE64))
+    bits = f"{int.from_bytes(raw, 'big'):0{8 * len(raw)}b}"[:count].encode().translate(_ZERO_ONE)
+    pairs = _PAIRS if n <= 62 else ((i, j) for j in range(n) for i in range(j))
+    return _assemble(SimpleGraph.__new__(SimpleGraph), n, sorted(compress(pairs, bits)))
 
 
 def to_graph6(g: SimpleGraph) -> str:
@@ -85,10 +85,13 @@ def to_graph6(g: SimpleGraph) -> str:
     return chr(63 + g.n) + body.translate(_BASE64_TO_G6).decode("ascii")
 
 
-_BASE64_TO_G6 = bytes.maketrans(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
-    bytes(range(63, 127)),
-)
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_BASE64_TO_G6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
+_G6_TO_BASE64 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
+_ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
+# the vertex pairs in graph6 bit order, (0, 1), (0, 2), (1, 2), (0, 3), ...:
+# the first n(n-1)/2 of them are the pairs of order n, up to the short form's 62
+_PAIRS = tuple((i, j) for j in range(62) for i in range(j))
 
 
 def read_graph6_lines(text: str) -> Iterator[SimpleGraph]:

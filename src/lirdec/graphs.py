@@ -25,6 +25,23 @@ _SHARED_N = 10
 _shared: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 
+def _assemble(g: SimpleGraph, n: int, edges: list[Edge]) -> SimpleGraph:
+    """Fill g from sorted canonical edges on vertices 0..n-1, each listed
+    once: the end of SimpleGraph's construction, without its checks."""
+    neighbors: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:  # each list fills in ascending order
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    adj = [tuple(ns) for ns in neighbors]
+    if n <= _SHARED_N:
+        edges = map(_shared.setdefault, edges, edges)
+        adj = map(_shared.setdefault, adj, adj)
+    g.n = n
+    g.edges = tuple(edges)
+    g.adj = tuple(adj)
+    return g
+
+
 class SimpleGraph:
     """Undirected simple graph: no loops, no parallel edges.
 
@@ -49,18 +66,7 @@ class SimpleGraph:
             if e in seen:
                 raise ValueError(f"duplicate edge {e}")
             seen.add(e)
-        self.n = n
-        edges = sorted(seen)
-        neighbors: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:  # each list fills in ascending order
-            neighbors[u].append(v)
-            neighbors[v].append(u)
-        adj = [tuple(ns) for ns in neighbors]
-        if n <= _SHARED_N:
-            edges = map(_shared.setdefault, edges, edges)
-            adj = map(_shared.setdefault, adj, adj)
-        self.edges: tuple[Edge, ...] = tuple(edges)
-        self.adj: tuple[tuple[int, ...], ...] = tuple(adj)
+        _assemble(self, n, sorted(seen))
 
     @property
     def m(self) -> int:

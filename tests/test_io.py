@@ -1,5 +1,7 @@
 """graph6, edge-list, JSON, and DOT serialization."""
 
+from operator import is_
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,6 +88,28 @@ def test_graph6_matches_bitwise_reference():
         g = SimpleGraph(n, edges)
         assert to_graph6(g) == graph6_reference(n, edges)
         assert parse_graph6(to_graph6(g)) == g
+
+
+def test_decoding_builds_the_graph_the_constructor_builds():
+    # parse_graph6 assembles the graph without SimpleGraph's per-edge checks:
+    # no, all and some pairs at every short-form order, in the short form,
+    # the long form and behind the header; and the long form past order 62
+    rng = random.Random(2929)
+    for n in range(71):
+        pairs = [(i, j) for j in range(1, n) for i in range(j)]
+        for size in (0, len(pairs), rng.randrange(len(pairs) + 1)):
+            edges = rng.sample(pairs, size)
+            want = SimpleGraph(n, edges)
+            text = graph6_reference(n, edges)
+            size_field = "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
+            texts = [text, ">>graph6<<" + text, size_field + text[1:]] if n <= 62 else [text]
+            for got in map(parse_graph6, texts):
+                assert (got.n, got.edges, got.adj) == (want.n, want.edges, want.adj)
+                assert got == want and hash(got) == hash(want)
+                assert all(got.has_edge(v, u) for u, v in edges)
+                if n <= 10:  # the very tuples every small graph shares
+                    assert all(map(is_, got.edges, want.edges))
+                    assert all(map(is_, got.adj, want.adj))
 
 
 def test_graph6_error_carries_line_number():
